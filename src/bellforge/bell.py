@@ -19,14 +19,14 @@ optima; each restart is an independent deterministic stream.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable
 
 import numpy as np
 
-from .linalg import HERMITICITY_TOL, TensorOperator, operator_norm
-from .states import DensityOperator
+from .linalg import TensorOperator, _signs, _spectral_map, operator_norm
+from .states import MAX_LOCAL_DIM, MIN_LOCAL_DIM, DensityOperator
 
 __all__ = [
     "Observable",
@@ -40,9 +40,6 @@ __all__ = [
     "seesaw_chsh",
     "horodecki_chsh_oracle",
 ]
-
-MIN_LOCAL_DIM = 2
-MAX_LOCAL_DIM = 6
 
 # Operator norm may exceed 1 by at most this much, to absorb rounding.
 NORM_SLACK = 1e-10
@@ -116,10 +113,19 @@ def _check_state(rho: DensityOperator) -> tuple[np.ndarray, int]:
     return rho.op.entries, dims[0]
 
 
-def _check_observable(obs: Observable, d: int, who: str) -> np.ndarray:
-    if obs.dim != d:
-        raise ValueError(f"observable {who} has dimension {obs.dim}, state needs {d}")
-    return obs.op.entries
+def _raw_inputs(
+    rho: DensityOperator, observables: tuple[Observable, ...], names: tuple[str, ...]
+) -> tuple[np.ndarray, list[np.ndarray]]:
+    """The state as a 4-index tensor and the observables' matrices, dimensions checked."""
+    rho_mat, d = _check_state(rho)
+    mats = []
+    for obs, name in zip(observables, names):
+        if obs.dim != d:
+            raise ValueError(
+                f"observable {obs.label or name} has dimension {obs.dim}, state needs {d}"
+            )
+        mats.append(obs.op.entries)
+    return rho_mat.reshape(d, d, d, d), mats
 
 
 def _corr_raw(r4: np.ndarray, a: np.ndarray, b: np.ndarray) -> float:
@@ -127,6 +133,25 @@ def _corr_raw(r4: np.ndarray, a: np.ndarray, b: np.ndarray) -> float:
     if abs(val.imag) > 1e-10:
         raise ValueError(f"correlation has imaginary part {val.imag:.3e}")
     return float(val.real)
+
+
+def _gap_raw(r4: np.ndarray, ja: np.ndarray, jb1: np.ndarray, jb2: np.ndarray) -> float:
+    e1 = _corr_raw(r4, ja, jb1)
+    e2 = _corr_raw(r4, ja, jb2)
+    e3 = _corr_raw(r4, jb1, jb2)
+    return abs(e1 - e2) - (1.0 - e3)
+
+
+def _chsh_raw(
+    r4: np.ndarray, a1: np.ndarray, a2: np.ndarray, b1: np.ndarray, b2: np.ndarray
+) -> float:
+    """Signed CHSH combination E11 + E12 + E21 - E22."""
+    return (
+        _corr_raw(r4, a1, b1)
+        + _corr_raw(r4, a1, b2)
+        + _corr_raw(r4, a2, b1)
+        - _corr_raw(r4, a2, b2)
+    )
 
 
 def _alice_effective(r4: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -139,21 +164,9 @@ def _bob_effective(r4: np.ndarray, a: np.ndarray) -> np.ndarray:
     return np.einsum("ijkl,ki->jl", r4, a)
 
 
-def _sign_raw(f: np.ndarray) -> np.ndarray:
-    h = (f + f.conj().T) / 2.0
-    vals, vecs = np.linalg.eigh(h)
-    signs = np.where(vals >= 0.0, 1.0, -1.0)
-    out = (vecs * signs) @ vecs.conj().T
-    return (out + out.conj().T) / 2.0
-
-
 def _draw_observable(rng: np.random.Generator, d: int) -> np.ndarray:
     g = rng.standard_normal((d, d)) + 1.0j * rng.standard_normal((d, d))
-    h = (g + g.conj().T) / 2.0
-    vals, vecs = np.linalg.eigh(h)
-    clamped = np.clip(vals, -1.0, 1.0)
-    out = (vecs * clamped) @ vecs.conj().T
-    return (out + out.conj().T) / 2.0
+    return _spectral_map(g, lambda vals: np.clip(vals, -1.0, 1.0))
 
 
 def random_observable(d: int, seed: int, label: str = "w") -> Observable:
@@ -166,10 +179,8 @@ def random_observable(d: int, seed: int, label: str = "w") -> Observable:
 
 def correlation(rho: DensityOperator, a: Observable, b: Observable) -> float:
     """Expectation tr(rho (a x b)) with ``a`` on the first factor, ``b`` on the second."""
-    rho_mat, d = _check_state(rho)
-    am = _check_observable(a, d, a.label or "a")
-    bm = _check_observable(b, d, b.label or "b")
-    return _corr_raw(rho_mat.reshape(d, d, d, d), am, bm)
+    r4, mats = _raw_inputs(rho, (a, b), ("a", "b"))
+    return _corr_raw(r4, *mats)
 
 
 def original_bell_gap(
@@ -181,57 +192,104 @@ def original_bell_gap(
     observable ``jb1`` appears both as a second-side setting and as the
     shared first-side setting of the third correlation.
     """
-    e1 = correlation(rho, ja, jb1)
-    e2 = correlation(rho, ja, jb2)
-    e3 = correlation(rho, jb1, jb2)
-    return abs(e1 - e2) - (1.0 - e3)
+    r4, mats = _raw_inputs(rho, (ja, jb1, jb2), ("a", "b1", "b2"))
+    return _gap_raw(r4, *mats)
 
 
 def chsh_value(
     rho: DensityOperator, a1: Observable, a2: Observable, b1: Observable, b2: Observable
 ) -> float:
     """CHSH combination |E11 + E12 + E21 - E22|; values above 2 witness nonclassicality."""
-    e11 = correlation(rho, a1, b1)
-    e12 = correlation(rho, a1, b2)
-    e21 = correlation(rho, a2, b1)
-    e22 = correlation(rho, a2, b2)
-    return abs(e11 + e12 + e21 - e22)
+    r4, mats = _raw_inputs(rho, (a1, a2, b1, b2), ("a1", "a2", "b1", "b2"))
+    return abs(_chsh_raw(r4, *mats))
 
 
-def _map_restarts(fn: Callable[[int], tuple], restarts: int, threads: int) -> list[tuple]:
-    if threads <= 1 or restarts <= 1:
-        return [fn(r) for r in range(restarts)]
-    with ThreadPoolExecutor(max_workers=min(threads, restarts)) as pool:
-        return list(pool.map(fn, range(restarts)))
-
-
-def _run_original_branch(
-    r4: np.ndarray,
-    s: float,
-    start: tuple[np.ndarray, np.ndarray, np.ndarray],
-    cfg: SeeSawConfig,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, list[float]]:
-    ja, jb1, jb2 = start
+def _iterate(sweep: Callable, mats: tuple[np.ndarray, ...], cfg: SeeSawConfig) -> tuple:
+    """Repeat ``sweep`` (matrices -> new matrices, objective) until the gain is below eps."""
     values: list[float] = []
     previous = -math.inf
     for _ in range(cfg.max_sweeps):
-        ja = _sign_raw(s * (_alice_effective(r4, jb1) - _alice_effective(r4, jb2)))
-        jb1 = _sign_raw(s * _bob_effective(r4, ja) + _alice_effective(r4, jb2))
-        jb2 = _sign_raw(-s * _bob_effective(r4, ja) + _bob_effective(r4, jb1))
-        value = (
-            s * (_corr_raw(r4, ja, jb1) - _corr_raw(r4, ja, jb2))
-            + _corr_raw(r4, jb1, jb2)
-            - 1.0
-        )
+        mats, value = sweep(mats)
         values.append(value)
         if value - previous < cfg.convergence_eps:
             break
         previous = value
-    return ja, jb1, jb2, values
+    return mats, values
+
+
+def _original_sweep(r4: np.ndarray, s: float, mats: tuple) -> tuple:
+    """One cyclic update of the gap's sign branch ``s`` and its linearized objective."""
+    ja, jb1, jb2 = mats
+    ja = _spectral_map(s * (_alice_effective(r4, jb1) - _alice_effective(r4, jb2)), _signs)
+    jb1 = _spectral_map(s * _bob_effective(r4, ja) + _alice_effective(r4, jb2), _signs)
+    jb2 = _spectral_map(-s * _bob_effective(r4, ja) + _bob_effective(r4, jb1), _signs)
+    value = s * (_corr_raw(r4, ja, jb1) - _corr_raw(r4, ja, jb2)) + _corr_raw(r4, jb1, jb2) - 1.0
+    return (ja, jb1, jb2), value
+
+
+def _chsh_sweep(r4: np.ndarray, mats: tuple) -> tuple:
+    """One cyclic update of the four CHSH observables and the signed combination."""
+    a1, a2, b1, b2 = mats
+    a1 = _spectral_map(_alice_effective(r4, b1) + _alice_effective(r4, b2), _signs)
+    a2 = _spectral_map(_alice_effective(r4, b1) - _alice_effective(r4, b2), _signs)
+    b1 = _spectral_map(_bob_effective(r4, a1) + _bob_effective(r4, a2), _signs)
+    b2 = _spectral_map(_bob_effective(r4, a1) - _bob_effective(r4, a2), _signs)
+    mats = (a1, a2, b1, b2)
+    return mats, _chsh_raw(r4, *mats)
+
+
+def _search_original(r4: np.ndarray, start: tuple, cfg: SeeSawConfig) -> tuple:
+    """Run both sign branches of the gap from ``start``; keep the better final gap."""
+    best = None
+    for s in (1.0, -1.0):
+        mats, values = _iterate(partial(_original_sweep, r4, s), start, cfg)
+        gap = _gap_raw(r4, *mats)
+        if best is None or gap > best[0]:
+            best = (gap, mats, values)
+    return best
+
+
+def _search_chsh(r4: np.ndarray, start: tuple, cfg: SeeSawConfig) -> tuple:
+    """Cyclic sign updates of the four CHSH observables from ``start``."""
+    mats, values = _iterate(partial(_chsh_sweep, r4), start, cfg)
+    return abs(_chsh_raw(r4, *mats)), mats, values
+
+
+def _seesaw(
+    rho: DensityOperator, cfg: SeeSawConfig, labels: tuple[str, ...], search: Callable
+) -> OptimizationResult:
+    """Restart loop shared by the see-saw optimizers.
+
+    Restart ``r`` draws one start observable per label from the stream
+    seeded by ``base_seed + r`` and hands them to ``search``, which
+    returns ``(final value, matrices, sweep values)``.  The largest final
+    value wins; ties resolve to the lowest restart index.
+    """
+    rho_mat, d = _check_state(rho)
+    if not MIN_LOCAL_DIM <= d <= MAX_LOCAL_DIM:
+        raise ValueError(f"local dimension {d} outside {MIN_LOCAL_DIM}..{MAX_LOCAL_DIM}")
+    r4 = rho_mat.reshape(d, d, d, d)
+    best = None
+    for restart in range(cfg.restarts):
+        rng = np.random.default_rng(cfg.base_seed + restart)
+        start = tuple(_draw_observable(rng, d) for _ in labels)
+        outcome = search(r4, start, cfg)
+        if best is None or outcome[0] > best[0][0]:
+            best = (outcome, restart)
+    (value, mats, values), winner = best
+    return OptimizationResult(
+        best_value=value,
+        observables=tuple(
+            Observable(TensorOperator(m, (d,)), label) for m, label in zip(mats, labels)
+        ),
+        sweeps_used=len(values),
+        restart_index=winner,
+        value_trace=tuple(values),
+    )
 
 
 def seesaw_original_bell(
-    rho: DensityOperator, cfg: SeeSawConfig = SeeSawConfig(), threads: int = 1
+    rho: DensityOperator, cfg: SeeSawConfig = SeeSawConfig()
 ) -> OptimizationResult:
     """Maximize the perfect-correlation Bell gap by cyclic exact updates.
 
@@ -240,73 +298,12 @@ def seesaw_original_bell(
     initial triple and keeps the better final gap.  Restart ``r`` uses
     the deterministic stream seeded by ``base_seed + r``, and ties
     across restarts resolve to the lowest restart index, so results are
-    reproducible for any ``threads``.
+    reproducible.
     """
-    rho_mat, d = _check_state(rho)
-    if not MIN_LOCAL_DIM <= d <= MAX_LOCAL_DIM:
-        raise ValueError(f"local dimension {d} outside {MIN_LOCAL_DIM}..{MAX_LOCAL_DIM}")
-    r4 = rho_mat.reshape(d, d, d, d)
-
-    def run(restart: int) -> tuple:
-        rng = np.random.default_rng(cfg.base_seed + restart)
-        start = tuple(_draw_observable(rng, d) for _ in range(3))
-        best = None
-        for s in (1.0, -1.0):
-            ja, jb1, jb2, values = _run_original_branch(r4, s, start, cfg)
-            e1 = _corr_raw(r4, ja, jb1)
-            e2 = _corr_raw(r4, ja, jb2)
-            e3 = _corr_raw(r4, jb1, jb2)
-            gap = abs(e1 - e2) - (1.0 - e3)
-            if best is None or gap > best[0]:
-                best = (gap, (ja, jb1, jb2), values)
-        return best
-
-    outcomes = _map_restarts(run, cfg.restarts, threads)
-    winner = max(range(cfg.restarts), key=lambda r: (outcomes[r][0], -r))
-    _, mats, values = outcomes[winner]
-    observables = tuple(
-        Observable(TensorOperator(m, (d,)), label)
-        for m, label in zip(mats, ("a", "b1", "b2"))
-    )
-    best_value = original_bell_gap(rho, *observables)
-    return OptimizationResult(
-        best_value=best_value,
-        observables=observables,
-        sweeps_used=len(values),
-        restart_index=winner,
-        value_trace=tuple(values),
-    )
+    return _seesaw(rho, cfg, ("a", "b1", "b2"), _search_original)
 
 
-def _run_chsh(
-    r4: np.ndarray,
-    start: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray],
-    cfg: SeeSawConfig,
-) -> tuple[tuple[np.ndarray, ...], list[float]]:
-    a1, a2, b1, b2 = start
-    values: list[float] = []
-    previous = -math.inf
-    for _ in range(cfg.max_sweeps):
-        a1 = _sign_raw(_alice_effective(r4, b1) + _alice_effective(r4, b2))
-        a2 = _sign_raw(_alice_effective(r4, b1) - _alice_effective(r4, b2))
-        b1 = _sign_raw(_bob_effective(r4, a1) + _bob_effective(r4, a2))
-        b2 = _sign_raw(_bob_effective(r4, a1) - _bob_effective(r4, a2))
-        value = (
-            _corr_raw(r4, a1, b1)
-            + _corr_raw(r4, a1, b2)
-            + _corr_raw(r4, a2, b1)
-            - _corr_raw(r4, a2, b2)
-        )
-        values.append(value)
-        if value - previous < cfg.convergence_eps:
-            break
-        previous = value
-    return (a1, a2, b1, b2), values
-
-
-def seesaw_chsh(
-    rho: DensityOperator, cfg: SeeSawConfig = SeeSawConfig(), threads: int = 1
-) -> OptimizationResult:
+def seesaw_chsh(rho: DensityOperator, cfg: SeeSawConfig = SeeSawConfig()) -> OptimizationResult:
     """Maximize the CHSH combination by cyclic exact updates.
 
     After the first full sweep the linear combination is nonnegative, so
@@ -314,38 +311,7 @@ def seesaw_chsh(
     monotonically.  Restart seeding and tie-breaking match
     :func:`seesaw_original_bell`.
     """
-    rho_mat, d = _check_state(rho)
-    if not MIN_LOCAL_DIM <= d <= MAX_LOCAL_DIM:
-        raise ValueError(f"local dimension {d} outside {MIN_LOCAL_DIM}..{MAX_LOCAL_DIM}")
-    r4 = rho_mat.reshape(d, d, d, d)
-
-    def run(restart: int) -> tuple:
-        rng = np.random.default_rng(cfg.base_seed + restart)
-        start = tuple(_draw_observable(rng, d) for _ in range(4))
-        mats, values = _run_chsh(r4, start, cfg)
-        final = abs(
-            _corr_raw(r4, mats[0], mats[2])
-            + _corr_raw(r4, mats[0], mats[3])
-            + _corr_raw(r4, mats[1], mats[2])
-            - _corr_raw(r4, mats[1], mats[3])
-        )
-        return final, mats, values
-
-    outcomes = _map_restarts(run, cfg.restarts, threads)
-    winner = max(range(cfg.restarts), key=lambda r: (outcomes[r][0], -r))
-    _, mats, values = outcomes[winner]
-    observables = tuple(
-        Observable(TensorOperator(m, (d,)), label)
-        for m, label in zip(mats, ("a1", "a2", "b1", "b2"))
-    )
-    best_value = chsh_value(rho, *observables)
-    return OptimizationResult(
-        best_value=best_value,
-        observables=observables,
-        sweeps_used=len(values),
-        restart_index=winner,
-        value_trace=tuple(values),
-    )
+    return _seesaw(rho, cfg, ("a1", "a2", "b1", "b2"), _search_chsh)
 
 
 def horodecki_chsh_oracle(rho: DensityOperator) -> float:

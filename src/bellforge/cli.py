@@ -10,17 +10,17 @@ Subcommands:
   extension with prescribed marginals.
 
 Every run writes a single JSON report to stdout (floats carry 17
-significant digits, so identical inputs give identical bytes) and a
-short human summary to stderr unless ``--quiet`` is passed.  Exit codes:
-0 all checks passed, 1 a check failed or a violation was found, 2 usage
-error, 3 structurally valid but non-density input data.
+significant digits, so identical inputs give identical bytes in every
+field but ``wall_time_ms``) and a short human summary to stderr unless
+``--quiet`` is passed.  Exit codes: 0 all checks passed, 1 a check failed
+or a violation was found, 2 usage error, 3 structurally valid but
+non-density input data.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import time
 from dataclasses import dataclass, field
@@ -41,6 +41,8 @@ from .linalg import (
     trace,
 )
 from .states import (
+    MAX_LOCAL_DIM,
+    MIN_LOCAL_DIM,
     DensityOperator,
     antisym_projector,
     antisymmetrizer3,
@@ -53,8 +55,6 @@ from .states import (
 )
 
 __all__ = ["main", "entrypoint", "render_json"]
-
-THREADS_ENV = "BELLFORGE_THREADS"
 
 
 class _UsageError(Exception):
@@ -103,25 +103,17 @@ def render_json(value, level: int = 0) -> str:
     raise TypeError(f"cannot serialize {type(value).__name__}")
 
 
-def _thread_count() -> int:
-    raw = os.environ.get(THREADS_ENV)
-    if raw is None:
-        return 1
-    try:
-        threads = int(raw)
-    except ValueError:
-        print(f"warning: ignoring non-integer {THREADS_ENV}={raw!r}", file=sys.stderr)
-        return 1
-    return max(1, threads)
+def _check_d(d: int) -> None:
+    if not MIN_LOCAL_DIM <= d <= MAX_LOCAL_DIM:
+        raise _UsageError(f"--d must lie in {MIN_LOCAL_DIM}..{MAX_LOCAL_DIM}, got {d}")
 
 
-def _resolve_state(name: str, d: int | None, lo: int = 2, hi: int = 6) -> DensityOperator:
+def _resolve_state(name: str, d: int | None) -> DensityOperator:
     """Build the requested bipartite state, validating dimensions along the way."""
     if name == "werner":
         if d is None:
             raise _UsageError("--state werner requires --d")
-        if not lo <= d <= hi:
-            raise _UsageError(f"--d must lie in {lo}..{hi}, got {d}")
+        _check_d(d)
         return werner(d)
     if name == "singlet":
         if d is not None and d != 2:
@@ -138,8 +130,10 @@ def _resolve_state(name: str, d: int | None, lo: int = 2, hi: int = 6) -> Densit
             raise _DataError(f"state file must hold a bipartite operator with equal factors, got {dims}")
         if d is not None and dims[0] != d:
             raise _DataError(f"state file has local dimension {dims[0]}, but --d {d} was given")
-        if not lo <= dims[0] <= hi:
-            raise _DataError(f"state file local dimension {dims[0]} outside {lo}..{hi}")
+        if not MIN_LOCAL_DIM <= dims[0] <= MAX_LOCAL_DIM:
+            raise _DataError(
+                f"state file local dimension {dims[0]} outside {MIN_LOCAL_DIM}..{MAX_LOCAL_DIM}"
+            )
         try:
             return DensityOperator(op)
         except ValueError as exc:
@@ -153,8 +147,7 @@ def _check(value: float, threshold: float) -> dict:
 
 def cmd_verify(args: argparse.Namespace) -> _Outcome:
     d, tol = args.d, args.tol
-    if not 2 <= d <= 6:
-        raise _UsageError(f"--d must lie in 2..6, got {d}")
+    _check_d(d)
     if tol <= 0:
         raise _UsageError(f"--tol must be positive, got {tol}")
 
@@ -230,14 +223,13 @@ def cmd_bell(args: argparse.Namespace) -> _Outcome:
     if args.seed < 0:
         raise _UsageError(f"--seed must be nonnegative, got {args.seed}")
     rho = _resolve_state(args.state, args.d)
-    threads = _thread_count()
     cfg = SeeSawConfig(restarts=args.restarts, base_seed=args.seed)
     if args.functional == "original":
-        result = seesaw_original_bell(rho, cfg, threads=threads)
+        result = seesaw_original_bell(rho, cfg)
         threshold = args.tol
         kind = "perfect-correlation gap"
     else:
-        result = seesaw_chsh(rho, cfg, threads=threads)
+        result = seesaw_chsh(rho, cfg)
         threshold = 2.0 + args.tol
         kind = "CHSH value"
 
@@ -259,7 +251,6 @@ def cmd_bell(args: argparse.Namespace) -> _Outcome:
             "restarts": args.restarts,
             "seed": args.seed,
             "tol": args.tol,
-            "threads": threads,
         },
         results={"best_value": entry},
         passed=passed,
@@ -274,7 +265,7 @@ def cmd_dso_find(args: argparse.Namespace) -> _Outcome:
         raise _UsageError(f"--tol must be positive, got {args.tol}")
     rho = _resolve_state(args.state, args.d)
     pattern = pattern_sym3(rho) if args.pattern == "sym3" else pattern_right2(rho)
-    result = dykstra_find_extension(rho, pattern, max_iters=args.iters, tol=args.tol)
+    result = dykstra_find_extension(pattern, max_iters=args.iters, tol=args.tol)
     if args.dump:
         try:
             save_operator(result.candidate, args.dump)

@@ -1,9 +1,10 @@
 """Marginal-constraint checking and alternating-projection extension search.
 
-Given a bipartite density operator rho and a pattern of marginal
-constraints, this module verifies whether a tripartite operator has the
-required partial traces, and searches for such an extension with
-Dykstra's alternating-projection algorithm over the intersection of
+Given a pattern of marginal constraints (bipartite target states for
+chosen partial traces), this module verifies whether a tripartite
+operator has the required partial traces, and searches for such an
+operator with Dykstra's alternating-projection algorithm over the
+intersection of
 
 * the set of density operators (Hermitian, PSD, trace one), and
 * one affine set per constraint: operators whose j-th partial trace
@@ -22,8 +23,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import TensorOperator, frobenius_distance, partial_trace
-from .states import DensityOperator
+from .linalg import (
+    TensorOperator,
+    _density_defects,
+    _ptrace,
+    _reorder,
+    _spectral_map,
+    frobenius_distance,
+    partial_trace,
+)
+from .states import MAX_LOCAL_DIM, DensityOperator, density_deficits
 
 __all__ = [
     "MarginalPattern",
@@ -34,9 +43,6 @@ __all__ = [
     "pattern_right2",
     "dykstra_find_extension",
 ]
-
-MAX_LOCAL_DIM = 6
-
 
 @dataclass(frozen=True, eq=False)
 class MarginalPattern:
@@ -97,14 +103,8 @@ def pattern_right2(rho: DensityOperator) -> MarginalPattern:
     return MarginalPattern(((2, rho), (3, rho)))
 
 
-def verify_marginals(
-    t: TensorOperator, pattern: MarginalPattern, tol: float = 1e-10
-) -> list[float]:
-    """Frobenius distance of each constrained partial trace from its target.
-
-    ``tol`` is the pass threshold used by :func:`marginals_satisfied`; the
-    residual list itself is returned unconditionally.
-    """
+def verify_marginals(t: TensorOperator, pattern: MarginalPattern) -> list[float]:
+    """Frobenius distance of each constrained partial trace from its target."""
     d = pattern.local_dim
     if t.factor_dims != (d, d, d):
         raise ValueError(
@@ -120,9 +120,7 @@ def marginals_satisfied(
     t: TensorOperator, pattern: MarginalPattern, tol: float = 1e-10
 ) -> bool:
     """Whether ``t`` is a density operator with all constrained marginals within ``tol``."""
-    from .states import density_deficits
-
-    residuals = verify_marginals(t, pattern, tol)
+    residuals = verify_marginals(t, pattern)
     asymmetry, trace_error, negativity = density_deficits(t)
     return (
         max(residuals) <= tol
@@ -144,28 +142,17 @@ def _project_simplex(vals: np.ndarray) -> np.ndarray:
 
 def _project_density(m: np.ndarray) -> np.ndarray:
     """Nearest density matrix in Frobenius norm: clip eigenvalues onto the simplex."""
-    h = (m + m.conj().T) / 2.0
-    vals, vecs = np.linalg.eigh(h)
-    clipped = _project_simplex(vals)
-    out = (vecs * clipped) @ vecs.conj().T
-    return (out + out.conj().T) / 2.0
+    return _spectral_map(m, _project_simplex)
 
 
-def _ptrace_raw(m: np.ndarray, d: int, j: int) -> np.ndarray:
-    """Partial trace over 1-based factor ``j`` of a matrix on three d-dim factors."""
-    tens = m.reshape((d,) * 6)
-    return np.trace(tens, axis1=j - 1, axis2=3 + j - 1).reshape(d * d, d * d)
+# Factor order that moves the identity of ``kron(b, I)`` from slot 3 to the key.
+_IDENTITY_ORDER = {1: (3, 1, 2), 2: (1, 3, 2), 3: (1, 2, 3)}
 
 
 def _embed_identity_at(b: np.ndarray, d: int, slot: int) -> np.ndarray:
     """Tensor a bipartite matrix with the identity placed at 1-based ``slot``."""
     big = np.kron(b, np.eye(d, dtype=np.complex128))
-    if slot == 3:
-        return big
-    order = {1: (2, 0, 1), 2: (0, 2, 1)}[slot]
-    axes = order + tuple(3 + o for o in order)
-    n = d**3
-    return big.reshape((d,) * 6).transpose(axes).reshape(n, n)
+    return _reorder(big, (d, d, d), _IDENTITY_ORDER[slot])
 
 
 def _project_marginal(m: np.ndarray, d: int, j: int, target: np.ndarray) -> np.ndarray:
@@ -174,23 +161,19 @@ def _project_marginal(m: np.ndarray, d: int, j: int, target: np.ndarray) -> np.n
     The deficit is spread uniformly over the traced factor: add
     (target - partial_trace(m)) / d tensored with the identity at slot j.
     """
-    deficit = (target - _ptrace_raw(m, d, j)) / d
+    deficit = (target - _ptrace(m, (d, d, d), j)) / d
     return m + _embed_identity_at(deficit, d, j)
 
 
 def _residual(m: np.ndarray, d: int, targets: tuple[tuple[int, np.ndarray], ...]) -> float:
     """Total infeasibility: worst marginal deviation + PSD deficit + trace deficit."""
-    marginal = max(
-        float(np.linalg.norm(_ptrace_raw(m, d, j) - target)) for j, target in targets
-    )
-    h = (m + m.conj().T) / 2.0
-    lowest = float(np.linalg.eigvalsh(h)[0])
-    trace_error = abs(complex(np.trace(m)) - 1.0)
-    return marginal + max(0.0, -lowest) + trace_error
+    dims = (d, d, d)
+    marginal = max(float(np.linalg.norm(_ptrace(m, dims, j) - target)) for j, target in targets)
+    trace_error, negativity = _density_defects(m)
+    return marginal + negativity + trace_error
 
 
 def dykstra_find_extension(
-    rho: DensityOperator,
     pattern: MarginalPattern,
     max_iters: int = 5000,
     tol: float = 1e-6,
@@ -199,8 +182,11 @@ def dykstra_find_extension(
 
     Runs Dykstra's alternating projections between the affine marginal
     sets (in constraint order) and the density set, keeping one
-    correction term per set.  The iterate is assessed after the density
-    projection of each cycle, and the best iterate seen is returned.
+    correction term per set.  Each constraint matches its own target, so
+    targets may differ; the start is the first target with the maximally
+    mixed state on its traced factor.  The iterate is assessed after the
+    density projection of each cycle, and the best iterate seen is
+    returned.
 
     A ``converged`` result certifies feasibility up to ``tol``.  A
     non-converged result only means no extension was found within
@@ -209,23 +195,12 @@ def dykstra_find_extension(
     d = pattern.local_dim
     if d > MAX_LOCAL_DIM:
         raise ValueError(f"local dimension {d} exceeds the supported maximum {MAX_LOCAL_DIM}")
-    if rho.factor_dims != (d, d):
-        raise ValueError(
-            f"state factors {rho.factor_dims} do not match the pattern's space ({d}, {d})"
-        )
-    for j, target in pattern.constraints:
-        mismatch = frobenius_distance(target.op, rho.op)
-        if mismatch > 1e-10:
-            raise ValueError(
-                f"pattern target for factor {j} differs from rho by {mismatch:.3e}; "
-                "every target must equal the state being extended"
-            )
     if max_iters < 1:
         raise ValueError(f"max_iters must be positive, got {max_iters}")
 
-    targets = tuple((j, rho.op.entries) for j, _ in pattern.constraints)
-    first_slot = targets[0][0]
-    x = _embed_identity_at(rho.op.entries / d, d, first_slot)
+    targets = tuple((j, target.op.entries) for j, target in pattern.constraints)
+    first_slot, first_target = targets[0]
+    x = _embed_identity_at(first_target / d, d, first_slot)
 
     n = d**3
     nsets = len(targets) + 1

@@ -3,7 +3,10 @@
 Every operator is stored as a row-major complex matrix tagged with the
 ordered dimensions of its tensor factors.  Values are immutable after
 construction and all functions here are pure, so they are safe to share
-across threads.
+across threads.  The public functions validate at this boundary and
+delegate to a private kernel on raw arrays (Hermitian part, spectral map,
+partial trace, factor reordering), which the solvers' inner loops call
+directly.
 """
 
 from __future__ import annotations
@@ -12,6 +15,7 @@ import math
 import numbers
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
@@ -157,6 +161,21 @@ def frobenius_distance(a: TensorOperator, b: TensorOperator) -> float:
     return float(np.linalg.norm(a.entries - b.entries))
 
 
+def _ptrace(m: np.ndarray, dims: tuple[int, ...], j: int) -> np.ndarray:
+    """Trace the 1-based factor ``j`` out of a raw matrix on factors ``dims``."""
+    n = len(dims)
+    reduced = np.trace(m.reshape(dims + dims), axis1=j - 1, axis2=n + j - 1)
+    side = m.shape[0] // dims[j - 1]
+    return reduced.reshape(side, side)
+
+
+def _reorder(m: np.ndarray, dims: tuple[int, ...], order: tuple[int, ...]) -> np.ndarray:
+    """Permute the factors of a raw matrix; ``order[k]`` is the old 1-based slot moved to k+1."""
+    n = len(dims)
+    src = [o - 1 for o in order]
+    return m.reshape(dims + dims).transpose(src + [n + o for o in src]).reshape(m.shape)
+
+
 def partial_trace(t: TensorOperator, j: int) -> TensorOperator:
     """Trace out the ``j``-th tensor factor (1-based); the others keep their order."""
     n = t.nfactors
@@ -165,11 +184,7 @@ def partial_trace(t: TensorOperator, j: int) -> TensorOperator:
     if not 1 <= j <= n:
         raise ValueError(f"factor index {j} outside 1..{n}")
     dims = t.factor_dims
-    tens = t.entries.reshape(dims + dims)
-    reduced = np.trace(tens, axis1=j - 1, axis2=n + j - 1)
-    kept = dims[: j - 1] + dims[j:]
-    side = math.prod(kept)
-    return TensorOperator(reduced.reshape(side, side), kept)
+    return TensorOperator(_ptrace(t.entries, dims, j), dims[: j - 1] + dims[j:])
 
 
 def reorder_factors(t: TensorOperator, order: tuple[int, ...]) -> TensorOperator:
@@ -177,29 +192,55 @@ def reorder_factors(t: TensorOperator, order: tuple[int, ...]) -> TensorOperator
     n = t.nfactors
     if sorted(order) != list(range(1, n + 1)):
         raise ValueError(f"order {order} is not a permutation of 1..{n}")
-    src = tuple(o - 1 for o in order)
-    axes = src + tuple(n + o for o in src)
-    tens = t.entries.reshape(t.factor_dims + t.factor_dims)
-    new_dims = tuple(t.factor_dims[o] for o in src)
-    return TensorOperator(tens.transpose(axes).reshape(t.side, t.side), new_dims)
+    dims = t.factor_dims
+    new_dims = tuple(dims[o - 1] for o in order)
+    return TensorOperator(_reorder(t.entries, dims, order), new_dims)
 
 
-def _hermitian_part(t: TensorOperator, tol: float) -> np.ndarray:
-    """Symmetrized matrix of ``t``; reject if the asymmetry exceeds ``tol`` relatively."""
-    m = t.entries
-    asym = float(np.linalg.norm(m - m.conj().T))
-    scale = max(1.0, float(np.linalg.norm(m)))
-    if asym > tol * scale:
-        raise ValueError(
-            f"matrix is not Hermitian: asymmetry {asym:.3e} exceeds {tol:.1e} relative tolerance"
-        )
+def _hermitian_part(m: np.ndarray, tol: float | None = None) -> np.ndarray:
+    """Symmetrized matrix ``(m + m^H) / 2``.
+
+    With ``tol`` given, first reject ``m`` if its asymmetry exceeds ``tol``
+    relative to its Frobenius norm (at least 1).
+    """
+    if tol is not None:
+        asym = float(np.linalg.norm(m - m.conj().T))
+        scale = max(1.0, float(np.linalg.norm(m)))
+        if asym > tol * scale:
+            raise ValueError(
+                f"matrix is not Hermitian: asymmetry {asym:.3e} exceeds {tol:.1e} "
+                "relative tolerance"
+            )
     return (m + m.conj().T) / 2.0
+
+
+def _signs(vals: np.ndarray) -> np.ndarray:
+    """Eigenvalue map of the spectral sign: >= 0 becomes +1, negative becomes -1."""
+    return np.where(vals >= 0.0, 1.0, -1.0)
+
+
+def _spectral_map(
+    m: np.ndarray, f: Callable[[np.ndarray], np.ndarray], tol: float | None = None
+) -> np.ndarray:
+    """``V f(L) V^H`` for the eigendecomposition of the Hermitian part of ``m``, symmetrized."""
+    vals, vecs = np.linalg.eigh(_hermitian_part(m, tol))
+    return _hermitian_part((vecs * f(vals)) @ vecs.conj().T)
+
+
+def _eigenvalues(m: np.ndarray, tol: float | None = None) -> np.ndarray:
+    """Ascending eigenvalues of the Hermitian part of ``m``."""
+    return np.linalg.eigvalsh(_hermitian_part(m, tol))
+
+
+def _density_defects(m: np.ndarray) -> tuple[float, float]:
+    """``(|tr m - 1|, magnitude of the lowest eigenvalue if negative)`` of a raw matrix."""
+    lowest = float(_eigenvalues(m)[0])
+    return abs(complex(np.trace(m)) - 1.0), max(0.0, -lowest)
 
 
 def eig_hermitian(t: TensorOperator, tol: float = HERMITICITY_TOL) -> Spectrum:
     """Real eigenvalues (descending) and matching orthonormal eigenvectors."""
-    h = _hermitian_part(t, tol)
-    vals, vecs = np.linalg.eigh(h)
+    vals, vecs = np.linalg.eigh(_hermitian_part(t.entries, tol))
     return Spectrum(vals[::-1].copy(), vecs[:, ::-1].copy())
 
 
@@ -209,32 +250,23 @@ def hermitian_sign(t: TensorOperator, tol: float = HERMITICITY_TOL) -> TensorOpe
     The result is the norm-one Hermitian operator maximizing ``tr(t @ w)``
     over Hermitian ``w`` with operator norm at most one.
     """
-    h = _hermitian_part(t, tol)
-    vals, vecs = np.linalg.eigh(h)
-    signs = np.where(vals >= 0.0, 1.0, -1.0)
-    m = (vecs * signs) @ vecs.conj().T
-    return TensorOperator((m + m.conj().T) / 2.0, t.factor_dims)
+    return TensorOperator(_spectral_map(t.entries, _signs, tol), t.factor_dims)
 
 
 def operator_norm(t: TensorOperator, tol: float = HERMITICITY_TOL) -> float:
     """Largest absolute eigenvalue of a Hermitian operator."""
-    h = _hermitian_part(t, tol)
-    vals = np.linalg.eigvalsh(h)
+    vals = _eigenvalues(t.entries, tol)
     return float(np.max(np.abs(vals))) if vals.size else 0.0
 
 
 def trace_norm(t: TensorOperator, tol: float = HERMITICITY_TOL) -> float:
     """Sum of absolute eigenvalues of a Hermitian operator."""
-    h = _hermitian_part(t, tol)
-    vals = np.linalg.eigvalsh(h)
-    return float(np.sum(np.abs(vals)))
+    return float(np.sum(np.abs(_eigenvalues(t.entries, tol))))
 
 
 def is_psd(t: TensorOperator, tol: float = PSD_TOL, herm_tol: float = HERMITICITY_TOL) -> bool:
     """Whether the Hermitian operator has no eigenvalue below ``-tol``."""
-    h = _hermitian_part(t, herm_tol)
-    vals = np.linalg.eigvalsh(h)
-    return bool(vals[0] >= -tol)
+    return bool(_eigenvalues(t.entries, herm_tol)[0] >= -tol)
 
 
 def operator_to_text(t: TensorOperator) -> str:

@@ -16,13 +16,16 @@ import numpy as np
 
 from .linalg import (
     HERMITICITY_TOL,
+    PSD_TOL,
     TensorOperator,
+    _density_defects,
     identity,
     kron,
-    trace,
 )
 
 __all__ = [
+    "MIN_LOCAL_DIM",
+    "MAX_LOCAL_DIM",
     "DensityOperator",
     "Permutation3",
     "ALL_PERMUTATIONS_3",
@@ -37,10 +40,13 @@ __all__ = [
     "dso_general",
 ]
 
-# Acceptable defects when validating a density operator: |trace - 1| and
-# the magnitude of the most negative eigenvalue.
+# Local dimensions the solvers and the command line support.
+MIN_LOCAL_DIM = 2
+MAX_LOCAL_DIM = 6
+
+# Acceptable |trace - 1| when validating a density operator; the most
+# negative eigenvalue is held to ``linalg.PSD_TOL``.
 DENSITY_TRACE_TOL = 1e-10
-DENSITY_PSD_TOL = 1e-10
 
 
 def density_deficits(t: TensorOperator) -> tuple[float, float, float]:
@@ -53,10 +59,7 @@ def density_deficits(t: TensorOperator) -> tuple[float, float, float]:
     m = t.entries
     scale = max(1.0, float(np.linalg.norm(m)))
     asymmetry = float(np.linalg.norm(m - m.conj().T)) / scale
-    trace_error = abs(trace(t) - 1.0)
-    h = (m + m.conj().T) / 2.0
-    lowest = float(np.linalg.eigvalsh(h)[0])
-    return asymmetry, trace_error, max(0.0, -lowest)
+    return (asymmetry, *_density_defects(m))
 
 
 @dataclass(frozen=True, eq=False)
@@ -71,7 +74,7 @@ class DensityOperator:
             raise ValueError(f"density operator is not Hermitian (asymmetry {asymmetry:.3e})")
         if trace_error > DENSITY_TRACE_TOL:
             raise ValueError(f"density operator trace deviates from 1 by {trace_error:.3e}")
-        if negativity > DENSITY_PSD_TOL:
+        if negativity > PSD_TOL:
             raise ValueError(f"density operator has negative eigenvalue -{negativity:.3e}")
 
     @property

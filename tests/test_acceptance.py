@@ -142,9 +142,9 @@ def test_criterion_4_chsh_satisfaction(capsys):
 def test_criterion_5_feasibility_solver(capsys):
     """Dykstra finds the symmetric werner(3) extension and stalls on monogamy."""
     w = bf.werner(3)
-    found = bf.dykstra_find_extension(w, bf.pattern_sym3(w), max_iters=5000, tol=1e-5)
+    found = bf.dykstra_find_extension(bf.pattern_sym3(w), max_iters=5000, tol=1e-5)
     s = bf.singlet()
-    stuck = bf.dykstra_find_extension(s, bf.pattern_right2(s), max_iters=5000, tol=1e-8)
+    stuck = bf.dykstra_find_extension(bf.pattern_right2(s), max_iters=5000, tol=1e-8)
     found_ok = found.converged and found.residual <= 1e-5 and found.iterations <= 5000
     stuck_ok = (not stuck.converged) and stuck.residual >= 1e-2
     ok = found_ok and stuck_ok

@@ -173,23 +173,6 @@ def test_bell_requires_dimension_for_werner(capsys):
     assert "requires --d" in err
 
 
-def test_bell_honors_thread_environment(capsys, monkeypatch):
-    monkeypatch.setenv("BELLFORGE_THREADS", "3")
-    code, report, _ = run_cli(
-        capsys,
-        ["bell", "--functional", "chsh", "--state", "singlet", "--restarts", "6", "--quiet"],
-    )
-    assert code == 1  # singlet violates: exit reflects the finding, not an error
-    assert report["parameters"]["threads"] == 3
-    monkeypatch.setenv("BELLFORGE_THREADS", "junk")
-    code2, report2, err2 = run_cli(
-        capsys,
-        ["bell", "--functional", "chsh", "--state", "singlet", "--restarts", "6", "--quiet"],
-    )
-    assert report2["parameters"]["threads"] == 1
-    assert "ignoring" in err2
-
-
 def test_bell_reports_are_deterministic(capsys):
     argv = [
         "bell",

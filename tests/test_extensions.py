@@ -10,9 +10,9 @@ from bellforge.extensions import (
     _embed_identity_at,
     _project_density,
     _project_marginal,
-    _ptrace_raw,
     marginals_satisfied,
 )
+from bellforge.linalg import _ptrace
 
 
 def random_hermitian(rng: np.random.Generator, side: int) -> np.ndarray:
@@ -99,7 +99,7 @@ def test_embed_identity_matches_reordered_kron():
         )
         assert np.max(np.abs(embedded - reference.entries)) <= 1e-13
         # tracing the identity slot recovers d * b
-        back = _ptrace_raw(embedded, d, slot)
+        back = _ptrace(embedded, (d, d, d), slot)
         assert np.max(np.abs(back - d * b)) <= 1e-12
 
 
@@ -110,7 +110,7 @@ def test_marginal_projection_is_exact_and_idempotent():
     for j in (1, 2, 3):
         x = random_hermitian(rng, d**3)
         proj = _project_marginal(x, d, j, target)
-        assert np.max(np.abs(_ptrace_raw(proj, d, j) - target)) <= 1e-12
+        assert np.max(np.abs(_ptrace(proj, (d, d, d), j) - target)) <= 1e-12
         again = _project_marginal(proj, d, j, target)
         assert np.max(np.abs(again - proj)) <= 1e-12
 
@@ -162,7 +162,7 @@ def test_density_projection_picks_nearest_point():
 
 def test_dykstra_finds_symmetric_extension_of_werner3():
     w = bf.werner(3)
-    result = bf.dykstra_find_extension(w, bf.pattern_sym3(w), max_iters=5000, tol=1e-6)
+    result = bf.dykstra_find_extension(bf.pattern_sym3(w), max_iters=5000, tol=1e-6)
     assert result.converged
     assert result.residual <= 1e-6
     assert result.iterations <= 5000
@@ -175,14 +175,14 @@ def test_dykstra_finds_symmetric_extension_of_werner3():
 
 def test_dykstra_finds_right_extension_of_werner2():
     w = bf.werner(2)
-    result = bf.dykstra_find_extension(w, bf.pattern_right2(w), max_iters=500, tol=1e-8)
+    result = bf.dykstra_find_extension(bf.pattern_right2(w), max_iters=500, tol=1e-8)
     assert result.converged
     assert result.residual <= 1e-8
 
 
 def test_dykstra_reports_failure_on_singlet_monogamy():
     s = bf.singlet()
-    result = bf.dykstra_find_extension(s, bf.pattern_right2(s), max_iters=400, tol=1e-6)
+    result = bf.dykstra_find_extension(bf.pattern_right2(s), max_iters=400, tol=1e-6)
     assert not result.converged
     assert result.residual >= 1e-2
     assert result.iterations == 400
@@ -190,9 +190,9 @@ def test_dykstra_reports_failure_on_singlet_monogamy():
 
 def test_dykstra_residual_trace_samples_non_increasing():
     w = bf.werner(3)
-    feasible = bf.dykstra_find_extension(w, bf.pattern_sym3(w), max_iters=5000, tol=1e-12)
+    feasible = bf.dykstra_find_extension(bf.pattern_sym3(w), max_iters=5000, tol=1e-12)
     s = bf.singlet()
-    stuck = bf.dykstra_find_extension(s, bf.pattern_right2(s), max_iters=1000, tol=1e-12)
+    stuck = bf.dykstra_find_extension(bf.pattern_right2(s), max_iters=1000, tol=1e-12)
     for trace in (feasible.residual_trace, stuck.residual_trace):
         samples = trace[::50]
         for earlier, later in zip(samples, samples[1:]):
@@ -201,32 +201,32 @@ def test_dykstra_residual_trace_samples_non_increasing():
 
 def test_dykstra_is_deterministic():
     w = bf.werner(3)
-    a = bf.dykstra_find_extension(w, bf.pattern_sym3(w), max_iters=200, tol=1e-7)
-    b = bf.dykstra_find_extension(w, bf.pattern_sym3(w), max_iters=200, tol=1e-7)
+    a = bf.dykstra_find_extension(bf.pattern_sym3(w), max_iters=200, tol=1e-7)
+    b = bf.dykstra_find_extension(bf.pattern_sym3(w), max_iters=200, tol=1e-7)
     assert a.residual == b.residual
     assert a.iterations == b.iterations
     np.testing.assert_array_equal(a.candidate.entries, b.candidate.entries)
 
 
-def test_dykstra_rejects_mismatched_target():
-    w2 = bf.werner(2)
-    s = bf.singlet()
-    with pytest.raises(ValueError, match="differs from rho"):
-        bf.dykstra_find_extension(w2, bf.pattern_right2(s), max_iters=10, tol=1e-6)
-
-
-def test_dykstra_rejects_wrong_state_space():
-    with pytest.raises(ValueError, match="do not match"):
-        bf.dykstra_find_extension(bf.werner(3), bf.pattern_right2(bf.werner(2)), 10, 1e-6)
+def test_dykstra_matches_differing_targets():
+    """Each constraint keeps its own target: dso_two_qubit witnesses this pattern."""
+    w = bf.werner(2)
+    mixed = bf.DensityOperator(0.25 * bf.identity((2, 2)))
+    pattern = bf.MarginalPattern(((1, mixed), (2, w), (3, w)))
+    assert max(bf.verify_marginals(bf.dso_two_qubit().op, pattern)) <= 1e-13
+    tol = 1e-6
+    result = bf.dykstra_find_extension(pattern, max_iters=5000, tol=tol)
+    assert result.converged
+    assert max(bf.verify_marginals(result.candidate, pattern)) <= tol
 
 
 def test_dykstra_rejects_large_dimension():
     w7 = bf.werner(7)
     with pytest.raises(ValueError, match="exceeds"):
-        bf.dykstra_find_extension(w7, bf.pattern_sym3(w7), max_iters=10, tol=1e-6)
+        bf.dykstra_find_extension(bf.pattern_sym3(w7), max_iters=10, tol=1e-6)
 
 
 def test_dykstra_rejects_bad_iteration_count():
     w = bf.werner(2)
     with pytest.raises(ValueError, match="positive"):
-        bf.dykstra_find_extension(w, bf.pattern_right2(w), max_iters=0, tol=1e-6)
+        bf.dykstra_find_extension(bf.pattern_right2(w), max_iters=0, tol=1e-6)

@@ -1,0 +1,65 @@
+"""Source-layout guards: one spectral kernel, no thread pools."""
+
+from __future__ import annotations
+
+import ast
+from pathlib import Path
+
+import bellforge
+
+PACKAGE = Path(bellforge.__file__).parent
+EIG_NAMES = {"eig", "eigh", "eigvals", "eigvalsh"}
+# The closed-form two-qubit CHSH oracle keeps its own 3x3 real eigen-solve,
+# so that it stays an independent reference for the see-saw.
+EIG_EXEMPT = {("bell.py", "horodecki_chsh_oracle")}
+
+
+def _modules() -> list[tuple[str, ast.Module]]:
+    paths = sorted(PACKAGE.glob("*.py"))
+    assert paths, f"no modules found in {PACKAGE}"
+    return [(p.name, ast.parse(p.read_text(encoding="utf-8"))) for p in paths]
+
+
+def _eig_uses(tree: ast.Module) -> list[tuple[str, int]]:
+    """(enclosing top-level name, line) of every ``*.linalg.eig*`` attribute."""
+    found = []
+    for top in tree.body:
+        owner = getattr(top, "name", "<module>")
+        for node in ast.walk(top):
+            if (
+                isinstance(node, ast.Attribute)
+                and node.attr in EIG_NAMES
+                and isinstance(node.value, ast.Attribute)
+                and node.value.attr == "linalg"
+            ):
+                found.append((owner, node.lineno))
+    return found
+
+
+def test_eigensolvers_live_in_linalg():
+    stray = [
+        f"{name}:{line} in {owner}"
+        for name, tree in _modules()
+        if name != "linalg.py"
+        for owner, line in _eig_uses(tree)
+        if (name, owner) not in EIG_EXEMPT
+    ]
+    assert not stray, f"eigensolver calls outside linalg.py: {stray}"
+
+
+def test_guard_sees_the_exempt_oracle():
+    uses = dict(_modules())
+    assert [owner for owner, _ in _eig_uses(uses["bell.py"])] == ["horodecki_chsh_oracle"]
+    assert _eig_uses(uses["linalg.py"])
+
+
+def test_no_thread_pools():
+    imports = []
+    for name, tree in _modules():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                imports += [(name, alias.name) for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.module:
+                imports.append((name, node.module))
+    pools = [(name, module) for name, module in imports if module.startswith("concurrent")]
+    assert not pools, f"concurrent.futures imported: {pools}"
