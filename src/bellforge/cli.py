@@ -7,7 +7,9 @@ Subcommands:
 * ``bell``     -- see-saw maximization of the perfect-correlation Bell
   gap or the CHSH combination on a chosen state.
 * ``dso-find`` -- alternating-projection search for a tripartite
-  extension with prescribed marginals.
+  extension with prescribed marginals; reports why it stopped
+  (``converged``, ``infeasible`` with a checked certificate, or
+  ``max_iters``).
 
 Every run writes a single JSON report to stdout (floats carry 17
 significant digits, so identical inputs give identical bytes in every
@@ -279,6 +281,11 @@ def cmd_dso_find(args: argparse.Namespace) -> _Outcome:
             f"extension found: residual {result.residual:.3e} after "
             f"{result.iterations} cycles"
         ]
+    elif result.certificate is not None:
+        notes = [
+            f"no extension found: infeasibility certificate "
+            f"(value {result.certificate.value:.3e}) after {result.iterations} cycles"
+        ]
     else:
         notes = [
             f"no extension found within {result.iterations} cycles "
@@ -295,7 +302,7 @@ def cmd_dso_find(args: argparse.Namespace) -> _Outcome:
             "tol": args.tol,
             "dump": args.dump,
         },
-        results={"residual": entry},
+        results={"residual": entry, "stop_reason": result.stop_reason},
         passed=result.converged,
         notes=notes,
     )

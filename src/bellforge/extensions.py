@@ -11,9 +11,13 @@ intersection of
   equals the target.
 
 Dykstra's method (projections with per-set correction terms) converges
-to the projection onto the intersection when it is nonempty; when it is
-empty the residual stalls away from zero, which this module reports as
-non-convergence rather than a proof of infeasibility.
+to the projection onto the intersection when it is nonempty.  When it is
+empty, the affine correction terms grow along a Farkas witness of the
+infeasibility, which the search reads off and checks with one
+eigenvalue computation.  A search stops for one of three reasons:
+``converged`` (an operator meets every constraint to the tolerance),
+``infeasible`` (a checked certificate proves that no extension exists)
+or ``max_iters`` (neither, within the cycle budget; this proves nothing).
 """
 
 from __future__ import annotations
@@ -24,8 +28,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import (
+    PSD_TOL,
     TensorOperator,
     _density_defects,
+    _eigenvalues,
+    _hermitian_part,
     _ptrace,
     _reorder,
     _spectral_map,
@@ -36,6 +43,7 @@ from .states import MAX_LOCAL_DIM, DensityOperator, density_deficits
 
 __all__ = [
     "MarginalPattern",
+    "InfeasibilityCertificate",
     "FeasibilityResult",
     "verify_marginals",
     "marginals_satisfied",
@@ -76,14 +84,41 @@ class MarginalPattern:
 
 
 @dataclass(frozen=True, eq=False)
+class InfeasibilityCertificate:
+    """Farkas witness that no density operator has the pattern's marginals.
+
+    ``duals[k]`` is a Hermitian ``Y_j`` on the pattern's bipartite space,
+    paired with the constraint that traces out factor ``j = slots[k]``.  Let
+    ``M`` be the sum of the ``Y_j``, each tensored with the identity at its
+    slot.  Every density operator X with the pattern's marginals ``rho_j``
+    satisfies ``sum_j tr(rho_j Y_j) = tr(X M) >= lambda_min(M)``.  ``value``
+    is ``(sum_j tr(rho_j Y_j) - lambda_min(M)) / sum_j ||Y_j||_F``; it is
+    below ``-linalg.PSD_TOL``, far beyond its rounding error of about
+    ``d**3`` machine epsilons, so no such X exists.
+    """
+
+    slots: tuple[int, ...]
+    duals: tuple[TensorOperator, ...]
+    value: float
+
+
+@dataclass(frozen=True, eq=False)
 class FeasibilityResult:
     """Outcome of the extension search.
 
-    ``candidate`` is the best iterate found, ``residual`` its total
+    ``candidate`` is the best iterate found and ``residual`` its total
     infeasibility (largest marginal deviation plus PSD deficit plus
     trace deficit), ``iterations`` the number of projection cycles run,
-    and ``converged`` whether the residual reached the tolerance.
-    ``residual_trace`` records the residual after every cycle.
+    and ``converged`` whether that residual reached the tolerance.
+    ``certificate`` is ``None`` unless infeasibility was proved.
+    ``residual_trace`` records each cycle's marginal deviation plus trace
+    deficit; the iterate is positive semidefinite by construction, so the
+    PSD deficit enters only ``residual``.
+
+    ``stop_reason`` says what the result proves: ``"converged"`` (the
+    candidate is an extension up to the tolerance), ``"infeasible"`` (the
+    certificate proves that no extension exists) or ``"max_iters"``
+    (nothing either way).
     """
 
     candidate: TensorOperator
@@ -91,6 +126,14 @@ class FeasibilityResult:
     iterations: int
     converged: bool
     residual_trace: tuple[float, ...]
+    certificate: InfeasibilityCertificate | None
+
+    @property
+    def stop_reason(self) -> str:
+        """``"converged"``, ``"infeasible"`` or ``"max_iters"``."""
+        if self.converged:
+            return "converged"
+        return "max_iters" if self.certificate is None else "infeasible"
 
 
 def pattern_sym3(rho: DensityOperator) -> MarginalPattern:
@@ -165,12 +208,42 @@ def _project_marginal(m: np.ndarray, d: int, j: int, target: np.ndarray) -> np.n
     return m + _embed_identity_at(deficit, d, j)
 
 
+def _marginal_error(m: np.ndarray, d: int, targets: tuple[tuple[int, np.ndarray], ...]) -> float:
+    """Largest Frobenius deviation of a constrained partial trace from its target."""
+    dims = (d, d, d)
+    return max(float(np.linalg.norm(_ptrace(m, dims, j) - target)) for j, target in targets)
+
+
 def _residual(m: np.ndarray, d: int, targets: tuple[tuple[int, np.ndarray], ...]) -> float:
     """Total infeasibility: worst marginal deviation + PSD deficit + trace deficit."""
-    dims = (d, d, d)
-    marginal = max(float(np.linalg.norm(_ptrace(m, dims, j) - target)) for j, target in targets)
+    marginal = _marginal_error(m, d, targets)
     trace_error, negativity = _density_defects(m)
     return marginal + negativity + trace_error
+
+
+def _certificate(
+    corrections: list[np.ndarray], d: int, targets: tuple[tuple[int, np.ndarray], ...]
+) -> InfeasibilityCertificate | None:
+    """Read a Farkas witness off the affine correction terms and keep it only if it holds.
+
+    Correction i is ``Y_j`` tensored with the identity at slot j, so its
+    partial trace over j recovers ``d * Y_j``.
+    """
+    dims = (d, d, d)
+    duals = [_hermitian_part(_ptrace(c, dims, j)) / d for c, (j, _) in zip(corrections, targets)]
+    scale = sum(float(np.linalg.norm(y)) for y in duals)
+    if scale == 0.0:
+        return None
+    combined = sum(_embed_identity_at(y, d, j) for y, (j, _) in zip(duals, targets))
+    paired = sum(float(np.vdot(y, target).real) for y, (_, target) in zip(duals, targets))
+    value = (paired - float(_eigenvalues(combined)[0])) / scale
+    if not value < -PSD_TOL:
+        return None
+    return InfeasibilityCertificate(
+        slots=tuple(j for j, _ in targets),
+        duals=tuple(TensorOperator(y, (d, d)) for y in duals),
+        value=value,
+    )
 
 
 def dykstra_find_extension(
@@ -184,13 +257,24 @@ def dykstra_find_extension(
     sets (in constraint order) and the density set, keeping one
     correction term per set.  Each constraint matches its own target, so
     targets may differ; the start is the first target with the maximally
-    mixed state on its traced factor.  The iterate is assessed after the
-    density projection of each cycle, and the best iterate seen is
-    returned.
+    mixed state on its traced factor.  After the density projection of
+    each cycle the iterate is a density operator, so it is assessed by
+    its marginal deviation plus trace deficit alone, and the iterate
+    with the least such value is kept.
 
-    A ``converged`` result certifies feasibility up to ``tol``.  A
-    non-converged result only means no extension was found within
-    ``max_iters`` cycles; it is evidence of infeasibility, not a proof.
+    The search stops for one of three reasons, given by ``stop_reason``:
+
+    * ``"converged"``: an iterate passed ``tol`` both on that cheap
+      residual and on the full one, which adds the PSD deficit from an
+      eigenvalue computation; it is an extension up to ``tol``.
+    * ``"infeasible"``: at cycles 1, 2, 4, 8, ... a Farkas candidate is
+      read off the affine correction terms and checked with one
+      eigenvalue computation; a check that holds proves that no extension
+      exists, and is returned as ``certificate``.
+    * ``"max_iters"``: neither happened within ``max_iters`` cycles; this
+      proves nothing either way.
+
+    ``residual`` is the full residual of the returned candidate.
     """
     d = pattern.local_dim
     if d > MAX_LOCAL_DIM:
@@ -206,11 +290,11 @@ def dykstra_find_extension(
     nsets = len(targets) + 1
     corrections = [np.zeros((n, n), dtype=np.complex128) for _ in range(nsets)]
 
-    best: np.ndarray | None = None
-    best_residual = math.inf
+    best, best_cheap = x, math.inf
     trace_log: list[float] = []
     iterations = 0
     converged = False
+    certificate = None
 
     for _ in range(max_iters):
         for i, (j, target) in enumerate(targets):
@@ -224,20 +308,25 @@ def dykstra_find_extension(
         x = projected
 
         iterations += 1
-        current = _residual(x, d, targets)
+        current = _marginal_error(x, d, targets) + abs(complex(np.trace(x)) - 1.0)
         trace_log.append(current)
-        if current < best_residual:
-            best_residual = current
-            best = x.copy()
+        if current < best_cheap:
+            best, best_cheap = x, current
         if current <= tol:
-            converged = True
-            break
+            full = _residual(x, d, targets)
+            if full <= tol:
+                best, converged = x, True
+                break
+        if iterations & (iterations - 1) == 0:
+            certificate = _certificate(corrections, d, targets)
+            if certificate is not None:
+                break
 
-    assert best is not None
     return FeasibilityResult(
         candidate=TensorOperator(best, (d, d, d)),
-        residual=best_residual,
+        residual=full if converged else _residual(best, d, targets),
         iterations=iterations,
         converged=converged,
         residual_trace=tuple(trace_log),
+        certificate=certificate,
     )

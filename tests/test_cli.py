@@ -205,6 +205,7 @@ def test_dso_find_werner3_converges(capsys):
     entry = report["results"]["residual"]
     assert entry["pass"]
     assert entry["value"] <= 1e-6
+    assert report["results"]["stop_reason"] == "converged"
     assert "extension found" in err
 
 
@@ -215,7 +216,26 @@ def test_dso_find_singlet_right2_reports_no_extension(capsys):
     )
     assert code == 1
     assert report["results"]["residual"]["value"] >= 1e-2
-    assert "no extension found" in err
+    assert report["results"]["stop_reason"] == "infeasible"
+    assert "no extension found: infeasibility certificate (value -" in err
+
+
+def test_dso_find_reports_exhausted_budget(capsys):
+    code, report, err = run_cli(
+        capsys,
+        ["dso-find", "--d", "4", "--state", "werner", "--pattern", "right2", "--iters", "5"],
+    )
+    assert code == 1
+    assert report["results"]["stop_reason"] == "max_iters"
+    assert "no extension found within 5 cycles" in err
+
+
+def test_dso_find_reports_are_deterministic(capsys):
+    argv = ["dso-find", "--state", "singlet", "--pattern", "right2", "--quiet"]
+    _, first, _ = run_cli(capsys, argv)
+    _, second, _ = run_cli(capsys, argv)
+    assert render_json(first["results"]) == render_json(second["results"])
+    assert render_json(first["parameters"]) == render_json(second["parameters"])
 
 
 def test_dso_find_dump_round_trips(capsys, tmp_path):

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 
@@ -12,7 +14,7 @@ from bellforge.extensions import (
     _project_marginal,
     marginals_satisfied,
 )
-from bellforge.linalg import _ptrace
+from bellforge.linalg import PSD_TOL, _ptrace
 
 
 def random_hermitian(rng: np.random.Generator, side: int) -> np.ndarray:
@@ -24,6 +26,28 @@ def random_density(rng: np.random.Generator, side: int) -> np.ndarray:
     g = rng.standard_normal((side, side)) + 1j * rng.standard_normal((side, side))
     m = g @ g.conj().T
     return m / np.trace(m).real
+
+
+def singlet_mixture(p: float) -> bf.DensityOperator:
+    """``p * singlet + (1 - p) * I/4``."""
+    return bf.DensityOperator(p * bf.singlet().op + (1.0 - p) * 0.25 * bf.identity((2, 2)))
+
+
+# Factor order that moves the identity of ``kron(Y, I)`` to the traced slot.
+SLOT_ORDER = {1: (3, 1, 2), 2: (1, 3, 2), 3: (1, 2, 3)}
+
+
+def certificate_value(cert: bf.InfeasibilityCertificate, pattern: bf.MarginalPattern) -> float:
+    """``(sum_j tr(rho_j Y_j) - lambda_min(M)) / sum_j ||Y_j||_F``, built from public calls."""
+    d = pattern.local_dim
+    targets = dict(pattern.constraints)
+    m = np.zeros((d**3, d**3), dtype=np.complex128)
+    paired = 0.0
+    for j, y in zip(cert.slots, cert.duals):
+        m += bf.reorder_factors(bf.kron(y, bf.identity((d,))), SLOT_ORDER[j]).entries
+        paired += np.trace(targets[j].op.entries @ y.entries).real
+    scale = sum(np.linalg.norm(y.entries) for y in cert.duals)
+    return (paired - np.linalg.eigvalsh(m)[0]) / scale
 
 
 # -------------------------------------------------------------------- patterns
@@ -181,11 +205,82 @@ def test_dykstra_finds_right_extension_of_werner2():
 
 
 def test_dykstra_reports_failure_on_singlet_monogamy():
-    s = bf.singlet()
-    result = bf.dykstra_find_extension(bf.pattern_right2(s), max_iters=400, tol=1e-6)
+    pattern = bf.pattern_right2(bf.singlet())
+    result = bf.dykstra_find_extension(pattern, max_iters=400, tol=1e-6)
     assert not result.converged
     assert result.residual >= 1e-2
-    assert result.iterations == 400
+    assert result.stop_reason == "infeasible"
+    assert result.iterations < 400
+    cert = result.certificate
+    assert cert.slots == (2, 3)
+    assert cert.value < -PSD_TOL
+    assert certificate_value(cert, pattern) < 0
+    assert certificate_value(cert, pattern) == pytest.approx(cert.value, abs=1e-12)
+
+
+@pytest.mark.parametrize(
+    "name, p, reason",
+    [
+        # sym3: three pair singlet weights sum to at most 3/2, so p <= 1/3
+        ("sym3", 0.3, "converged"),
+        ("sym3", 0.45, "infeasible"),
+        ("sym3", 0.7, "infeasible"),
+        # right2: two-extendible exactly for p <= 2/3
+        ("right2", 0.55, "converged"),
+        ("right2", 0.7, "infeasible"),
+        ("right2", 0.9, "infeasible"),
+    ],
+)
+def test_dykstra_matches_analytic_extension_thresholds(name, p, reason):
+    pattern = getattr(bf, f"pattern_{name}")(singlet_mixture(p))
+    result = bf.dykstra_find_extension(pattern, max_iters=5000, tol=1e-6)
+    assert result.stop_reason == reason
+    if reason == "converged":
+        assert result.certificate is None
+        assert result.residual <= 1e-6
+    else:
+        assert result.certificate.value < -PSD_TOL
+        assert certificate_value(result.certificate, pattern) < 0
+
+
+@pytest.mark.parametrize("d", [2, 3])
+@pytest.mark.parametrize("slots", [(1, 2, 3), (2, 3)], ids=["sym3", "right2"])
+def test_dykstra_never_certifies_feasible_marginals(d, slots):
+    rng = np.random.default_rng(60 + d + len(slots))
+    for _ in range(4):
+        t = bf.TensorOperator(random_density(rng, d**3), (d, d, d))
+        pattern = bf.MarginalPattern(
+            tuple((j, bf.DensityOperator(bf.partial_trace(t, j))) for j in slots)
+        )
+        result = bf.dykstra_find_extension(pattern, max_iters=5000, tol=1e-6)
+        assert result.stop_reason == "converged"
+        assert result.certificate is None
+
+
+def test_dykstra_stops_at_max_iters_without_proof():
+    result = bf.dykstra_find_extension(bf.pattern_right2(bf.werner(4)), max_iters=5, tol=1e-6)
+    assert result.stop_reason == "max_iters"
+    assert not result.converged and result.certificate is None
+    assert result.iterations == len(result.residual_trace) == 5
+    # the reported residual adds the PSD deficit to a per-cycle value
+    assert result.residual >= min(result.residual_trace)
+
+
+def test_dykstra_eigensolver_calls_stay_logarithmic(monkeypatch):
+    """One ``eigh`` per cycle (the density projection), ``eigvalsh`` only on a log schedule."""
+    pattern = bf.pattern_sym3(bf.werner(3))
+    counts = {"eigh": 0, "eigvalsh": 0}
+    for name in counts:
+
+        def counted(*args, _name=name, _original=getattr(np.linalg, name), **kwargs):
+            counts[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, counted)
+    result = bf.dykstra_find_extension(pattern, max_iters=5000, tol=1e-6)
+    assert result.converged
+    assert counts["eigh"] == result.iterations
+    assert counts["eigvalsh"] <= 2 * math.ceil(math.log2(result.iterations)) + 4
 
 
 def test_dykstra_residual_trace_samples_non_increasing():
