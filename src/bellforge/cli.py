@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import time
 from dataclasses import dataclass, field
@@ -110,6 +111,11 @@ def _check_d(d: int) -> None:
         raise _UsageError(f"--d must lie in {MIN_LOCAL_DIM}..{MAX_LOCAL_DIM}, got {d}")
 
 
+def _check_tol(tol: float) -> None:
+    if not 0.0 < tol < math.inf:
+        raise _UsageError(f"--tol must be finite and positive, got {tol}")
+
+
 def _resolve_state(name: str, d: int | None) -> DensityOperator:
     """Build the requested bipartite state, validating dimensions along the way."""
     if name == "werner":
@@ -150,8 +156,7 @@ def _check(value: float, threshold: float) -> dict:
 def cmd_verify(args: argparse.Namespace) -> _Outcome:
     d, tol = args.d, args.tol
     _check_d(d)
-    if tol <= 0:
-        raise _UsageError(f"--tol must be positive, got {tol}")
+    _check_tol(tol)
 
     checks: dict[str, dict] = {}
     eye2 = identity((d, d))
@@ -220,8 +225,7 @@ def cmd_verify(args: argparse.Namespace) -> _Outcome:
 def cmd_bell(args: argparse.Namespace) -> _Outcome:
     if args.restarts < 1:
         raise _UsageError(f"--restarts must be positive, got {args.restarts}")
-    if args.tol <= 0:
-        raise _UsageError(f"--tol must be positive, got {args.tol}")
+    _check_tol(args.tol)
     if args.seed < 0:
         raise _UsageError(f"--seed must be nonnegative, got {args.seed}")
     rho = _resolve_state(args.state, args.d)
@@ -263,8 +267,7 @@ def cmd_bell(args: argparse.Namespace) -> _Outcome:
 def cmd_dso_find(args: argparse.Namespace) -> _Outcome:
     if args.iters < 1:
         raise _UsageError(f"--iters must be positive, got {args.iters}")
-    if args.tol <= 0:
-        raise _UsageError(f"--tol must be positive, got {args.tol}")
+    _check_tol(args.tol)
     rho = _resolve_state(args.state, args.d)
     pattern = pattern_sym3(rho) if args.pattern == "sym3" else pattern_right2(rho)
     result = dykstra_find_extension(pattern, max_iters=args.iters, tol=args.tol)

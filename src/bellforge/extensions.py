@@ -18,6 +18,14 @@ eigenvalue computation.  A search stops for one of three reasons:
 ``converged`` (an operator meets every constraint to the tolerance),
 ``infeasible`` (a checked certificate proves that no extension exists)
 or ``max_iters`` (neither, within the cycle budget; this proves nothing).
+
+The marginal maps and the density set commute with complex conjugation.
+With real targets (every state this package names is real in the product
+basis) the conjugate of an extension is one too, so is the real
+``(X + conj X) / 2``, and every projection maps real matrices to real ones.
+The search therefore runs in real arithmetic when every target is real and
+loses nothing, as in the symmetric-extension SDP of Doherty, Parrilo &
+Spedalieri, PRA 69, 022308 (2004).
 """
 
 from __future__ import annotations
@@ -194,7 +202,7 @@ _IDENTITY_ORDER = {1: (3, 1, 2), 2: (1, 3, 2), 3: (1, 2, 3)}
 
 def _embed_identity_at(b: np.ndarray, d: int, slot: int) -> np.ndarray:
     """Tensor a bipartite matrix with the identity placed at 1-based ``slot``."""
-    big = np.kron(b, np.eye(d, dtype=np.complex128))
+    big = np.kron(b, np.eye(d, dtype=b.dtype))
     return _reorder(big, (d, d, d), _IDENTITY_ORDER[slot])
 
 
@@ -275,20 +283,30 @@ def dykstra_find_extension(
       proves nothing either way.
 
     ``residual`` is the full residual of the returned candidate.
+
+    When every target has an all-zero imaginary part, the iterates, the
+    correction terms and all eigensolves are float64, which is exact by the
+    conjugation argument in the module docstring; otherwise they are
+    complex128.  ``candidate`` is complex either way.  ``tol`` must be
+    finite and positive.
     """
     d = pattern.local_dim
     if d > MAX_LOCAL_DIM:
         raise ValueError(f"local dimension {d} exceeds the supported maximum {MAX_LOCAL_DIM}")
     if max_iters < 1:
         raise ValueError(f"max_iters must be positive, got {max_iters}")
+    if not 0.0 < tol < math.inf:
+        raise ValueError(f"tol must be finite and positive, got {tol}")
 
     targets = tuple((j, target.op.entries) for j, target in pattern.constraints)
+    if not any(target.imag.any() for _, target in targets):
+        targets = tuple((j, target.real.copy()) for j, target in targets)
     first_slot, first_target = targets[0]
     x = _embed_identity_at(first_target / d, d, first_slot)
 
     n = d**3
     nsets = len(targets) + 1
-    corrections = [np.zeros((n, n), dtype=np.complex128) for _ in range(nsets)]
+    corrections = [np.zeros((n, n), dtype=first_target.dtype) for _ in range(nsets)]
 
     best, best_cheap = x, math.inf
     trace_log: list[float] = []

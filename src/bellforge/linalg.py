@@ -6,7 +6,8 @@ construction and all functions here are pure, so they are safe to share
 across threads.  The public functions validate at this boundary and
 delegate to a private kernel on raw arrays (Hermitian part, spectral map,
 partial trace, factor reordering), which the solvers' inner loops call
-directly.
+directly.  The kernel keeps the dtype of its input, so real symmetric
+arrays stay real.
 """
 
 from __future__ import annotations
@@ -198,7 +199,7 @@ def reorder_factors(t: TensorOperator, order: tuple[int, ...]) -> TensorOperator
 
 
 def _hermitian_part(m: np.ndarray, tol: float | None = None) -> np.ndarray:
-    """Symmetrized matrix ``(m + m^H) / 2``.
+    """Symmetrized matrix ``(m + m^H) / 2``; real input stays real, with no extra copy.
 
     With ``tol`` given, first reject ``m`` if its asymmetry exceeds ``tol``
     relative to its Frobenius norm (at least 1).

@@ -268,6 +268,24 @@ def test_dso_find_rejects_bad_pattern(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("tol", ["nan", "inf", "-inf", "0", "-1"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "--d", "3"],
+        ["bell", "--d", "2", "--functional", "chsh", "--restarts", "1"],
+        ["dso-find", "--d", "3", "--pattern", "sym3", "--iters", "3"],
+    ],
+    ids=["verify", "bell", "dso-find"],
+)
+def test_non_finite_or_non_positive_tolerance_is_usage_error(capsys, argv, tol):
+    code = main([*argv, f"--tol={tol}"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "finite and positive" in captured.err
+
+
 # ----------------------------------------------------------------------- misc
 
 

@@ -28,6 +28,28 @@ def random_density(rng: np.random.Generator, side: int) -> np.ndarray:
     return m / np.trace(m).real
 
 
+def real_and_rotated(d: int, slots: tuple[int, ...]):
+    """A feasible pattern with real targets, its image under U (x) U, and U (x) U (x) U.
+
+    The targets are the marginals of a random real density operator of rank
+    d**2.  U is a diagonal phase unitary, so the rotated targets are
+    genuinely complex (unlike Werner states, which U (x) U leaves fixed).
+    """
+    rng = np.random.default_rng(5)
+    g = rng.standard_normal((d**3, d * d))
+    t = bf.TensorOperator(g @ g.T / np.trace(g @ g.T), (d, d, d))
+    u = np.diag(np.exp(1j * (0.7 * np.arange(d) + 0.3 * np.arange(d) ** 2)))
+    u2 = np.kron(u, u)
+    real, rotated = [], []
+    for j in slots:
+        rho = bf.partial_trace(t, j)
+        real.append((j, bf.DensityOperator(rho)))
+        turned = bf.TensorOperator(u2 @ rho.entries @ u2.conj().T, (d, d))
+        rotated.append((j, bf.DensityOperator(turned)))
+    assert all(np.abs(rho.op.entries.imag).max() > 1e-2 for _, rho in rotated)
+    return bf.MarginalPattern(tuple(real)), bf.MarginalPattern(tuple(rotated)), np.kron(u2, u)
+
+
 def singlet_mixture(p: float) -> bf.DensityOperator:
     """``p * singlet + (1 - p) * I/4``."""
     return bf.DensityOperator(p * bf.singlet().op + (1.0 - p) * 0.25 * bf.identity((2, 2)))
@@ -267,20 +289,41 @@ def test_dykstra_stops_at_max_iters_without_proof():
 
 
 def test_dykstra_eigensolver_calls_stay_logarithmic(monkeypatch):
-    """One ``eigh`` per cycle (the density projection), ``eigvalsh`` only on a log schedule."""
-    pattern = bf.pattern_sym3(bf.werner(3))
-    counts = {"eigh": 0, "eigvalsh": 0}
-    for name in counts:
+    """One ``eigh`` per cycle (the density projection), ``eigvalsh`` only on a log schedule.
 
-        def counted(*args, _name=name, _original=getattr(np.linalg, name), **kwargs):
-            counts[_name] += 1
-            return _original(*args, **kwargs)
+    Real targets run every eigensolve in real arithmetic, complex ones in complex.
+    """
+    dtypes = {"eigh": [], "eigvalsh": []}
+    for name in dtypes:
+
+        def counted(a, *args, _name=name, _original=getattr(np.linalg, name), **kwargs):
+            dtypes[_name].append(a.dtype)
+            return _original(a, *args, **kwargs)
 
         monkeypatch.setattr(np.linalg, name, counted)
-    result = bf.dykstra_find_extension(pattern, max_iters=5000, tol=1e-6)
-    assert result.converged
-    assert counts["eigh"] == result.iterations
-    assert counts["eigvalsh"] <= 2 * math.ceil(math.log2(result.iterations)) + 4
+    _, rotated, _ = real_and_rotated(3, (1, 2, 3))
+    for pattern, dtype in ((bf.pattern_sym3(bf.werner(3)), np.float64), (rotated, np.complex128)):
+        for seen in dtypes.values():
+            seen.clear()
+        result = bf.dykstra_find_extension(pattern, max_iters=5000, tol=1e-6)
+        assert result.converged
+        assert len(dtypes["eigh"]) == result.iterations
+        assert len(dtypes["eigvalsh"]) <= 2 * math.ceil(math.log2(result.iterations)) + 4
+        assert set(dtypes["eigh"]) == set(dtypes["eigvalsh"]) == {np.dtype(dtype)}
+        assert result.candidate.entries.dtype == np.complex128
+
+
+@pytest.mark.parametrize("d, slots", [(2, (2, 3)), (3, (1, 2, 3)), (3, (2, 3))])
+def test_dykstra_real_and_complex_paths_agree(d, slots):
+    """A local phase rotation of real targets gives the same run in complex arithmetic."""
+    real, rotated, u3 = real_and_rotated(d, slots)
+    a = bf.dykstra_find_extension(real, max_iters=5000, tol=1e-6)
+    b = bf.dykstra_find_extension(rotated, max_iters=5000, tol=1e-6)
+    assert a.stop_reason == b.stop_reason == "converged"
+    assert a.iterations == b.iterations > 1
+    assert abs(a.residual - b.residual) <= 1e-12
+    turned = u3 @ a.candidate.entries @ u3.conj().T
+    assert np.max(np.abs(turned - b.candidate.entries)) <= 1e-9
 
 
 def test_dykstra_residual_trace_samples_non_increasing():
@@ -319,6 +362,12 @@ def test_dykstra_rejects_large_dimension():
     w7 = bf.werner(7)
     with pytest.raises(ValueError, match="exceeds"):
         bf.dykstra_find_extension(bf.pattern_sym3(w7), max_iters=10, tol=1e-6)
+
+
+@pytest.mark.parametrize("tol", [0.0, -1.0, math.nan, math.inf])
+def test_dykstra_rejects_bad_tolerance(tol):
+    with pytest.raises(ValueError, match="finite and positive"):
+        bf.dykstra_find_extension(bf.pattern_right2(bf.werner(2)), max_iters=10, tol=tol)
 
 
 def test_dykstra_rejects_bad_iteration_count():

@@ -259,6 +259,18 @@ def test_spectral_routines_symmetrize_within_tolerance():
     )
 
 
+def test_spectral_kernel_keeps_real_input_real():
+    """Real symmetric input stays float64 and matches the complex computation."""
+    rng = np.random.default_rng(23)
+    g = rng.standard_normal((6, 6))
+    assert la._hermitian_part(g).dtype == np.float64
+    np.testing.assert_array_equal(la._hermitian_part(g), (g + g.T) / 2.0)
+    clipped = la._spectral_map(g, lambda vals: np.clip(vals, -1.0, 1.0))
+    assert clipped.dtype == np.float64
+    reference = la._spectral_map(g.astype(complex), lambda vals: np.clip(vals, -1.0, 1.0))
+    np.testing.assert_allclose(clipped, reference, atol=1e-13)
+
+
 def test_hermitian_sign_zero_eigenvalue_maps_to_plus_one():
     t = la.TensorOperator(np.diag([1.0, 0.0, -2.0]), (3,))
     np.testing.assert_allclose(la.hermitian_sign(t).entries, np.diag([1.0, 1.0, -1.0]), atol=1e-14)
