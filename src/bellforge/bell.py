@@ -26,7 +26,7 @@ from typing import Callable
 import numpy as np
 
 from .linalg import TensorOperator, _signs, _spectral_map, operator_norm
-from .states import MAX_LOCAL_DIM, MIN_LOCAL_DIM, DensityOperator
+from .states import DensityOperator, _bipartite_dim, _check_local_dim
 
 __all__ = [
     "Observable",
@@ -43,6 +43,11 @@ __all__ = [
 
 # Operator norm may exceed 1 by at most this much, to absorb rounding.
 NORM_SLACK = 1e-10
+
+# A restart stops after this many sweeps, or once a sweep gains less than
+# the epsilon.
+_MAX_SWEEPS = 200
+_CONVERGENCE_EPS = 1e-12
 
 _PAULIS = (
     np.array([[0.0, 1.0], [1.0, 0.0]], dtype=np.complex128),
@@ -72,20 +77,18 @@ class Observable:
 
 @dataclass(frozen=True)
 class SeeSawConfig:
-    """Knobs for the see-saw optimizers."""
+    """Random restarts of a see-saw optimizer.
+
+    ``restarts`` independent starts are run; restart ``r`` draws its start
+    observables from the generator seeded with ``base_seed + r``.
+    """
 
     restarts: int = 20
-    max_sweeps: int = 200
-    convergence_eps: float = 1e-12
     base_seed: int = 0
 
     def __post_init__(self) -> None:
         if self.restarts < 1:
             raise ValueError(f"restarts must be positive, got {self.restarts}")
-        if self.max_sweeps < 1:
-            raise ValueError(f"max_sweeps must be positive, got {self.max_sweeps}")
-        if not self.convergence_eps >= 0.0:
-            raise ValueError(f"convergence_eps must be nonnegative, got {self.convergence_eps}")
         if self.base_seed < 0:
             raise ValueError(f"base_seed must be nonnegative, got {self.base_seed}")
 
@@ -107,10 +110,7 @@ class OptimizationResult:
 
 
 def _check_state(rho: DensityOperator) -> tuple[np.ndarray, int]:
-    dims = rho.op.factor_dims
-    if len(dims) != 2 or dims[0] != dims[1]:
-        raise ValueError(f"state must live on two equal factors, got {dims}")
-    return rho.op.entries, dims[0]
+    return rho.op.entries, _bipartite_dim(rho.op.factor_dims)
 
 
 def _raw_inputs(
@@ -204,14 +204,14 @@ def chsh_value(
     return abs(_chsh_raw(r4, *mats))
 
 
-def _iterate(sweep: Callable, mats: tuple[np.ndarray, ...], cfg: SeeSawConfig) -> tuple:
+def _iterate(sweep: Callable, mats: tuple[np.ndarray, ...]) -> tuple:
     """Repeat ``sweep`` (matrices -> new matrices, objective) until the gain is below eps."""
     values: list[float] = []
     previous = -math.inf
-    for _ in range(cfg.max_sweeps):
+    for _ in range(_MAX_SWEEPS):
         mats, value = sweep(mats)
         values.append(value)
-        if value - previous < cfg.convergence_eps:
+        if value - previous < _CONVERGENCE_EPS:
             break
         previous = value
     return mats, values
@@ -238,20 +238,20 @@ def _chsh_sweep(r4: np.ndarray, mats: tuple) -> tuple:
     return mats, _chsh_raw(r4, *mats)
 
 
-def _search_original(r4: np.ndarray, start: tuple, cfg: SeeSawConfig) -> tuple:
+def _search_original(r4: np.ndarray, start: tuple) -> tuple:
     """Run both sign branches of the gap from ``start``; keep the better final gap."""
     best = None
     for s in (1.0, -1.0):
-        mats, values = _iterate(partial(_original_sweep, r4, s), start, cfg)
+        mats, values = _iterate(partial(_original_sweep, r4, s), start)
         gap = _gap_raw(r4, *mats)
         if best is None or gap > best[0]:
             best = (gap, mats, values)
     return best
 
 
-def _search_chsh(r4: np.ndarray, start: tuple, cfg: SeeSawConfig) -> tuple:
+def _search_chsh(r4: np.ndarray, start: tuple) -> tuple:
     """Cyclic sign updates of the four CHSH observables from ``start``."""
-    mats, values = _iterate(partial(_chsh_sweep, r4), start, cfg)
+    mats, values = _iterate(partial(_chsh_sweep, r4), start)
     return abs(_chsh_raw(r4, *mats)), mats, values
 
 
@@ -266,14 +266,13 @@ def _seesaw(
     value wins; ties resolve to the lowest restart index.
     """
     rho_mat, d = _check_state(rho)
-    if not MIN_LOCAL_DIM <= d <= MAX_LOCAL_DIM:
-        raise ValueError(f"local dimension {d} outside {MIN_LOCAL_DIM}..{MAX_LOCAL_DIM}")
+    _check_local_dim(d)
     r4 = rho_mat.reshape(d, d, d, d)
     best = None
     for restart in range(cfg.restarts):
         rng = np.random.default_rng(cfg.base_seed + restart)
         start = tuple(_draw_observable(rng, d) for _ in labels)
-        outcome = search(r4, start, cfg)
+        outcome = search(r4, start)
         if best is None or outcome[0] > best[0][0]:
             best = (outcome, restart)
     (value, mats, values), winner = best

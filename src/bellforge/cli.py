@@ -44,9 +44,9 @@ from .linalg import (
     trace,
 )
 from .states import (
-    MAX_LOCAL_DIM,
-    MIN_LOCAL_DIM,
     DensityOperator,
+    _bipartite_dim,
+    _check_local_dim,
     antisym_projector,
     antisymmetrizer3,
     density_deficits,
@@ -107,8 +107,10 @@ def render_json(value, level: int = 0) -> str:
 
 
 def _check_d(d: int) -> None:
-    if not MIN_LOCAL_DIM <= d <= MAX_LOCAL_DIM:
-        raise _UsageError(f"--d must lie in {MIN_LOCAL_DIM}..{MAX_LOCAL_DIM}, got {d}")
+    try:
+        _check_local_dim(d)
+    except ValueError as exc:
+        raise _UsageError(f"--d: {exc}") from exc
 
 
 def _check_tol(tol: float) -> None:
@@ -133,15 +135,13 @@ def _resolve_state(name: str, d: int | None) -> DensityOperator:
             op = load_operator(path)
         except (OSError, ValueError) as exc:
             raise _UsageError(f"cannot read state file {path!r}: {exc}") from exc
-        dims = op.factor_dims
-        if len(dims) != 2 or dims[0] != dims[1]:
-            raise _DataError(f"state file must hold a bipartite operator with equal factors, got {dims}")
-        if d is not None and dims[0] != d:
-            raise _DataError(f"state file has local dimension {dims[0]}, but --d {d} was given")
-        if not MIN_LOCAL_DIM <= dims[0] <= MAX_LOCAL_DIM:
-            raise _DataError(
-                f"state file local dimension {dims[0]} outside {MIN_LOCAL_DIM}..{MAX_LOCAL_DIM}"
-            )
+        try:
+            local = _bipartite_dim(op.factor_dims)
+            _check_local_dim(local)
+        except ValueError as exc:
+            raise _DataError(f"state file: {exc}") from exc
+        if d is not None and local != d:
+            raise _DataError(f"state file has local dimension {local}, but --d {d} was given")
         try:
             return DensityOperator(op)
         except ValueError as exc:

@@ -47,14 +47,13 @@ from .linalg import (
     frobenius_distance,
     partial_trace,
 )
-from .states import MAX_LOCAL_DIM, DensityOperator, density_deficits
+from .states import DensityOperator, _bipartite_dim, _check_local_dim
 
 __all__ = [
     "MarginalPattern",
     "InfeasibilityCertificate",
     "FeasibilityResult",
     "verify_marginals",
-    "marginals_satisfied",
     "pattern_sym3",
     "pattern_right2",
     "dykstra_find_extension",
@@ -81,9 +80,7 @@ class MarginalPattern:
         dims = {target.factor_dims for _, target in constraints}
         if len(dims) != 1:
             raise ValueError(f"targets live on different spaces: {sorted(dims)}")
-        (shape,) = dims
-        if len(shape) != 2 or shape[0] != shape[1]:
-            raise ValueError(f"targets must be bipartite with equal local dimensions, got {shape}")
+        _bipartite_dim(dims.pop())
         object.__setattr__(self, "constraints", constraints)
 
     @property
@@ -165,20 +162,6 @@ def verify_marginals(t: TensorOperator, pattern: MarginalPattern) -> list[float]
         frobenius_distance(partial_trace(t, j), target.op)
         for j, target in pattern.constraints
     ]
-
-
-def marginals_satisfied(
-    t: TensorOperator, pattern: MarginalPattern, tol: float = 1e-10
-) -> bool:
-    """Whether ``t`` is a density operator with all constrained marginals within ``tol``."""
-    residuals = verify_marginals(t, pattern)
-    asymmetry, trace_error, negativity = density_deficits(t)
-    return (
-        max(residuals) <= tol
-        and asymmetry <= tol
-        and trace_error <= tol
-        and negativity <= tol
-    )
 
 
 def _project_simplex(vals: np.ndarray) -> np.ndarray:
@@ -287,12 +270,11 @@ def dykstra_find_extension(
     When every target has an all-zero imaginary part, the iterates, the
     correction terms and all eigensolves are float64, which is exact by the
     conjugation argument in the module docstring; otherwise they are
-    complex128.  ``candidate`` is complex either way.  ``tol`` must be
-    finite and positive.
+    complex128.  ``candidate`` is complex either way.  The local dimension
+    must lie in 2..6 and ``tol`` must be finite and positive.
     """
     d = pattern.local_dim
-    if d > MAX_LOCAL_DIM:
-        raise ValueError(f"local dimension {d} exceeds the supported maximum {MAX_LOCAL_DIM}")
+    _check_local_dim(d)
     if max_iters < 1:
         raise ValueError(f"max_iters must be positive, got {max_iters}")
     if not 0.0 < tol < math.inf:

@@ -5,9 +5,9 @@ ordered dimensions of its tensor factors.  Values are immutable after
 construction and all functions here are pure, so they are safe to share
 across threads.  The public functions validate at this boundary and
 delegate to a private kernel on raw arrays (Hermitian part, spectral map,
-partial trace, factor reordering), which the solvers' inner loops call
-directly.  The kernel keeps the dtype of its input, so real symmetric
-arrays stay real.
+partial trace, factor reordering and permutation), which the solvers'
+inner loops call directly.  The kernel keeps the dtype of its input, so
+real symmetric arrays stay real.
 """
 
 from __future__ import annotations
@@ -177,6 +177,14 @@ def _reorder(m: np.ndarray, dims: tuple[int, ...], order: tuple[int, ...]) -> np
     return m.reshape(dims + dims).transpose(src + [n + o for o in src]).reshape(m.shape)
 
 
+def _permutation(dims: tuple[int, ...], order: tuple[int, ...]) -> np.ndarray:
+    """Unitary ``U`` with ``_reorder(m, dims, order) == U m U^T``, as a real 0/1 matrix."""
+    n = len(dims)
+    side = math.prod(dims)
+    eye = np.eye(side).reshape(dims + dims)
+    return eye.transpose([o - 1 for o in order] + list(range(n, 2 * n))).reshape(side, side)
+
+
 def partial_trace(t: TensorOperator, j: int) -> TensorOperator:
     """Trace out the ``j``-th tensor factor (1-based); the others keep their order."""
     n = t.nfactors
@@ -198,20 +206,23 @@ def reorder_factors(t: TensorOperator, order: tuple[int, ...]) -> TensorOperator
     return TensorOperator(_reorder(t.entries, dims, order), new_dims)
 
 
-def _hermitian_part(m: np.ndarray, tol: float | None = None) -> np.ndarray:
-    """Symmetrized matrix ``(m + m^H) / 2``; real input stays real, with no extra copy.
+def _asymmetry(m: np.ndarray) -> float:
+    """Frobenius norm of ``m - m^H`` relative to that of ``m`` (at least 1)."""
+    return float(np.linalg.norm(m - m.conj().T)) / max(1.0, float(np.linalg.norm(m)))
 
-    With ``tol`` given, first reject ``m`` if its asymmetry exceeds ``tol``
-    relative to its Frobenius norm (at least 1).
-    """
-    if tol is not None:
-        asym = float(np.linalg.norm(m - m.conj().T))
-        scale = max(1.0, float(np.linalg.norm(m)))
-        if asym > tol * scale:
-            raise ValueError(
-                f"matrix is not Hermitian: asymmetry {asym:.3e} exceeds {tol:.1e} "
-                "relative tolerance"
-            )
+
+def _hermitian_entries(t: TensorOperator) -> np.ndarray:
+    """Entries of ``t``, rejected if their asymmetry exceeds ``HERMITICITY_TOL``."""
+    asym = _asymmetry(t.entries)
+    if asym > HERMITICITY_TOL:
+        raise ValueError(
+            f"matrix is not Hermitian: relative asymmetry {asym:.3e} exceeds {HERMITICITY_TOL:.1e}"
+        )
+    return t.entries
+
+
+def _hermitian_part(m: np.ndarray) -> np.ndarray:
+    """Symmetrized matrix ``(m + m^H) / 2``; real input stays real, with no extra copy."""
     return (m + m.conj().T) / 2.0
 
 
@@ -220,17 +231,15 @@ def _signs(vals: np.ndarray) -> np.ndarray:
     return np.where(vals >= 0.0, 1.0, -1.0)
 
 
-def _spectral_map(
-    m: np.ndarray, f: Callable[[np.ndarray], np.ndarray], tol: float | None = None
-) -> np.ndarray:
+def _spectral_map(m: np.ndarray, f: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
     """``V f(L) V^H`` for the eigendecomposition of the Hermitian part of ``m``, symmetrized."""
-    vals, vecs = np.linalg.eigh(_hermitian_part(m, tol))
+    vals, vecs = np.linalg.eigh(_hermitian_part(m))
     return _hermitian_part((vecs * f(vals)) @ vecs.conj().T)
 
 
-def _eigenvalues(m: np.ndarray, tol: float | None = None) -> np.ndarray:
+def _eigenvalues(m: np.ndarray) -> np.ndarray:
     """Ascending eigenvalues of the Hermitian part of ``m``."""
-    return np.linalg.eigvalsh(_hermitian_part(m, tol))
+    return np.linalg.eigvalsh(_hermitian_part(m))
 
 
 def _density_defects(m: np.ndarray) -> tuple[float, float]:
@@ -239,35 +248,35 @@ def _density_defects(m: np.ndarray) -> tuple[float, float]:
     return abs(complex(np.trace(m)) - 1.0), max(0.0, -lowest)
 
 
-def eig_hermitian(t: TensorOperator, tol: float = HERMITICITY_TOL) -> Spectrum:
+def eig_hermitian(t: TensorOperator) -> Spectrum:
     """Real eigenvalues (descending) and matching orthonormal eigenvectors."""
-    vals, vecs = np.linalg.eigh(_hermitian_part(t.entries, tol))
+    vals, vecs = np.linalg.eigh(_hermitian_part(_hermitian_entries(t)))
     return Spectrum(vals[::-1].copy(), vecs[:, ::-1].copy())
 
 
-def hermitian_sign(t: TensorOperator, tol: float = HERMITICITY_TOL) -> TensorOperator:
+def hermitian_sign(t: TensorOperator) -> TensorOperator:
     """Spectral sign map: eigenvalues >= 0 become +1, negative ones become -1.
 
     The result is the norm-one Hermitian operator maximizing ``tr(t @ w)``
     over Hermitian ``w`` with operator norm at most one.
     """
-    return TensorOperator(_spectral_map(t.entries, _signs, tol), t.factor_dims)
+    return TensorOperator(_spectral_map(_hermitian_entries(t), _signs), t.factor_dims)
 
 
-def operator_norm(t: TensorOperator, tol: float = HERMITICITY_TOL) -> float:
+def operator_norm(t: TensorOperator) -> float:
     """Largest absolute eigenvalue of a Hermitian operator."""
-    vals = _eigenvalues(t.entries, tol)
+    vals = _eigenvalues(_hermitian_entries(t))
     return float(np.max(np.abs(vals))) if vals.size else 0.0
 
 
-def trace_norm(t: TensorOperator, tol: float = HERMITICITY_TOL) -> float:
+def trace_norm(t: TensorOperator) -> float:
     """Sum of absolute eigenvalues of a Hermitian operator."""
-    return float(np.sum(np.abs(_eigenvalues(t.entries, tol))))
+    return float(np.sum(np.abs(_eigenvalues(_hermitian_entries(t)))))
 
 
-def is_psd(t: TensorOperator, tol: float = PSD_TOL, herm_tol: float = HERMITICITY_TOL) -> bool:
-    """Whether the Hermitian operator has no eigenvalue below ``-tol``."""
-    return bool(_eigenvalues(t.entries, herm_tol)[0] >= -tol)
+def is_psd(t: TensorOperator) -> bool:
+    """Whether the Hermitian operator has no eigenvalue below ``-PSD_TOL``."""
+    return bool(_eigenvalues(_hermitian_entries(t))[0] >= -PSD_TOL)
 
 
 def operator_to_text(t: TensorOperator) -> str:
@@ -302,6 +311,7 @@ def operator_from_text(text: str) -> TensorOperator:
         raise ValueError(f"dims header must list positive integers, got {dims}")
     side = math.prod(dims)
     mat = np.zeros((side, side), dtype=np.complex128)
+    seen: set[tuple[int, int]] = set()
     for line in rows[1:]:
         parts = line.split()
         if len(parts) != 4:
@@ -313,6 +323,9 @@ def operator_from_text(text: str) -> TensorOperator:
             raise ValueError(f"bad entry line {line!r}") from exc
         if not (0 <= row < side and 0 <= col < side):
             raise ValueError(f"entry index ({row}, {col}) outside 0..{side - 1}")
+        if (row, col) in seen:
+            raise ValueError(f"entry ({row}, {col}) is listed twice")
+        seen.add((row, col))
         mat[row, col] = complex(re, im)
     return TensorOperator(mat, dims)
 

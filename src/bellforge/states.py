@@ -18,9 +18,10 @@ from .linalg import (
     HERMITICITY_TOL,
     PSD_TOL,
     TensorOperator,
+    _asymmetry,
     _density_defects,
+    _permutation,
     identity,
-    kron,
 )
 
 __all__ = [
@@ -49,6 +50,26 @@ MAX_LOCAL_DIM = 6
 DENSITY_TRACE_TOL = 1e-10
 
 
+def _check_local_dim(d: int) -> None:
+    """Reject a local dimension that the solvers do not support."""
+    if not MIN_LOCAL_DIM <= d <= MAX_LOCAL_DIM:
+        raise ValueError(f"local dimension {d} outside {MIN_LOCAL_DIM}..{MAX_LOCAL_DIM}")
+
+
+def _bipartite_dim(dims: tuple[int, ...]) -> int:
+    """Local dimension of a bipartite space whose two factors are equal."""
+    if len(dims) != 2 or dims[0] != dims[1]:
+        raise ValueError(f"space {dims} is not bipartite with equal local dimensions")
+    return dims[0]
+
+
+def _space(d: int, n: int) -> tuple[int, ...]:
+    """Factor dimensions of ``n`` copies of C^d; ``d`` must be at least 2."""
+    if d < 2:
+        raise ValueError(f"local dimension must be at least 2, got {d}")
+    return (d,) * n
+
+
 def density_deficits(t: TensorOperator) -> tuple[float, float, float]:
     """Measure how far ``t`` is from being a density operator.
 
@@ -56,10 +77,7 @@ def density_deficits(t: TensorOperator) -> tuple[float, float, float]:
     Frobenius asymmetry, ``|tr t - 1|``, and the magnitude of the most
     negative eigenvalue of the symmetrized matrix (0 when PSD).
     """
-    m = t.entries
-    scale = max(1.0, float(np.linalg.norm(m)))
-    asymmetry = float(np.linalg.norm(m - m.conj().T)) / scale
-    return (asymmetry, *_density_defects(m))
+    return (_asymmetry(t.entries), *_density_defects(t.entries))
 
 
 @dataclass(frozen=True, eq=False)
@@ -103,6 +121,10 @@ class Permutation3:
         object.__setattr__(self, "images", images)
         object.__setattr__(self, "parity", -1 if inversions % 2 else 1)
 
+    def _order(self) -> tuple[int, int, int]:
+        """The inverse images: slot ``k`` receives the content of slot ``order[k - 1]``."""
+        return tuple(self.images.index(slot) + 1 for slot in (1, 2, 3))
+
     def compose(self, other: Permutation3) -> Permutation3:
         """Composition ``self after other``: slot ``i`` goes to ``self(other(i))``."""
         return Permutation3(tuple(self.images[other.images[i] - 1] for i in range(3)))
@@ -119,13 +141,8 @@ def flip(d: int) -> TensorOperator:
     In the product basis it is the sum of |e_n e_m><e_m e_n| over all n, m;
     it squares to the identity and has trace d.
     """
-    if d < 2:
-        raise ValueError(f"local dimension must be at least 2, got {d}")
-    m = np.zeros((d * d, d * d), dtype=np.complex128)
-    for n in range(d):
-        for k in range(d):
-            m[n * d + k, k * d + n] = 1.0
-    return TensorOperator(m, (d, d))
+    dims = _space(d, 2)
+    return TensorOperator(_permutation(dims, (2, 1)), dims)
 
 
 def antisym_projector(d: int) -> TensorOperator:
@@ -139,9 +156,8 @@ def werner(d: int) -> DensityOperator:
     Built as (1/d^3) I + (2/d^2) P_minus with P_minus the antisymmetric
     projector; equivalently ((d+1)/d^3) I - (1/d^2) flip.
     """
-    if d < 2:
-        raise ValueError(f"local dimension must be at least 2, got {d}")
-    op = (1.0 / d**3) * identity((d, d)) + (2.0 / d**2) * antisym_projector(d)
+    dims = _space(d, 2)
+    op = (1.0 / d**3) * identity(dims) + (2.0 / d**2) * antisym_projector(d)
     return DensityOperator(op)
 
 
@@ -156,20 +172,8 @@ def permutation_operator(p: Permutation3, d: int) -> TensorOperator:
     The content of slot ``i`` is moved to slot ``p(i)``, so the operators
     compose covariantly: U_p @ U_q equals U of ``p.compose(q)``.
     """
-    if d < 2:
-        raise ValueError(f"local dimension must be at least 2, got {d}")
-    n = d**3
-    cols = np.arange(n)
-    first, rest = np.divmod(cols, d * d)
-    second, third = np.divmod(rest, d)
-    components = (first, second, third)
-    placed: list[np.ndarray | None] = [None, None, None]
-    for slot in range(3):
-        placed[p.images[slot] - 1] = components[slot]
-    rows = (placed[0] * d + placed[1]) * d + placed[2]
-    m = np.zeros((n, n), dtype=np.complex128)
-    m[rows, cols] = 1.0
-    return TensorOperator(m, (d, d, d))
+    dims = _space(d, 3)
+    return TensorOperator(_permutation(dims, p._order()), dims)
 
 
 def antisymmetrizer3(d: int) -> TensorOperator:
@@ -178,29 +182,23 @@ def antisymmetrizer3(d: int) -> TensorOperator:
     Average of the six signed permutation operators; its trace is
     d(d-1)(d-2)/6, and for d = 2 it is the zero operator.
     """
-    n = d**3
-    total = TensorOperator(np.zeros((n, n)), (d, d, d))
-    for p in ALL_PERMUTATIONS_3:
-        total = total + p.parity * permutation_operator(p, d)
-    return (1.0 / 6.0) * total
+    dims = _space(d, 3)
+    total = sum(p.parity * _permutation(dims, p._order()) for p in ALL_PERMUTATIONS_3)
+    return TensorOperator((1.0 / 6.0) * total, dims)
 
 
 def dso_two_qubit() -> DensityOperator:
     """Tripartite source operator for the d = 2 Werner state.
 
     Equals (1/4) I - (1/8) V12 - (1/8) V13 on three qubit factors, where
-    V12 swaps the first two factors and V13 = V23 V12 V23 swaps the outer
-    ones.  Tracing out factor 2 or factor 3 yields the d = 2 Werner
-    state; tracing out factor 1 yields the maximally mixed two-qubit
-    state.
+    V12 swaps the first two factors and V13 swaps the outer ones.
+    Tracing out factor 2 or factor 3 yields the d = 2 Werner state;
+    tracing out factor 1 yields the maximally mixed two-qubit state.
     """
-    v = flip(2)
-    one = identity((2,))
-    v12 = kron(v, one)
-    v23 = kron(one, v)
-    v13 = v23 @ v12 @ v23
-    op = 0.25 * identity((2, 2, 2)) - 0.125 * v12 - 0.125 * v13
-    return DensityOperator(op)
+    dims = (2, 2, 2)
+    v12 = _permutation(dims, (2, 1, 3))
+    v13 = _permutation(dims, (3, 2, 1))
+    return DensityOperator(TensorOperator(0.25 * np.eye(8) - 0.125 * v12 - 0.125 * v13, dims))
 
 
 def dso_general(d: int) -> DensityOperator:

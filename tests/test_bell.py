@@ -222,10 +222,6 @@ def test_horodecki_oracle_rejects_non_qubit():
 def test_seesaw_config_validation():
     with pytest.raises(ValueError, match="restarts"):
         SeeSawConfig(restarts=0)
-    with pytest.raises(ValueError, match="max_sweeps"):
-        SeeSawConfig(max_sweeps=0)
-    with pytest.raises(ValueError, match="convergence_eps"):
-        SeeSawConfig(convergence_eps=-1.0)
     with pytest.raises(ValueError, match="base_seed"):
         SeeSawConfig(base_seed=-3)
 

@@ -137,6 +137,14 @@ def test_bell_rejects_missing_state_file(capsys):
     assert "cannot read" in err
 
 
+def test_bell_rejects_state_file_with_repeated_entry(capsys, tmp_path):
+    path = tmp_path / "twice.mat"
+    path.write_text("dims: 2 2\n0 0 0.5 0\n0 0 1 0\n", encoding="ascii")
+    code, _, err = run_cli(capsys, ["bell", "--functional", "chsh", "--state", f"file:{path}"])
+    assert code == 2
+    assert "cannot read state file" in err
+
+
 def test_bell_rejects_non_density_file(capsys, tmp_path):
     path = tmp_path / "bad.mat"
     bf.save_operator(bf.identity((2, 2)), path)  # trace 4, not a state
@@ -284,6 +292,36 @@ def test_non_finite_or_non_positive_tolerance_is_usage_error(capsys, argv, tol):
     assert code == 2
     assert captured.out == ""
     assert "finite and positive" in captured.err
+
+
+# --------------------------------------------------------- supported range
+
+
+@pytest.mark.parametrize(
+    "entry",
+    ["seesaw_chsh", "seesaw_original_bell", "dykstra_find_extension", "verify", "state_file"],
+)
+def test_every_entry_point_reports_the_supported_range(capsys, tmp_path, entry):
+    w7 = bf.werner(7)
+    library = {
+        "seesaw_chsh": lambda: bf.seesaw_chsh(w7, bf.SeeSawConfig(restarts=1)),
+        "seesaw_original_bell": lambda: bf.seesaw_original_bell(w7, bf.SeeSawConfig(restarts=1)),
+        "dykstra_find_extension": lambda: bf.dykstra_find_extension(bf.pattern_sym3(w7)),
+    }
+    if entry in library:
+        with pytest.raises(ValueError) as info:
+            library[entry]()
+        message = str(info.value)
+    elif entry == "verify":
+        code, _, message = run_cli(capsys, ["verify", "--d", "7"])
+        assert code == 2
+    else:
+        path = tmp_path / "w7.mat"
+        bf.save_operator(w7.op, path)
+        argv = ["bell", "--functional", "chsh", "--state", f"file:{path}"]
+        code, _, message = run_cli(capsys, argv)
+        assert code == 3
+    assert "outside 2..6" in message
 
 
 # ----------------------------------------------------------------------- misc

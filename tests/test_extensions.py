@@ -12,7 +12,6 @@ from bellforge.extensions import (
     _embed_identity_at,
     _project_density,
     _project_marginal,
-    marginals_satisfied,
 )
 from bellforge.linalg import PSD_TOL, _ptrace
 
@@ -123,12 +122,6 @@ def test_verify_marginals_detects_mismatch():
 def test_verify_marginals_rejects_wrong_space():
     with pytest.raises(ValueError, match="do not match"):
         bf.verify_marginals(bf.identity((2, 2, 2)), bf.pattern_sym3(bf.werner(3)))
-
-
-def test_marginals_satisfied():
-    assert marginals_satisfied(bf.dso_general(3).op, bf.pattern_sym3(bf.werner(3)))
-    shifted = bf.dso_general(3).op + 1e-3 * bf.identity((3, 3, 3))
-    assert not marginals_satisfied(shifted, bf.pattern_sym3(bf.werner(3)))
 
 
 # ------------------------------------------------------------ raw projections
@@ -360,8 +353,14 @@ def test_dykstra_matches_differing_targets():
 
 def test_dykstra_rejects_large_dimension():
     w7 = bf.werner(7)
-    with pytest.raises(ValueError, match="exceeds"):
+    with pytest.raises(ValueError, match="outside"):
         bf.dykstra_find_extension(bf.pattern_sym3(w7), max_iters=10, tol=1e-6)
+
+
+def test_dykstra_rejects_unit_dimension():
+    trivial = bf.DensityOperator(bf.TensorOperator(np.ones((1, 1)), (1, 1)))
+    with pytest.raises(ValueError, match="outside"):
+        bf.dykstra_find_extension(bf.MarginalPattern(((1, trivial),)), max_iters=10, tol=1e-6)
 
 
 @pytest.mark.parametrize("tol", [0.0, -1.0, math.nan, math.inf])

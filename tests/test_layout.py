@@ -1,4 +1,4 @@
-"""Source-layout guards: one spectral kernel, no thread pools."""
+"""Source-layout guards: one spectral kernel, one owner of the dimension range, no thread pools."""
 
 from __future__ import annotations
 
@@ -12,6 +12,8 @@ EIG_NAMES = {"eig", "eigh", "eigvals", "eigvalsh"}
 # The closed-form two-qubit CHSH oracle keeps its own 3x3 real eigen-solve,
 # so that it stays an independent reference for the see-saw.
 EIG_EXEMPT = {("bell.py", "horodecki_chsh_oracle")}
+# The supported local-dimension range is checked by ``states._check_local_dim`` alone.
+LOCAL_DIM_NAMES = {"MIN_LOCAL_DIM", "MAX_LOCAL_DIM"}
 
 
 def _modules() -> list[tuple[str, ast.Module]]:
@@ -51,6 +53,31 @@ def test_guard_sees_the_exempt_oracle():
     uses = dict(_modules())
     assert [owner for owner, _ in _eig_uses(uses["bell.py"])] == ["horodecki_chsh_oracle"]
     assert _eig_uses(uses["linalg.py"])
+
+
+def _local_dim_uses(tree: ast.Module) -> list[int]:
+    """Lines that name ``MIN_LOCAL_DIM`` or ``MAX_LOCAL_DIM``, imports included."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and node.id in LOCAL_DIM_NAMES:
+            found.append(node.lineno)
+        elif isinstance(node, ast.Attribute) and node.attr in LOCAL_DIM_NAMES:
+            found.append(node.lineno)
+        elif isinstance(node, ast.ImportFrom):
+            found += [node.lineno for alias in node.names if alias.name in LOCAL_DIM_NAMES]
+    return found
+
+
+def test_dimension_range_lives_in_states():
+    modules = dict(_modules())
+    stray = [
+        f"{name}:{line}"
+        for name, tree in modules.items()
+        if name != "states.py"
+        for line in _local_dim_uses(tree)
+    ]
+    assert not stray, f"MIN_LOCAL_DIM / MAX_LOCAL_DIM outside states.py: {stray}"
+    assert _local_dim_uses(modules["states.py"])
 
 
 def test_no_thread_pools():

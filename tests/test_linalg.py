@@ -216,6 +216,15 @@ def test_reorder_factors_identity_and_validation():
         la.reorder_factors(t, (1, 1))
 
 
+@pytest.mark.parametrize("order", list(itertools.permutations((1, 2, 3))))
+def test_permutation_matrix_conjugates_to_reorder(order):
+    dims = (2, 3, 4)
+    m = random_operator(np.random.default_rng(19), dims).entries
+    u = la._permutation(dims, order)
+    np.testing.assert_array_equal(u @ u.T, np.eye(24))
+    np.testing.assert_allclose(u @ m @ u.T, la._reorder(m, dims, order), atol=1e-14)
+
+
 # ------------------------------------------------------------------- spectral
 
 
@@ -365,6 +374,11 @@ def test_text_parser_rejects_malformed_input():
         la.operator_from_text("dims: 2\n5 0 1 0\n")
     with pytest.raises(ValueError, match="positive"):
         la.operator_from_text("dims: 0\n")
+
+
+def test_text_parser_rejects_repeated_entry():
+    with pytest.raises(ValueError, match="listed twice"):
+        la.operator_from_text("dims: 2\n0 0 0.5 0\n0 0 1 0\n")
 
 
 def test_save_and_load_operator(tmp_path):
