@@ -13,15 +13,17 @@ one leaves a linear functional ``tr(F @ w)``, whose maximizer over the
 unit ball is the spectral sign of the effective operator ``F``.  Every
 update therefore never decreases the objective, and the sweep values
 converge monotonically.  Random restarts guard against poor local
-optima; each restart is an independent deterministic stream.
+optima; each restart is an independent deterministic stream.  All
+restarts (and both sign branches of the gap) advance together as one
+stack of matrices, one stacked eigendecomposition per update; each stops
+at its own convergence test, so results equal running them one at a time.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import partial
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -128,14 +130,16 @@ def _raw_inputs(
     return rho_mat.reshape(d, d, d, d), mats
 
 
-def _corr_raw(r4: np.ndarray, a: np.ndarray, b: np.ndarray) -> float:
-    val = complex(np.einsum("ijkl,ki,lj->", r4, a, b))
-    if abs(val.imag) > 1e-10:
-        raise ValueError(f"correlation has imaginary part {val.imag:.3e}")
-    return float(val.real)
+def _corr_raw(r4: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``tr(rho (a x b))`` for matching matrices or ``(n, d, d)`` stacks of them."""
+    val = np.einsum("ijkl,...ki,...lj->...", r4, a, b)
+    worst = np.max(np.abs(val.imag))
+    if worst > 1e-10:
+        raise ValueError(f"correlation has imaginary part {worst:.3e}")
+    return val.real
 
 
-def _gap_raw(r4: np.ndarray, ja: np.ndarray, jb1: np.ndarray, jb2: np.ndarray) -> float:
+def _gap_raw(r4: np.ndarray, ja: np.ndarray, jb1: np.ndarray, jb2: np.ndarray) -> np.ndarray:
     e1 = _corr_raw(r4, ja, jb1)
     e2 = _corr_raw(r4, ja, jb2)
     e3 = _corr_raw(r4, jb1, jb2)
@@ -144,7 +148,7 @@ def _gap_raw(r4: np.ndarray, ja: np.ndarray, jb1: np.ndarray, jb2: np.ndarray) -
 
 def _chsh_raw(
     r4: np.ndarray, a1: np.ndarray, a2: np.ndarray, b1: np.ndarray, b2: np.ndarray
-) -> float:
+) -> np.ndarray:
     """Signed CHSH combination E11 + E12 + E21 - E22."""
     return (
         _corr_raw(r4, a1, b1)
@@ -155,32 +159,42 @@ def _chsh_raw(
 
 
 def _alice_effective(r4: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Matrix M with tr(rho (A x B)) = tr(A M) for every first-factor observable A."""
-    return np.einsum("ijkl,lj->ik", r4, b)
+    """Matrices M with tr(rho (A x B)) = tr(A M) for every first-factor observable A."""
+    return np.einsum("ijkl,...lj->...ik", r4, b)
 
 
 def _bob_effective(r4: np.ndarray, a: np.ndarray) -> np.ndarray:
-    """Matrix N with tr(rho (A x B)) = tr(B N) for every second-factor observable B."""
-    return np.einsum("ijkl,ki->jl", r4, a)
+    """Matrices N with tr(rho (A x B)) = tr(B N) for every second-factor observable B."""
+    return np.einsum("ijkl,...ki->...jl", r4, a)
 
 
-def _draw_observable(rng: np.random.Generator, d: int) -> np.ndarray:
-    g = rng.standard_normal((d, d)) + 1.0j * rng.standard_normal((d, d))
-    return _spectral_map(g, lambda vals: np.clip(vals, -1.0, 1.0))
+def _draw_observables(d: int, seeds: Sequence[int], count: int) -> np.ndarray:
+    """``count`` observables per seed's stream, as a ``(len(seeds), count, d, d)`` array.
+
+    Gaussians are drawn in stream order and clamped to [-1, 1] by one stacked spectral map.
+    """
+    gaussians = []
+    for seed in seeds:
+        rng = np.random.default_rng(seed)
+        gaussians += [
+            rng.standard_normal((d, d)) + 1.0j * rng.standard_normal((d, d)) for _ in range(count)
+        ]
+    clipped = _spectral_map(np.array(gaussians), lambda vals: np.clip(vals, -1.0, 1.0))
+    return clipped.reshape(len(seeds), count, d, d)
 
 
 def random_observable(d: int, seed: int, label: str = "w") -> Observable:
     """Deterministic random observable: Gaussian Hermitian with eigenvalues clamped to [-1, 1]."""
     if d < 1:
         raise ValueError(f"dimension must be positive, got {d}")
-    rng = np.random.default_rng(seed)
-    return Observable(TensorOperator(_draw_observable(rng, d), (d,)), label)
+    entries = _draw_observables(d, [seed], 1)[0, 0]
+    return Observable(TensorOperator(entries, (d,)), label)
 
 
 def correlation(rho: DensityOperator, a: Observable, b: Observable) -> float:
     """Expectation tr(rho (a x b)) with ``a`` on the first factor, ``b`` on the second."""
     r4, mats = _raw_inputs(rho, (a, b), ("a", "b"))
-    return _corr_raw(r4, *mats)
+    return float(_corr_raw(r4, *mats))
 
 
 def original_bell_gap(
@@ -193,7 +207,7 @@ def original_bell_gap(
     shared first-side setting of the third correlation.
     """
     r4, mats = _raw_inputs(rho, (ja, jb1, jb2), ("a", "b1", "b2"))
-    return _gap_raw(r4, *mats)
+    return float(_gap_raw(r4, *mats))
 
 
 def chsh_value(
@@ -201,34 +215,22 @@ def chsh_value(
 ) -> float:
     """CHSH combination |E11 + E12 + E21 - E22|; values above 2 witness nonclassicality."""
     r4, mats = _raw_inputs(rho, (a1, a2, b1, b2), ("a1", "a2", "b1", "b2"))
-    return abs(_chsh_raw(r4, *mats))
+    return float(abs(_chsh_raw(r4, *mats)))
 
 
-def _iterate(sweep: Callable, mats: tuple[np.ndarray, ...]) -> tuple:
-    """Repeat ``sweep`` (matrices -> new matrices, objective) until the gain is below eps."""
-    values: list[float] = []
-    previous = -math.inf
-    for _ in range(_MAX_SWEEPS):
-        mats, value = sweep(mats)
-        values.append(value)
-        if value - previous < _CONVERGENCE_EPS:
-            break
-        previous = value
-    return mats, values
-
-
-def _original_sweep(r4: np.ndarray, s: float, mats: tuple) -> tuple:
-    """One cyclic update of the gap's sign branch ``s`` and its linearized objective."""
+def _original_sweep(r4: np.ndarray, s: np.ndarray, mats: list) -> tuple:
+    """One cyclic update of the gap's sign branches ``s`` and their linearized objectives."""
     ja, jb1, jb2 = mats
     ja = _spectral_map(s * (_alice_effective(r4, jb1) - _alice_effective(r4, jb2)), _signs)
     jb1 = _spectral_map(s * _bob_effective(r4, ja) + _alice_effective(r4, jb2), _signs)
     jb2 = _spectral_map(-s * _bob_effective(r4, ja) + _bob_effective(r4, jb1), _signs)
+    s = s[:, 0, 0]
     value = s * (_corr_raw(r4, ja, jb1) - _corr_raw(r4, ja, jb2)) + _corr_raw(r4, jb1, jb2) - 1.0
     return (ja, jb1, jb2), value
 
 
-def _chsh_sweep(r4: np.ndarray, mats: tuple) -> tuple:
-    """One cyclic update of the four CHSH observables and the signed combination."""
+def _chsh_sweep(r4: np.ndarray, s: np.ndarray, mats: list) -> tuple:
+    """One cyclic update of the four CHSH observables (one branch, ``s`` unused) and their value."""
     a1, a2, b1, b2 = mats
     a1 = _spectral_map(_alice_effective(r4, b1) + _alice_effective(r4, b2), _signs)
     a2 = _spectral_map(_alice_effective(r4, b1) - _alice_effective(r4, b2), _signs)
@@ -238,52 +240,55 @@ def _chsh_sweep(r4: np.ndarray, mats: tuple) -> tuple:
     return mats, _chsh_raw(r4, *mats)
 
 
-def _search_original(r4: np.ndarray, start: tuple) -> tuple:
-    """Run both sign branches of the gap from ``start``; keep the better final gap."""
-    best = None
-    for s in (1.0, -1.0):
-        mats, values = _iterate(partial(_original_sweep, r4, s), start)
-        gap = _gap_raw(r4, *mats)
-        if best is None or gap > best[0]:
-            best = (gap, mats, values)
-    return best
-
-
-def _search_chsh(r4: np.ndarray, start: tuple) -> tuple:
-    """Cyclic sign updates of the four CHSH observables from ``start``."""
-    mats, values = _iterate(partial(_chsh_sweep, r4), start)
-    return abs(_chsh_raw(r4, *mats)), mats, values
-
-
 def _seesaw(
-    rho: DensityOperator, cfg: SeeSawConfig, labels: tuple[str, ...], search: Callable
+    rho: DensityOperator,
+    cfg: SeeSawConfig,
+    labels: tuple[str, ...],
+    signs: tuple[float, ...],
+    sweep: Callable,
+    final: Callable,
 ) -> OptimizationResult:
-    """Restart loop shared by the see-saw optimizers.
+    """All restarts and sign branches of a see-saw, advanced together as stacks.
 
-    Restart ``r`` draws one start observable per label from the stream
-    seeded by ``base_seed + r`` and hands them to ``search``, which
-    returns ``(final value, matrices, sweep values)``.  The largest final
-    value wins; ties resolve to the lowest restart index.
+    Row ``i`` runs branch ``signs[i % len(signs)]`` from the start observables
+    that restart ``i // len(signs)`` draws from the stream ``base_seed + r``.
+    ``sweep(r4, s, mats)`` updates the given rows and returns their values.  A
+    row freezes after ``_MAX_SWEEPS`` sweeps or a gain below ``_CONVERGENCE_EPS``,
+    so it ends as it would alone.  The largest ``final(r4, *mats)`` wins; ties
+    go to the lowest row.
     """
     rho_mat, d = _check_state(rho)
     _check_local_dim(d)
     r4 = rho_mat.reshape(d, d, d, d)
-    best = None
-    for restart in range(cfg.restarts):
-        rng = np.random.default_rng(cfg.base_seed + restart)
-        start = tuple(_draw_observable(rng, d) for _ in labels)
-        outcome = search(r4, start)
-        if best is None or outcome[0] > best[0][0]:
-            best = (outcome, restart)
-    (value, mats, values), winner = best
+    starts = _draw_observables(d, range(cfg.base_seed, cfg.base_seed + cfg.restarts), len(labels))
+    mats = [np.repeat(starts[:, k], len(signs), axis=0) for k in range(len(labels))]
+    s = np.tile(signs, cfg.restarts)[:, None, None]
+
+    last = np.full(len(s), -math.inf)
+    history = []  # (active rows, their values) of every sweep
+    rows = np.arange(len(s))
+    for _ in range(_MAX_SWEEPS):
+        updated, values = sweep(r4, s[rows], [m[rows] for m in mats])
+        for m, new in zip(mats, updated):
+            m[rows] = new
+        history.append((rows, values))
+        gain = values - last[rows]
+        last[rows] = values
+        rows = rows[~(gain < _CONVERGENCE_EPS)]
+        if not rows.size:
+            break
+
+    scores = final(r4, *mats)
+    best = int(np.argmax(scores))
+    trace = np.concatenate([values[rows == best] for rows, values in history]).tolist()
     return OptimizationResult(
-        best_value=value,
+        best_value=float(scores[best]),
         observables=tuple(
-            Observable(TensorOperator(m, (d,)), label) for m, label in zip(mats, labels)
+            Observable(TensorOperator(m[best], (d,)), label) for m, label in zip(mats, labels)
         ),
-        sweeps_used=len(values),
-        restart_index=winner,
-        value_trace=tuple(values),
+        sweeps_used=len(trace),
+        restart_index=best // len(signs),
+        value_trace=tuple(trace),
     )
 
 
@@ -294,12 +299,12 @@ def seesaw_original_bell(
 
     The absolute value in the gap splits the search into two sign
     branches; each restart runs both branches from the same random
-    initial triple and keeps the better final gap.  Restart ``r`` uses
-    the deterministic stream seeded by ``base_seed + r``, and ties
-    across restarts resolve to the lowest restart index, so results are
-    reproducible.
+    initial triple and keeps the better final gap, branch ``+1`` on a tie.
+    Restart ``r`` uses the deterministic stream seeded by
+    ``base_seed + r``, and ties across restarts resolve to the lowest
+    restart index, so results are reproducible.
     """
-    return _seesaw(rho, cfg, ("a", "b1", "b2"), _search_original)
+    return _seesaw(rho, cfg, ("a", "b1", "b2"), (1.0, -1.0), _original_sweep, _gap_raw)
 
 
 def seesaw_chsh(rho: DensityOperator, cfg: SeeSawConfig = SeeSawConfig()) -> OptimizationResult:
@@ -310,7 +315,9 @@ def seesaw_chsh(rho: DensityOperator, cfg: SeeSawConfig = SeeSawConfig()) -> Opt
     monotonically.  Restart seeding and tie-breaking match
     :func:`seesaw_original_bell`.
     """
-    return _seesaw(rho, cfg, ("a1", "a2", "b1", "b2"), _search_chsh)
+    return _seesaw(
+        rho, cfg, ("a1", "a2", "b1", "b2"), (1.0,), _chsh_sweep, lambda *a: abs(_chsh_raw(*a))
+    )
 
 
 def horodecki_chsh_oracle(rho: DensityOperator) -> float:

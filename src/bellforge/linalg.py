@@ -222,8 +222,8 @@ def _hermitian_entries(t: TensorOperator) -> np.ndarray:
 
 
 def _hermitian_part(m: np.ndarray) -> np.ndarray:
-    """Symmetrized matrix ``(m + m^H) / 2``; real input stays real, with no extra copy."""
-    return (m + m.conj().T) / 2.0
+    """``(m + m^H) / 2`` of a matrix or a stack; real input stays real, with no extra copy."""
+    return (m + m.conj().swapaxes(-1, -2)) / 2.0
 
 
 def _signs(vals: np.ndarray) -> np.ndarray:
@@ -232,9 +232,12 @@ def _signs(vals: np.ndarray) -> np.ndarray:
 
 
 def _spectral_map(m: np.ndarray, f: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
-    """``V f(L) V^H`` for the eigendecomposition of the Hermitian part of ``m``, symmetrized."""
+    """``V f(L) V^H`` for the eigendecomposition of the Hermitian part of ``m``, symmetrized.
+
+    One ``eigh`` call maps every matrix of an ``(..., n, n)`` stack as it would map it alone.
+    """
     vals, vecs = np.linalg.eigh(_hermitian_part(m))
-    return _hermitian_part((vecs * f(vals)) @ vecs.conj().T)
+    return _hermitian_part((vecs * f(vals)[..., None, :]) @ vecs.conj().swapaxes(-1, -2))
 
 
 def _eigenvalues(m: np.ndarray) -> np.ndarray:

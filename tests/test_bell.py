@@ -306,3 +306,63 @@ def test_seesaw_chsh_recompute_matches_best_value():
     result = bf.seesaw_chsh(bf.singlet(), SeeSawConfig(restarts=5, base_seed=9))
     recomputed = bf.chsh_value(bf.singlet(), *result.observables)
     assert abs(recomputed - result.best_value) <= 1e-12
+
+
+SEARCHES = {"original": (bf.seesaw_original_bell, 3), "chsh": (bf.seesaw_chsh, 4)}
+
+
+@pytest.mark.parametrize("functional", sorted(SEARCHES))
+@pytest.mark.parametrize("state", ["werner2", "werner3", "singlet"])
+def test_stacked_restarts_match_independent_runs(functional, state):
+    """Restarts run as one stack equal the best of single-restart runs, lowest index on ties."""
+    search, _ = SEARCHES[functional]
+    rho = {"werner2": bf.werner(2), "werner3": bf.werner(3), "singlet": bf.singlet()}[state]
+    restarts, base_seed = 6, 0
+    stacked = search(rho, SeeSawConfig(restarts=restarts, base_seed=base_seed))
+    singles = [search(rho, SeeSawConfig(restarts=1, base_seed=base_seed + r)) for r in range(restarts)]
+    # restarts stop after different sweep counts, so each froze on its own
+    assert len({single.sweeps_used for single in singles}) > 1
+    winner = max(range(restarts), key=lambda r: singles[r].best_value)
+    alone = singles[winner]
+    assert stacked.restart_index == winner
+    assert stacked.best_value == alone.best_value
+    assert stacked.value_trace == alone.value_trace
+    assert stacked.sweeps_used == alone.sweeps_used
+    for a, b in zip(stacked.observables, alone.observables):
+        assert a.label == b.label
+        np.testing.assert_array_equal(a.op.entries, b.op.entries)
+
+
+@pytest.mark.parametrize("functional", sorted(SEARCHES))
+def test_seesaw_eigensolver_calls_do_not_grow_with_restarts(monkeypatch, functional):
+    """One ``eigh`` for the start draw, then one stacked ``eigh`` per update and sweep.
+
+    A run of many restarts therefore makes as many calls as its longest
+    single restart.  Base seed 6 puts a longest restart among the first
+    five on ``werner(3)``, so 5 and 40 restarts make the same number.
+    """
+    search, updates = SEARCHES[functional]
+    calls = []
+
+    def counted(a, *args, _original=np.linalg.eigh, **kwargs):
+        calls.append(a.shape)
+        return _original(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counted)
+
+    def count(restarts, base_seed):
+        calls.clear()
+        result = search(bf.werner(3), SeeSawConfig(restarts=restarts, base_seed=base_seed))
+        return len(calls), result
+
+    base_seed = 6
+    singles = []
+    for r in range(40):
+        n, result = count(1, base_seed + r)
+        # the longest row (a branch of the gap may outlast the winner) sets the count
+        assert (n - 1) % updates == 0
+        assert result.sweeps_used <= (n - 1) // updates
+        singles.append(n)
+    stacked = {restarts: count(restarts, base_seed)[0] for restarts in (5, 40)}
+    assert stacked == {restarts: max(singles[:restarts]) for restarts in (5, 40)}
+    assert stacked[5] == stacked[40]

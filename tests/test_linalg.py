@@ -280,6 +280,21 @@ def test_spectral_kernel_keeps_real_input_real():
     np.testing.assert_allclose(clipped, reference, atol=1e-13)
 
 
+def test_spectral_kernel_maps_stacks_like_single_matrices():
+    """A stack goes through one ``eigh`` and equals the per-matrix maps bit for bit."""
+    rng = np.random.default_rng(24)
+    complex_stack = rng.standard_normal((3, 4, 4)) + 1j * rng.standard_normal((3, 4, 4))
+    real_stack = rng.standard_normal((5, 3, 3))
+    for stack in (complex_stack, real_stack):
+        np.testing.assert_array_equal(
+            la._hermitian_part(stack), [la._hermitian_part(m) for m in stack]
+        )
+        for f in (la._signs, lambda vals: np.clip(vals, -1.0, 1.0)):
+            mapped = la._spectral_map(stack, f)
+            assert mapped.dtype == stack.dtype
+            np.testing.assert_array_equal(mapped, [la._spectral_map(m, f) for m in stack])
+
+
 def test_hermitian_sign_zero_eigenvalue_maps_to_plus_one():
     t = la.TensorOperator(np.diag([1.0, 0.0, -2.0]), (3,))
     np.testing.assert_allclose(la.hermitian_sign(t).entries, np.diag([1.0, 1.0, -1.0]), atol=1e-14)
