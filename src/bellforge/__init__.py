@@ -5,14 +5,10 @@ from __future__ import annotations
 __version__ = "0.1.0"
 
 from .linalg import (
-    Spectrum,
     TensorOperator,
-    adjoint,
-    eig_hermitian,
+    eigenvalues,
     frobenius_distance,
-    hermitian_sign,
     identity,
-    is_psd,
     kron,
     load_operator,
     operator_from_text,
@@ -22,7 +18,6 @@ from .linalg import (
     reorder_factors,
     save_operator,
     trace,
-    trace_norm,
 )
 from .states import (
     ALL_PERMUTATIONS_3,
@@ -55,7 +50,6 @@ from .bell import (
     correlation,
     horodecki_chsh_oracle,
     original_bell_gap,
-    random_observable,
     seesaw_chsh,
     seesaw_original_bell,
 )
@@ -64,19 +58,14 @@ __all__ = [
     "__version__",
     # linalg
     "TensorOperator",
-    "Spectrum",
     "identity",
     "kron",
-    "adjoint",
     "trace",
     "frobenius_distance",
     "partial_trace",
     "reorder_factors",
-    "eig_hermitian",
-    "hermitian_sign",
+    "eigenvalues",
     "operator_norm",
-    "trace_norm",
-    "is_psd",
     "operator_to_text",
     "operator_from_text",
     "save_operator",
@@ -109,7 +98,6 @@ __all__ = [
     "correlation",
     "original_bell_gap",
     "chsh_value",
-    "random_observable",
     "seesaw_original_bell",
     "seesaw_chsh",
     "horodecki_chsh_oracle",

@@ -13,10 +13,11 @@ one leaves a linear functional ``tr(F @ w)``, whose maximizer over the
 unit ball is the spectral sign of the effective operator ``F``.  Every
 update therefore never decreases the objective, and the sweep values
 converge monotonically.  Random restarts guard against poor local
-optima; each restart is an independent deterministic stream.  All
-restarts (and both sign branches of the gap) advance together as one
-stack of matrices, one stacked eigendecomposition per update; each stops
-at its own convergence test, so results equal running them one at a time.
+optima; each restart is an independent deterministic stream.  Restarts
+(and both sign branches of the gap) advance together as stacks of matrices,
+in blocks of up to 256 restarts, one stacked eigendecomposition per update;
+each stops at its own convergence test, so results equal running them one
+at a time.
 """
 
 from __future__ import annotations
@@ -37,7 +38,6 @@ __all__ = [
     "correlation",
     "original_bell_gap",
     "chsh_value",
-    "random_observable",
     "seesaw_original_bell",
     "seesaw_chsh",
     "horodecki_chsh_oracle",
@@ -50,6 +50,11 @@ NORM_SLACK = 1e-10
 # the epsilon.
 _MAX_SWEEPS = 200
 _CONVERGENCE_EPS = 1e-12
+
+# Restarts advance together in blocks of at most this many, which bounds the
+# see-saw's memory whatever the restart count.  At least 50, so that the
+# default of 50 restarts runs as one block.
+_RESTART_BLOCK = 256
 
 _PAULIS = (
     np.array([[0.0, 1.0], [1.0, 0.0]], dtype=np.complex128),
@@ -176,19 +181,10 @@ def _draw_observables(d: int, seeds: Sequence[int], count: int) -> np.ndarray:
     gaussians = []
     for seed in seeds:
         rng = np.random.default_rng(seed)
-        gaussians += [
-            rng.standard_normal((d, d)) + 1.0j * rng.standard_normal((d, d)) for _ in range(count)
-        ]
-    clipped = _spectral_map(np.array(gaussians), lambda vals: np.clip(vals, -1.0, 1.0))
-    return clipped.reshape(len(seeds), count, d, d)
-
-
-def random_observable(d: int, seed: int, label: str = "w") -> Observable:
-    """Deterministic random observable: Gaussian Hermitian with eigenvalues clamped to [-1, 1]."""
-    if d < 1:
-        raise ValueError(f"dimension must be positive, got {d}")
-    entries = _draw_observables(d, [seed], 1)[0, 0]
-    return Observable(TensorOperator(entries, (d,)), label)
+        gaussians.append(
+            [rng.standard_normal((d, d)) + 1.0j * rng.standard_normal((d, d)) for _ in range(count)]
+        )
+    return _spectral_map(np.array(gaussians), lambda vals: np.clip(vals, -1.0, 1.0))
 
 
 def correlation(rho: DensityOperator, a: Observable, b: Observable) -> float:
@@ -240,29 +236,26 @@ def _chsh_sweep(r4: np.ndarray, s: np.ndarray, mats: list) -> tuple:
     return mats, _chsh_raw(r4, *mats)
 
 
-def _seesaw(
-    rho: DensityOperator,
-    cfg: SeeSawConfig,
-    labels: tuple[str, ...],
+def _seesaw_block(
+    r4: np.ndarray,
+    seeds: range,
+    count: int,
     signs: tuple[float, ...],
     sweep: Callable,
     final: Callable,
-) -> OptimizationResult:
-    """All restarts and sign branches of a see-saw, advanced together as stacks.
+) -> tuple[float, int, list[np.ndarray], list[float]]:
+    """The restarts seeded by ``seeds`` and their sign branches, advanced together as stacks.
 
-    Row ``i`` runs branch ``signs[i % len(signs)]`` from the start observables
-    that restart ``i // len(signs)`` draws from the stream ``base_seed + r``.
+    Row ``i`` runs branch ``signs[i % len(signs)]`` from the ``count`` start
+    observables drawn from the stream ``seeds[i // len(signs)]``.
     ``sweep(r4, s, mats)`` updates the given rows and returns their values.  A
     row freezes after ``_MAX_SWEEPS`` sweeps or a gain below ``_CONVERGENCE_EPS``,
-    so it ends as it would alone.  The largest ``final(r4, *mats)`` wins; ties
-    go to the lowest row.
+    so it ends as it would alone.  Returns the largest ``final(r4, *mats)`` (ties
+    go to the lowest row), its row, its observables and its value trace.
     """
-    rho_mat, d = _check_state(rho)
-    _check_local_dim(d)
-    r4 = rho_mat.reshape(d, d, d, d)
-    starts = _draw_observables(d, range(cfg.base_seed, cfg.base_seed + cfg.restarts), len(labels))
-    mats = [np.repeat(starts[:, k], len(signs), axis=0) for k in range(len(labels))]
-    s = np.tile(signs, cfg.restarts)[:, None, None]
+    starts = _draw_observables(r4.shape[0], seeds, count)
+    mats = [np.repeat(starts[:, k], len(signs), axis=0) for k in range(count)]
+    s = np.tile(signs, len(seeds))[:, None, None]
 
     last = np.full(len(s), -math.inf)
     history = []  # (active rows, their values) of every sweep
@@ -281,13 +274,40 @@ def _seesaw(
     scores = final(r4, *mats)
     best = int(np.argmax(scores))
     trace = np.concatenate([values[rows == best] for rows, values in history]).tolist()
+    return float(scores[best]), best, [m[best] for m in mats], trace
+
+
+def _seesaw(
+    rho: DensityOperator,
+    cfg: SeeSawConfig,
+    labels: tuple[str, ...],
+    signs: tuple[float, ...],
+    sweep: Callable,
+    final: Callable,
+) -> OptimizationResult:
+    """Every restart of a see-saw, run in consecutive blocks of ``_RESTART_BLOCK``.
+
+    A later block wins only with a strictly larger score, so ties go to the
+    lowest restart and then to the earlier sign branch, as in one stack.
+    """
+    rho_mat, d = _check_state(rho)
+    _check_local_dim(d)
+    r4 = rho_mat.reshape(d, d, d, d)
+    end = cfg.base_seed + cfg.restarts
+    best = None
+    for first in range(cfg.base_seed, end, _RESTART_BLOCK):
+        seeds = range(first, min(first + _RESTART_BLOCK, end))
+        score, row, mats, trace = _seesaw_block(r4, seeds, len(labels), signs, sweep, final)
+        if best is None or score > best[0]:
+            best = (score, first - cfg.base_seed + row // len(signs), mats, trace)
+    score, restart, mats, trace = best
     return OptimizationResult(
-        best_value=float(scores[best]),
+        best_value=score,
         observables=tuple(
-            Observable(TensorOperator(m[best], (d,)), label) for m, label in zip(mats, labels)
+            Observable(TensorOperator(m, (d,)), label) for m, label in zip(mats, labels)
         ),
         sweeps_used=len(trace),
-        restart_index=best // len(signs),
+        restart_index=restart,
         value_trace=tuple(trace),
     )
 

@@ -35,7 +35,7 @@ from .bell import SeeSawConfig, seesaw_chsh, seesaw_original_bell
 from .extensions import dykstra_find_extension, pattern_right2, pattern_sym3, verify_marginals
 from .linalg import (
     TensorOperator,
-    eig_hermitian,
+    eigenvalues,
     frobenius_distance,
     identity,
     load_operator,
@@ -170,7 +170,7 @@ def cmd_verify(args: argparse.Namespace) -> _Outcome:
     checks["werner_trace"] = _check(abs(trace(w.op) - 1.0), tol)
     _, _, negativity = density_deficits(w.op)
     checks["werner_negativity"] = _check(negativity, tol)
-    eigvals = eig_hermitian(w.op).eigenvalues
+    eigvals = eigenvalues(w.op)
     expected = np.concatenate(
         [
             np.full(d * (d - 1) // 2, 1.0 / d**3 + 2.0 / d**2),
@@ -205,7 +205,7 @@ def cmd_verify(args: argparse.Namespace) -> _Outcome:
             frobenius_distance(partial_trace(source.op, 1), mixed), tol
         )
         dso_expected = np.array([0.375, 0.375, 0.125, 0.125, 0.0, 0.0, 0.0, 0.0])
-        dso_vals = eig_hermitian(source.op).eigenvalues
+        dso_vals = eigenvalues(source.op)
         checks["source_spectrum"] = _check(float(np.max(np.abs(dso_vals - dso_expected))), tol)
     else:
         for j, residual in zip((1, 2, 3), verify_marginals(source.op, pattern_sym3(w))):
@@ -223,13 +223,12 @@ def cmd_verify(args: argparse.Namespace) -> _Outcome:
 
 
 def cmd_bell(args: argparse.Namespace) -> _Outcome:
-    if args.restarts < 1:
-        raise _UsageError(f"--restarts must be positive, got {args.restarts}")
+    try:
+        cfg = SeeSawConfig(restarts=args.restarts, base_seed=args.seed)
+    except ValueError as exc:
+        raise _UsageError(f"--restarts / --seed: {exc}") from exc
     _check_tol(args.tol)
-    if args.seed < 0:
-        raise _UsageError(f"--seed must be nonnegative, got {args.seed}")
     rho = _resolve_state(args.state, args.d)
-    cfg = SeeSawConfig(restarts=args.restarts, base_seed=args.seed)
     if args.functional == "original":
         result = seesaw_original_bell(rho, cfg)
         threshold = args.tol

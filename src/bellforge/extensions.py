@@ -44,8 +44,6 @@ from .linalg import (
     _ptrace,
     _reorder,
     _spectral_map,
-    frobenius_distance,
-    partial_trace,
 )
 from .states import DensityOperator, _bipartite_dim, _check_local_dim
 
@@ -158,10 +156,15 @@ def verify_marginals(t: TensorOperator, pattern: MarginalPattern) -> list[float]
         raise ValueError(
             f"operator factors {t.factor_dims} do not match the pattern's space ({d}, {d}, {d})"
         )
-    return [
-        frobenius_distance(partial_trace(t, j), target.op)
-        for j, target in pattern.constraints
-    ]
+    targets = tuple((j, target.op.entries) for j, target in pattern.constraints)
+    return _marginal_errors(t.entries, d, targets)
+
+
+def _marginal_errors(
+    m: np.ndarray, d: int, targets: tuple[tuple[int, np.ndarray], ...]
+) -> list[float]:
+    """Frobenius deviation of each constrained partial trace of a raw matrix from its target."""
+    return [float(np.linalg.norm(_ptrace(m, (d, d, d), j) - target)) for j, target in targets]
 
 
 def _project_simplex(vals: np.ndarray) -> np.ndarray:
@@ -199,15 +202,9 @@ def _project_marginal(m: np.ndarray, d: int, j: int, target: np.ndarray) -> np.n
     return m + _embed_identity_at(deficit, d, j)
 
 
-def _marginal_error(m: np.ndarray, d: int, targets: tuple[tuple[int, np.ndarray], ...]) -> float:
-    """Largest Frobenius deviation of a constrained partial trace from its target."""
-    dims = (d, d, d)
-    return max(float(np.linalg.norm(_ptrace(m, dims, j) - target)) for j, target in targets)
-
-
 def _residual(m: np.ndarray, d: int, targets: tuple[tuple[int, np.ndarray], ...]) -> float:
     """Total infeasibility: worst marginal deviation + PSD deficit + trace deficit."""
-    marginal = _marginal_error(m, d, targets)
+    marginal = max(_marginal_errors(m, d, targets))
     trace_error, negativity = _density_defects(m)
     return marginal + negativity + trace_error
 
@@ -308,7 +305,7 @@ def dykstra_find_extension(
         x = projected
 
         iterations += 1
-        current = _marginal_error(x, d, targets) + abs(complex(np.trace(x)) - 1.0)
+        current = max(_marginal_errors(x, d, targets)) + abs(complex(np.trace(x)) - 1.0)
         trace_log.append(current)
         if current < best_cheap:
             best, best_cheap = x, current

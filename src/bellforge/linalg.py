@@ -24,19 +24,14 @@ __all__ = [
     "HERMITICITY_TOL",
     "PSD_TOL",
     "TensorOperator",
-    "Spectrum",
     "identity",
     "kron",
-    "adjoint",
     "trace",
     "frobenius_distance",
     "partial_trace",
     "reorder_factors",
-    "eig_hermitian",
-    "hermitian_sign",
+    "eigenvalues",
     "operator_norm",
-    "trace_norm",
-    "is_psd",
     "operator_to_text",
     "operator_from_text",
     "save_operator",
@@ -117,24 +112,6 @@ class TensorOperator:
         return f"TensorOperator(side={self.side}, factor_dims={self.factor_dims})"
 
 
-@dataclass(frozen=True, eq=False)
-class Spectrum:
-    """Eigendecomposition of a Hermitian operator, eigenvalues descending."""
-
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
-
-    def __post_init__(self) -> None:
-        vals = np.array(self.eigenvalues, dtype=np.float64)
-        vecs = np.array(self.eigenvectors, dtype=np.complex128, order="C")
-        if vals.ndim != 1 or vecs.shape != (vals.size, vals.size):
-            raise ValueError("spectrum needs n eigenvalues and an n-by-n eigenvector matrix")
-        vals.setflags(write=False)
-        vecs.setflags(write=False)
-        object.__setattr__(self, "eigenvalues", vals)
-        object.__setattr__(self, "eigenvectors", vecs)
-
-
 def identity(factor_dims: tuple[int, ...]) -> TensorOperator:
     """Identity operator on the product space with the given factor dimensions."""
     side = math.prod(factor_dims)
@@ -144,11 +121,6 @@ def identity(factor_dims: tuple[int, ...]) -> TensorOperator:
 def kron(a: TensorOperator, b: TensorOperator) -> TensorOperator:
     """Tensor product; the factor list of ``a`` is extended by that of ``b``."""
     return TensorOperator(np.kron(a.entries, b.entries), a.factor_dims + b.factor_dims)
-
-
-def adjoint(t: TensorOperator) -> TensorOperator:
-    """Conjugate transpose."""
-    return TensorOperator(t.entries.conj().T, t.factor_dims)
 
 
 def trace(t: TensorOperator) -> complex:
@@ -251,35 +223,15 @@ def _density_defects(m: np.ndarray) -> tuple[float, float]:
     return abs(complex(np.trace(m)) - 1.0), max(0.0, -lowest)
 
 
-def eig_hermitian(t: TensorOperator) -> Spectrum:
-    """Real eigenvalues (descending) and matching orthonormal eigenvectors."""
-    vals, vecs = np.linalg.eigh(_hermitian_part(_hermitian_entries(t)))
-    return Spectrum(vals[::-1].copy(), vecs[:, ::-1].copy())
-
-
-def hermitian_sign(t: TensorOperator) -> TensorOperator:
-    """Spectral sign map: eigenvalues >= 0 become +1, negative ones become -1.
-
-    The result is the norm-one Hermitian operator maximizing ``tr(t @ w)``
-    over Hermitian ``w`` with operator norm at most one.
-    """
-    return TensorOperator(_spectral_map(_hermitian_entries(t), _signs), t.factor_dims)
+def eigenvalues(t: TensorOperator) -> np.ndarray:
+    """Real eigenvalues of a Hermitian operator, descending."""
+    return _eigenvalues(_hermitian_entries(t))[::-1]
 
 
 def operator_norm(t: TensorOperator) -> float:
     """Largest absolute eigenvalue of a Hermitian operator."""
     vals = _eigenvalues(_hermitian_entries(t))
     return float(np.max(np.abs(vals))) if vals.size else 0.0
-
-
-def trace_norm(t: TensorOperator) -> float:
-    """Sum of absolute eigenvalues of a Hermitian operator."""
-    return float(np.sum(np.abs(_eigenvalues(_hermitian_entries(t)))))
-
-
-def is_psd(t: TensorOperator) -> bool:
-    """Whether the Hermitian operator has no eigenvalue below ``-PSD_TOL``."""
-    return bool(_eigenvalues(_hermitian_entries(t))[0] >= -PSD_TOL)
 
 
 def operator_to_text(t: TensorOperator) -> str:

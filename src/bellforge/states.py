@@ -125,10 +125,6 @@ class Permutation3:
         """The inverse images: slot ``k`` receives the content of slot ``order[k - 1]``."""
         return tuple(self.images.index(slot) + 1 for slot in (1, 2, 3))
 
-    def compose(self, other: Permutation3) -> Permutation3:
-        """Composition ``self after other``: slot ``i`` goes to ``self(other(i))``."""
-        return Permutation3(tuple(self.images[other.images[i] - 1] for i in range(3)))
-
 
 ALL_PERMUTATIONS_3: tuple[Permutation3, ...] = tuple(
     Permutation3(images) for images in itertools.permutations((1, 2, 3))
@@ -170,7 +166,7 @@ def permutation_operator(p: Permutation3, d: int) -> TensorOperator:
     """Unitary that permutes the three factors of C^d (x) C^d (x) C^d by ``p``.
 
     The content of slot ``i`` is moved to slot ``p(i)``, so the operators
-    compose covariantly: U_p @ U_q equals U of ``p.compose(q)``.
+    compose covariantly: U_p @ U_q is the operator of ``p`` after ``q``.
     """
     dims = _space(d, 3)
     return TensorOperator(_permutation(dims, p._order()), dims)

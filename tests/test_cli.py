@@ -294,6 +294,23 @@ def test_non_finite_or_non_positive_tolerance_is_usage_error(capsys, argv, tol):
     assert "finite and positive" in captured.err
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["bell", "--d", "2", "--functional", "chsh", "--restarts", "0"], "must be positive"),
+        (["bell", "--d", "2", "--functional", "chsh", "--seed", "-1"], "must be nonnegative"),
+        (["dso-find", "--d", "3", "--pattern", "sym3", "--iters", "0"], "must be positive"),
+    ],
+    ids=["restarts", "seed", "iters"],
+)
+def test_non_positive_counts_and_negative_seed_are_usage_errors(capsys, argv, message):
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert message in captured.err
+
+
 # --------------------------------------------------------- supported range
 
 

@@ -1,4 +1,5 @@
-"""Source-layout guards: one spectral kernel, one owner of the dimension range, no thread pools."""
+"""Source-layout guards: one spectral kernel, one owner of the dimension range, no thread pools,
+and a public surface trimmed to what the solvers, the CLI and the benchmark call."""
 
 from __future__ import annotations
 
@@ -90,3 +91,30 @@ def test_no_thread_pools():
                 imports.append((name, node.module))
     pools = [(name, module) for name, module in imports if module.startswith("concurrent")]
     assert not pools, f"concurrent.futures imported: {pools}"
+
+
+PUBLIC_NAMES = {
+    "__version__",
+    # linalg
+    "TensorOperator", "identity", "kron", "trace", "frobenius_distance", "partial_trace",
+    "reorder_factors", "eigenvalues", "operator_norm", "operator_to_text", "operator_from_text",
+    "save_operator", "load_operator",
+    # states
+    "DensityOperator", "Permutation3", "ALL_PERMUTATIONS_3", "density_deficits", "flip",
+    "antisym_projector", "permutation_operator", "antisymmetrizer3", "werner", "singlet",
+    "dso_two_qubit", "dso_general",
+    # extensions
+    "MarginalPattern", "InfeasibilityCertificate", "FeasibilityResult", "verify_marginals",
+    "pattern_sym3", "pattern_right2", "dykstra_find_extension",
+    # bell
+    "Observable", "SeeSawConfig", "OptimizationResult", "correlation", "original_bell_gap",
+    "chsh_value", "seesaw_original_bell", "seesaw_chsh", "horodecki_chsh_oracle",
+}
+
+
+def test_public_surface_is_pinned():
+    """A name leaves or joins the package's public surface only by editing this list."""
+    assert set(bellforge.__all__) == PUBLIC_NAMES
+    assert len(bellforge.__all__) == len(PUBLIC_NAMES)
+    assert all(hasattr(bellforge, name) for name in bellforge.__all__)
+    assert not hasattr(bellforge.Permutation3, "compose")

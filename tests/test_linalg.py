@@ -122,12 +122,10 @@ def test_mixed_product_law():
         assert la.frobenius_distance(left, right) <= 1e-12 * scale
 
 
-def test_adjoint_and_trace():
+def test_trace_is_the_complex_matrix_trace():
     rng = np.random.default_rng(14)
     a = random_operator(rng, (2, 2))
-    np.testing.assert_array_equal(la.adjoint(a).entries, a.entries.conj().T)
     assert la.trace(a) == pytest.approx(complex(np.trace(a.entries)))
-    assert la.frobenius_distance(la.adjoint(la.adjoint(a)), a) == 0.0
 
 
 # -------------------------------------------------------------- partial trace
@@ -229,32 +227,34 @@ def test_permutation_matrix_conjugates_to_reorder(order):
 
 
 def test_eig_hermitian_reconstructs_large_matrix():
+    """The spectral kernel with the identity map rebuilds the matrix from its eigenpairs."""
     rng = np.random.default_rng(19)
     h = random_hermitian(rng, (6, 6, 6))  # side 216
-    decomp = la.eig_hermitian(h)
-    recon = (decomp.eigenvectors * decomp.eigenvalues) @ decomp.eigenvectors.conj().T
+    recon = la._spectral_map(h.entries, lambda vals: vals)
     scale = np.linalg.norm(h.entries)
     assert np.linalg.norm(recon - h.entries) <= 1e-9 * scale
-    assert np.all(np.diff(decomp.eigenvalues) <= 1e-12)  # descending
-    gram = decomp.eigenvectors.conj().T @ decomp.eigenvectors
+    assert np.all(np.diff(la.eigenvalues(h)) <= 1e-12)  # descending
+    gram = la._spectral_map(h.entries, np.ones_like)  # V V^H
     assert np.linalg.norm(gram - np.eye(h.side)) <= 1e-10
 
 
 def test_eig_hermitian_eigenpairs_satisfy_equation():
+    """Mapping every eigenvalue but the k-th to zero gives a projector P with h P = lambda_k P."""
     rng = np.random.default_rng(20)
     h = random_hermitian(rng, (2, 3))
-    decomp = la.eig_hermitian(h)
+    vals = la.eigenvalues(h)[::-1]  # ascending, the kernel's order
     norm = la.operator_norm(h)
     for k in range(h.side):
-        v = decomp.eigenvectors[:, k]
-        resid = np.linalg.norm(h.entries @ v - decomp.eigenvalues[k] * v)
+        p = la._spectral_map(h.entries, lambda v: (np.arange(v.size) == k).astype(float))
+        assert np.trace(p).real == pytest.approx(1.0, abs=1e-12)
+        resid = np.linalg.norm(h.entries @ p - vals[k] * p)
         assert resid <= 1e-10 * max(1.0, norm)
 
 
-def test_eig_hermitian_rejects_asymmetric_input():
+def test_eigenvalues_rejects_asymmetric_input():
     m = np.array([[0.0, 1.0], [0.0, 0.0]])
     with pytest.raises(ValueError, match="asymmetry"):
-        la.eig_hermitian(la.TensorOperator(m, (2,)))
+        la.eigenvalues(la.TensorOperator(m, (2,)))
 
 
 def test_spectral_routines_symmetrize_within_tolerance():
@@ -263,9 +263,7 @@ def test_spectral_routines_symmetrize_within_tolerance():
     bump = np.zeros((3, 3), dtype=complex)
     bump[0, 1] = 1e-13
     near = la.TensorOperator(h.entries + bump, (3,))
-    np.testing.assert_allclose(
-        la.eig_hermitian(near).eigenvalues, la.eig_hermitian(h).eigenvalues, atol=1e-12
-    )
+    np.testing.assert_allclose(la.eigenvalues(near), la.eigenvalues(h), atol=1e-12)
 
 
 def test_spectral_kernel_keeps_real_input_real():
@@ -295,28 +293,32 @@ def test_spectral_kernel_maps_stacks_like_single_matrices():
             np.testing.assert_array_equal(mapped, [la._spectral_map(m, f) for m in stack])
 
 
+def hermitian_sign(m: np.ndarray) -> np.ndarray:
+    """Spectral sign that the see-saw's updates apply: eigenvalues >= 0 become +1, others -1."""
+    return la._spectral_map(m, la._signs)
+
+
 def test_hermitian_sign_zero_eigenvalue_maps_to_plus_one():
-    t = la.TensorOperator(np.diag([1.0, 0.0, -2.0]), (3,))
-    np.testing.assert_allclose(la.hermitian_sign(t).entries, np.diag([1.0, 1.0, -1.0]), atol=1e-14)
+    m = np.diag([1.0, 0.0, -2.0])
+    np.testing.assert_allclose(hermitian_sign(m), np.diag([1.0, 1.0, -1.0]), atol=1e-14)
 
 
 def test_hermitian_sign_of_zero_matrix_is_identity():
-    t = la.TensorOperator(np.zeros((4, 4)), (2, 2))
-    np.testing.assert_allclose(la.hermitian_sign(t).entries, np.eye(4), atol=1e-14)
+    np.testing.assert_allclose(hermitian_sign(np.zeros((4, 4))), np.eye(4), atol=1e-14)
 
 
 def test_hermitian_sign_squares_to_identity():
     rng = np.random.default_rng(22)
-    s = la.hermitian_sign(random_hermitian(rng, (2, 2)))
-    assert la.frobenius_distance(s @ s, la.identity((2, 2))) <= 1e-12
+    s = hermitian_sign(random_hermitian(rng, (2, 2)).entries)
+    assert np.linalg.norm(s @ s - np.eye(4)) <= 1e-12
 
 
 @pytest.mark.parametrize("side", [2, 3, 4])
 def test_hermitian_sign_maximizes_over_sign_patterns(side):
-    """Enumerating W = U diag(+-1) U* shows hermitian_sign attains the maximum of tr(XW)."""
+    """Enumerating W = U diag(+-1) U* shows the spectral sign attains the maximum of tr(XW)."""
     rng = np.random.default_rng(100 + side)
     x = random_hermitian(rng, (side,))
-    achieved = float(np.trace(x.entries @ la.hermitian_sign(x).entries).real)
+    achieved = float(np.trace(x.entries @ hermitian_sign(x.entries)).real)
     _, vecs = np.linalg.eigh((x.entries + x.entries.conj().T) / 2.0)
     best = -np.inf
     for pattern in itertools.product((1.0, -1.0), repeat=side):
@@ -327,11 +329,12 @@ def test_hermitian_sign_maximizes_over_sign_patterns(side):
 
 
 def test_trace_norm_equals_absolute_eigenvalue_sum():
+    """tr(X sign(X)), the trace norm the sign update attains, is the sum of |eigenvalues|."""
     rng = np.random.default_rng(23)
     x = random_hermitian(rng, (2, 2))
     oracle = float(np.sum(np.abs(np.linalg.eigvalsh(x.entries))))
-    assert la.trace_norm(x) == pytest.approx(oracle, abs=1e-12)
-    paired = float(np.trace(x.entries @ la.hermitian_sign(x).entries).real)
+    assert float(np.sum(np.abs(la.eigenvalues(x)))) == pytest.approx(oracle, abs=1e-12)
+    paired = float(np.trace(x.entries @ hermitian_sign(x.entries)).real)
     assert paired == pytest.approx(oracle, abs=1e-12)
 
 
@@ -344,9 +347,11 @@ def test_operator_norm_matches_extreme_eigenvalue():
 
 
 def test_is_psd_thresholds():
-    assert la.is_psd(la.TensorOperator(np.diag([1.0, 0.0]), (2,)))
-    assert la.is_psd(la.TensorOperator(np.diag([1.0, -1e-11]), (2,)))
-    assert not la.is_psd(la.TensorOperator(np.diag([1.0, -1e-9]), (2,)))
+    """The negativity that density validation holds to ``PSD_TOL``."""
+    for lowest, psd in [(0.0, True), (-1e-11, True), (-1e-9, False)]:
+        _, negativity = la._density_defects(np.diag([1.0, lowest]))
+        assert negativity == -lowest
+        assert (negativity <= la.PSD_TOL) is psd
 
 
 # ---------------------------------------------------------------- text format
