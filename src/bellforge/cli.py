@@ -14,9 +14,10 @@ Subcommands:
 Every run writes a single JSON report to stdout (floats carry 17
 significant digits, so identical inputs give identical bytes in every
 field but ``wall_time_ms``) and a short human summary to stderr unless
-``--quiet`` is passed.  Exit codes: 0 all checks passed, 1 a check failed
-or a violation was found, 2 usage error, 3 structurally valid but
-non-density input data.
+``--quiet`` is passed.  The report's ``parameters`` echo every option
+except ``--quiet``, in parser order; ``d`` is the state's local dimension.
+Exit codes: 0 all checks passed, 1 a check failed or a violation was
+found, 2 usage error, 3 structurally valid but non-density input data.
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ import math
 import sys
 import time
 from dataclasses import dataclass, field
+from pathlib import Path
 
 import numpy as np
 
@@ -35,10 +37,11 @@ from .bell import SeeSawConfig, seesaw_chsh, seesaw_original_bell
 from .extensions import dykstra_find_extension, pattern_right2, pattern_sym3, verify_marginals
 from .linalg import (
     TensorOperator,
+    _split_text,
     eigenvalues,
     frobenius_distance,
     identity,
-    load_operator,
+    operator_from_text,
     partial_trace,
     save_operator,
     trace,
@@ -70,7 +73,7 @@ class _DataError(Exception):
 
 @dataclass
 class _Outcome:
-    parameters: dict
+    d: int
     results: dict
     passed: bool
     notes: list[str] = field(default_factory=list)
@@ -113,11 +116,6 @@ def _check_d(d: int) -> None:
         raise _UsageError(f"--d: {exc}") from exc
 
 
-def _check_tol(tol: float) -> None:
-    if not 0.0 < tol < math.inf:
-        raise _UsageError(f"--tol must be finite and positive, got {tol}")
-
-
 def _resolve_state(name: str, d: int | None) -> DensityOperator:
     """Build the requested bipartite state, validating dimensions along the way."""
     if name == "werner":
@@ -132,16 +130,22 @@ def _resolve_state(name: str, d: int | None) -> DensityOperator:
     if name.startswith("file:"):
         path = name[len("file:"):]
         try:
-            op = load_operator(path)
+            text = Path(path).read_text(encoding="ascii")
+            dims, _ = _split_text(text)
         except (OSError, ValueError) as exc:
             raise _UsageError(f"cannot read state file {path!r}: {exc}") from exc
+        # The header is checked before any matrix is built from it.
         try:
-            local = _bipartite_dim(op.factor_dims)
+            local = _bipartite_dim(dims)
             _check_local_dim(local)
         except ValueError as exc:
             raise _DataError(f"state file: {exc}") from exc
         if d is not None and local != d:
             raise _DataError(f"state file has local dimension {local}, but --d {d} was given")
+        try:
+            op = operator_from_text(text)
+        except ValueError as exc:
+            raise _UsageError(f"cannot read state file {path!r}: {exc}") from exc
         try:
             return DensityOperator(op)
         except ValueError as exc:
@@ -156,7 +160,6 @@ def _check(value: float, threshold: float) -> dict:
 def cmd_verify(args: argparse.Namespace) -> _Outcome:
     d, tol = args.d, args.tol
     _check_d(d)
-    _check_tol(tol)
 
     checks: dict[str, dict] = {}
     eye2 = identity((d, d))
@@ -214,12 +217,7 @@ def cmd_verify(args: argparse.Namespace) -> _Outcome:
     passed = all(entry["pass"] for entry in checks.values())
     npass = sum(entry["pass"] for entry in checks.values())
     notes = [f"verify d={d}: {npass}/{len(checks)} identity checks passed"]
-    return _Outcome(
-        parameters={"d": d, "tol": tol},
-        results=checks,
-        passed=passed,
-        notes=notes,
-    )
+    return _Outcome(d=d, results=checks, passed=passed, notes=notes)
 
 
 def cmd_bell(args: argparse.Namespace) -> _Outcome:
@@ -227,7 +225,6 @@ def cmd_bell(args: argparse.Namespace) -> _Outcome:
         cfg = SeeSawConfig(restarts=args.restarts, base_seed=args.seed)
     except ValueError as exc:
         raise _UsageError(f"--restarts / --seed: {exc}") from exc
-    _check_tol(args.tol)
     rho = _resolve_state(args.state, args.d)
     if args.functional == "original":
         result = seesaw_original_bell(rho, cfg)
@@ -249,14 +246,7 @@ def cmd_bell(args: argparse.Namespace) -> _Outcome:
             f"VIOLATION: {kind} {result.best_value:.12g} exceeds threshold {threshold:.12g}"
         )
     return _Outcome(
-        parameters={
-            "d": rho.factor_dims[0],
-            "functional": args.functional,
-            "state": args.state,
-            "restarts": args.restarts,
-            "seed": args.seed,
-            "tol": args.tol,
-        },
+        d=rho.factor_dims[0],
         results={"best_value": entry},
         passed=passed,
         notes=notes,
@@ -266,7 +256,6 @@ def cmd_bell(args: argparse.Namespace) -> _Outcome:
 def cmd_dso_find(args: argparse.Namespace) -> _Outcome:
     if args.iters < 1:
         raise _UsageError(f"--iters must be positive, got {args.iters}")
-    _check_tol(args.tol)
     rho = _resolve_state(args.state, args.d)
     pattern = pattern_sym3(rho) if args.pattern == "sym3" else pattern_right2(rho)
     result = dykstra_find_extension(pattern, max_iters=args.iters, tol=args.tol)
@@ -296,14 +285,7 @@ def cmd_dso_find(args: argparse.Namespace) -> _Outcome:
     if args.dump:
         notes.append(f"candidate written to {args.dump}")
     return _Outcome(
-        parameters={
-            "d": rho.factor_dims[0],
-            "state": args.state,
-            "pattern": args.pattern,
-            "iters": args.iters,
-            "tol": args.tol,
-            "dump": args.dump,
-        },
+        d=rho.factor_dims[0],
         results={"residual": entry, "stop_reason": result.stop_reason},
         passed=result.converged,
         notes=notes,
@@ -367,6 +349,8 @@ def main(argv: list[str] | None = None) -> int:
 
     start = time.perf_counter()
     try:
+        if not 0.0 < args.tol < math.inf:
+            raise _UsageError(f"--tol must be finite and positive, got {args.tol}")
         outcome = args.func(args)
     except _UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -376,9 +360,12 @@ def main(argv: list[str] | None = None) -> int:
         return 3
     wall_ms = (time.perf_counter() - start) * 1000.0
 
+    # Every option but --quiet, in parser order, with the resolved local dimension.
+    parameters = {k: v for k, v in vars(args).items() if k not in ("command", "func", "quiet")}
+    parameters["d"] = outcome.d
     report = {
         "command": args.command,
-        "parameters": outcome.parameters,
+        "parameters": parameters,
         "results": outcome.results,
         "wall_time_ms": wall_ms,
         "artifact_version": __version__,

@@ -21,8 +21,6 @@ from typing import Callable
 import numpy as np
 
 __all__ = [
-    "HERMITICITY_TOL",
-    "PSD_TOL",
     "TensorOperator",
     "identity",
     "kron",
@@ -244,16 +242,14 @@ def operator_to_text(t: TensorOperator) -> str:
     """
     lines = ["dims: " + " ".join(str(d) for d in t.factor_dims)]
     m = t.entries
-    for row in range(m.shape[0]):
-        for col in range(m.shape[1]):
-            z = m[row, col]
-            if z != 0:
-                lines.append(f"{row} {col} {z.real:.17g} {z.imag:.17g}")
+    for row, col in zip(*np.nonzero(m)):
+        z = m[row, col]
+        lines.append(f"{row} {col} {z.real:.17g} {z.imag:.17g}")
     return "\n".join(lines) + "\n"
 
 
-def operator_from_text(text: str) -> TensorOperator:
-    """Parse the plain-text matrix format produced by :func:`operator_to_text`."""
+def _split_text(text: str) -> tuple[tuple[int, ...], list[str]]:
+    """Factor dimensions from the ``dims:`` header of matrix text, and its entry lines."""
     rows = [line.strip() for line in text.splitlines()]
     rows = [line for line in rows if line]
     if not rows or not rows[0].startswith("dims:"):
@@ -264,10 +260,16 @@ def operator_from_text(text: str) -> TensorOperator:
         raise ValueError(f"unreadable dims header {rows[0]!r}") from exc
     if not dims or min(dims) < 1:
         raise ValueError(f"dims header must list positive integers, got {dims}")
+    return dims, rows[1:]
+
+
+def operator_from_text(text: str) -> TensorOperator:
+    """Parse the plain-text matrix format produced by :func:`operator_to_text`."""
+    dims, entries = _split_text(text)
     side = math.prod(dims)
     mat = np.zeros((side, side), dtype=np.complex128)
     seen: set[tuple[int, int]] = set()
-    for line in rows[1:]:
+    for line in entries:
         parts = line.split()
         if len(parts) != 4:
             raise ValueError(f"bad entry line {line!r}; expected 'row col real imag'")

@@ -25,8 +25,6 @@ from .linalg import (
 )
 
 __all__ = [
-    "MIN_LOCAL_DIM",
-    "MAX_LOCAL_DIM",
     "DensityOperator",
     "Permutation3",
     "ALL_PERMUTATIONS_3",

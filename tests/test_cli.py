@@ -161,6 +161,16 @@ def test_bell_rejects_non_bipartite_file(capsys, tmp_path):
     assert "bipartite" in err
 
 
+def test_bell_rejects_oversized_file_header_before_building_the_matrix(capsys, tmp_path):
+    path = tmp_path / "huge.mat"
+    path.write_text("dims: 10000 10000\n0 0 1 0\n", encoding="ascii")
+    code = main(["bell", "--functional", "chsh", "--state", f"file:{path}"])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    assert "outside 2..6" in captured.err
+
+
 def test_bell_rejects_unknown_state_keyword(capsys):
     code, _, err = run_cli(capsys, ["bell", "--functional", "chsh", "--state", "ghz"])
     assert code == 2
@@ -309,6 +319,35 @@ def test_non_positive_counts_and_negative_seed_are_usage_errors(capsys, argv, me
     assert code == 2
     assert captured.out == ""
     assert message in captured.err
+
+
+# ------------------------------------------------------------------ parameters
+
+
+@pytest.mark.parametrize(
+    "argv, options",
+    [
+        (["verify", "--d", "2"], ["d", "tol"]),
+        (
+            ["bell", "--functional", "chsh", "--state", "singlet", "--restarts", "2"],
+            ["d", "functional", "state", "restarts", "seed", "tol"],
+        ),
+        (
+            ["dso-find", "--pattern", "right2", "--iters", "3"],
+            ["d", "state", "pattern", "iters", "tol", "dump"],
+        ),
+    ],
+    ids=["verify", "bell", "dso-find"],
+)
+def test_report_parameters_are_the_options(capsys, tmp_path, argv, options):
+    """``parameters`` echoes every option but --quiet in parser order; ``d`` is resolved."""
+    if argv[0] == "dso-find":
+        path = tmp_path / "w2.mat"
+        bf.save_operator(bf.werner(2).op, path)
+        argv = [*argv, "--state", f"file:{path}"]
+    _, report, _ = run_cli(capsys, [*argv, "--quiet"])
+    assert list(report["parameters"]) == options
+    assert report["parameters"]["d"] == 2
 
 
 # --------------------------------------------------------- supported range

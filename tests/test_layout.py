@@ -118,3 +118,17 @@ def test_public_surface_is_pinned():
     assert len(bellforge.__all__) == len(PUBLIC_NAMES)
     assert all(hasattr(bellforge, name) for name in bellforge.__all__)
     assert not hasattr(bellforge.Permutation3, "compose")
+
+
+def test_package_exports_exactly_the_module_lists():
+    """``__init__.py`` names no public name: each module's ``__all__`` is its export list."""
+    modules = (bellforge.linalg, bellforge.states, bellforge.extensions, bellforge.bell)
+    assert bellforge.__all__ == ["__version__", *(name for m in modules for name in m.__all__)]
+    tree = dict(_modules())["__init__.py"]
+    imported = {
+        alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+    }
+    assert imported <= {"*", "annotations", "bell", "extensions", "linalg", "states"}
