@@ -2,16 +2,19 @@
 
 from __future__ import annotations
 
+import itertools
 import math
 
 import numpy as np
 import pytest
 
 import bellforge as bf
+from bellforge import extensions
 from bellforge.extensions import (
     _embed_identity_at,
     _project_density,
     _project_marginal,
+    _weight_sectors,
 )
 from bellforge.linalg import PSD_TOL, _ptrace
 
@@ -282,8 +285,10 @@ def test_dykstra_stops_at_max_iters_without_proof():
 
 
 def test_dykstra_eigensolver_calls_stay_logarithmic(monkeypatch):
-    """One ``eigh`` per cycle (the density projection), ``eigvalsh`` only on a log schedule.
+    """One ``eigh`` per cycle and block size (the density projection), ``eigvalsh`` on a log schedule.
 
+    ``werner(3)`` conserves weight, so its sectors come in sizes 1, 3 and 6 and each
+    eigensolve is one call per size above 1; the rotated pattern runs as one block.
     Real targets run every eigensolve in real arithmetic, complex ones in complex.
     """
     dtypes = {"eigh": [], "eigvalsh": []}
@@ -295,15 +300,75 @@ def test_dykstra_eigensolver_calls_stay_logarithmic(monkeypatch):
 
         monkeypatch.setattr(np.linalg, name, counted)
     _, rotated, _ = real_and_rotated(3, (1, 2, 3))
-    for pattern, dtype in ((bf.pattern_sym3(bf.werner(3)), np.float64), (rotated, np.complex128)):
+    cases = ((bf.pattern_sym3(bf.werner(3)), np.float64, 2), (rotated, np.complex128, 1))
+    for pattern, dtype, solves in cases:
         for seen in dtypes.values():
             seen.clear()
         result = bf.dykstra_find_extension(pattern, max_iters=5000, tol=1e-6)
         assert result.converged
-        assert len(dtypes["eigh"]) == result.iterations
-        assert len(dtypes["eigvalsh"]) <= 2 * math.ceil(math.log2(result.iterations)) + 4
+        assert len(dtypes["eigh"]) == solves * result.iterations
+        checks = 2 * math.ceil(math.log2(result.iterations)) + 4
+        assert len(dtypes["eigvalsh"]) <= solves * checks
         assert set(dtypes["eigh"]) == set(dtypes["eigvalsh"]) == {np.dtype(dtype)}
         assert result.candidate.entries.dtype == np.complex128
+
+
+def sector_oracle(d: int) -> dict[tuple[int, ...], list[int]]:
+    """Basis indices of the d**3 product basis grouped by their sorted digits."""
+    sectors: dict[tuple[int, ...], list[int]] = {}
+    for index, digits in enumerate(itertools.product(range(d), repeat=3)):
+        sectors.setdefault(tuple(sorted(digits)), []).append(index)
+    return sectors
+
+
+def raw_targets(pattern: bf.MarginalPattern) -> tuple[tuple[int, np.ndarray], ...]:
+    return tuple((j, rho.op.entries) for j, rho in pattern.constraints)
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 5, 6])
+def test_weight_sectors_group_basis_states_by_digit_multiset(d):
+    sectors = _weight_sectors(d, raw_targets(bf.pattern_sym3(bf.werner(d))))
+    found = sorted(sorted(block.tolist()) for idx in sectors for block in idx)
+    assert found == sorted(sector_oracle(d).values())
+    assert [idx.shape[1] for idx in sectors] == sorted({len(v) for v in sector_oracle(d).values()})
+    rng = np.random.default_rng(d)
+    classical = bf.DensityOperator(bf.TensorOperator(np.diag(rng.dirichlet(np.ones(d * d))), (d, d)))
+    diagonal = _weight_sectors(d, raw_targets(bf.pattern_right2(classical)))
+    assert len(diagonal) == len(sectors)
+    assert all(np.array_equal(a, b) for a, b in zip(diagonal, sectors))
+
+
+def test_weight_sectors_fall_back_to_one_block():
+    real, rotated, _ = real_and_rotated(3, (1, 2, 3))
+    assert _weight_sectors(3, raw_targets(real)) is None
+    assert _weight_sectors(3, raw_targets(rotated)) is None
+    # One entry pair between different multisets, |01> and |02>, is enough.
+    mixed = np.eye(9) / 9
+    mixed[1, 2] = mixed[2, 1] = 0.01
+    assert _weight_sectors(3, ((3, mixed),)) is None
+    mixed[1, 2] = mixed[2, 1] = 0.0
+    assert _weight_sectors(3, ((3, mixed),)) is not None
+
+
+SECTOR_STATES = {
+    **{f"werner{d}": (lambda d=d: bf.werner(d)) for d in range(2, 7)},
+    "singlet": bf.singlet,
+}
+
+
+@pytest.mark.parametrize("make_pattern", [bf.pattern_sym3, bf.pattern_right2])
+@pytest.mark.parametrize("state", sorted(SECTOR_STATES))
+def test_weight_sectors_change_no_search_outcome(monkeypatch, state, make_pattern):
+    """The blockwise search and the one-block search agree up to rounding."""
+    pattern = make_pattern(SECTOR_STATES[state]())
+    assert _weight_sectors(pattern.local_dim, raw_targets(pattern)) is not None
+    blocked = bf.dykstra_find_extension(pattern, max_iters=5000, tol=1e-6)
+    monkeypatch.setattr(extensions, "_weight_sectors", lambda d, targets: None)
+    dense = bf.dykstra_find_extension(pattern, max_iters=5000, tol=1e-6)
+    assert blocked.stop_reason == dense.stop_reason
+    assert blocked.iterations == dense.iterations
+    assert abs(blocked.residual - dense.residual) <= 1e-12
+    assert np.max(np.abs(blocked.candidate.entries - dense.candidate.entries)) <= 1e-12
 
 
 @pytest.mark.parametrize("d, slots", [(2, (2, 3)), (3, (1, 2, 3)), (3, (2, 3))])

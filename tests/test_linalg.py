@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from bellforge import linalg as la
+from bellforge.extensions import _project_simplex, _weight_sectors
 
 
 def random_operator(rng: np.random.Generator, dims: tuple[int, ...]) -> la.TensorOperator:
@@ -291,6 +292,39 @@ def test_spectral_kernel_maps_stacks_like_single_matrices():
             mapped = la._spectral_map(stack, f)
             assert mapped.dtype == stack.dtype
             np.testing.assert_array_equal(mapped, [la._spectral_map(m, f) for m in stack])
+
+
+def sector_hermitian(rng: np.random.Generator, d: int, real: bool):
+    """A random Hermitian matrix on d**3 sides, zero outside the weight sectors, and those sectors."""
+    sectors = _weight_sectors(d, ())
+    inside = np.zeros((d**3, d**3), dtype=bool)
+    for idx in sectors:
+        inside[la._blocks(idx)] = True
+    g = rng.standard_normal((d**3, d**3))
+    if not real:
+        g = g + 1j * rng.standard_normal((d**3, d**3))
+    return la._hermitian_part(g) * inside, sectors, inside
+
+
+@pytest.mark.parametrize("real", [True, False])
+@pytest.mark.parametrize("d", [2, 3, 4, 5, 6])
+def test_sector_partition_matches_one_block_kernel(d, real):
+    """Block by block over weight sectors, the spectral map and lambda_min equal the dense ones."""
+    rng = np.random.default_rng(100 + d)
+    m, sectors, inside = sector_hermitian(rng, d, real)
+    assert [idx.shape[1] for idx in sectors] == ([1, 3] if d == 2 else [1, 3, 6])
+    for f in (_project_simplex, la._signs):
+        blocked = la._spectral_map(m, f, sectors)
+        assert blocked.dtype == m.dtype
+        assert np.max(np.abs(blocked - la._spectral_map(m, f))) <= 1e-12
+    dense_lowest = float(np.linalg.eigvalsh(m)[0])
+    assert abs(la._lowest_eigenvalue(m, sectors) - dense_lowest) <= 1e-12
+    assert la._lowest_eigenvalue(m) == dense_lowest
+    # Entries outside the blocks lower the bound; it stays below the true lambda_min.
+    bump = 1e-6 * la._hermitian_part(rng.standard_normal(m.shape)) * ~inside
+    bound = la._lowest_eigenvalue(m + bump, sectors)
+    lowest = float(np.linalg.eigvalsh(m + bump)[0])
+    assert lowest - 2.0 * np.linalg.norm(bump) <= bound <= lowest
 
 
 def hermitian_sign(m: np.ndarray) -> np.ndarray:
