@@ -11,10 +11,13 @@ intersection of
   equals the target.
 
 Dykstra's method (projections with per-set correction terms) converges
-to the projection onto the intersection when it is nonempty.  When it is
-empty, the affine correction terms grow along a Farkas witness of the
-infeasibility, which the search reads off and checks with one
-eigenvalue computation.  A search stops for one of three reasons:
+to the projection onto the intersection when it is nonempty.  Only the
+density set keeps a full correction: a marginal set's, ``Y_j`` tensored
+with the identity at slot j, is orthogonal to the set and never moves its
+projection (Bauschke & Borwein, J. Approx. Theory 79, 418 (1994)), so
+the search keeps just ``Y_j``.  When the intersection is empty, these
+duals grow along a Farkas witness, which one eigenvalue computation
+checks.  A search stops for one of three reasons:
 ``converged`` (an operator meets every constraint to the tolerance),
 ``infeasible`` (a checked certificate proves that no extension exists)
 or ``max_iters`` (neither, within the cycle budget; this proves nothing).
@@ -45,6 +48,7 @@ applied to the torus inside the ``U x U`` symmetry of Werner states
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -82,7 +86,7 @@ class MarginalPattern:
     constraints: tuple[tuple[int, DensityOperator], ...]
 
     def __post_init__(self) -> None:
-        constraints = tuple((int(j), target) for j, target in self.constraints)
+        constraints = tuple((operator.index(j), target) for j, target in self.constraints)
         if not 1 <= len(constraints) <= 3:
             raise ValueError("a marginal pattern needs between 1 and 3 constraints")
         factors = [j for j, _ in constraints]
@@ -229,14 +233,15 @@ def _embed_identity_at(b: np.ndarray, d: int, slot: int) -> np.ndarray:
     return product.reshape(d**3, d**3)
 
 
-def _project_marginal(m: np.ndarray, d: int, j: int, target: np.ndarray) -> np.ndarray:
-    """Orthogonal projection onto operators whose j-th partial trace is ``target``.
+def _project_marginal(
+    m: np.ndarray, d: int, j: int, target: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Orthogonal projection onto operators whose j-th partial trace is ``target``, and its deficit.
 
-    The deficit is spread uniformly over the traced factor: add
-    (target - partial_trace(m)) / d tensored with the identity at slot j.
+    It adds the deficit (target - partial_trace(m)) / d tensored with the identity at slot j.
     """
     deficit = (target - _ptrace(m, (d, d, d), j)) / d
-    return m + _embed_identity_at(deficit, d, j)
+    return m + _embed_identity_at(deficit, d, j), deficit
 
 
 def _residual(
@@ -255,19 +260,18 @@ def _residual(
 
 
 def _certificate(
-    corrections: list[np.ndarray],
+    raw_duals: list[np.ndarray],
     d: int,
     targets: tuple[tuple[int, np.ndarray], ...],
     sectors: tuple[np.ndarray, ...] | None,
 ) -> InfeasibilityCertificate | None:
-    """Read a Farkas witness off the affine correction terms and keep it only if it holds.
+    """Check the marginal duals ``Y_j`` as a Farkas witness; keep it only if it holds.
 
-    Correction i is ``Y_j`` tensored with the identity at slot j, so its
-    partial trace over j recovers ``d * Y_j``.  The check uses a lower bound
-    on ``lambda_min`` over ``sectors``, so it holds even where the bound is not exact.
+    Only the density set keeps a full correction, as marginal set j's (``Y_j`` tensored with
+    the identity at slot j) never moves its projection.  The check uses a lower bound on
+    ``lambda_min`` over ``sectors``, so it holds even where the bound is not exact.
     """
-    dims = (d, d, d)
-    duals = [_hermitian_part(_ptrace(c, dims, j)) / d for c, (j, _) in zip(corrections, targets)]
+    duals = [_hermitian_part(y) for y in raw_duals]
     scale = sum(float(np.linalg.norm(y)) for y in duals)
     if scale == 0.0:
         return None
@@ -291,31 +295,31 @@ def dykstra_find_extension(
     """Search for a tripartite density operator with the pattern's marginals.
 
     Runs Dykstra's alternating projections between the affine marginal
-    sets (in constraint order) and the density set, keeping one
-    correction term per set.  Each constraint matches its own target, so
-    targets may differ; the start is the first target with the maximally
-    mixed state on its traced factor.  After the density projection of
-    each cycle the iterate is a density operator, so it is assessed by
-    its marginal deviation plus trace deficit alone, and the iterate
-    with the least such value is kept.
+    sets (in constraint order) and the density set.  Only the density set
+    keeps a full correction term; a marginal set's never moves its
+    projection, so each constraint keeps its dual ``Y_j`` instead.  Each
+    constraint matches its own target; the start is the first target with
+    the maximally mixed state on its traced factor.  Each cycle ends on a
+    density operator, assessed by its marginal deviation plus trace
+    deficit alone; the iterate with the least such value is kept.
 
     The search stops for one of three reasons, given by ``stop_reason``:
 
     * ``"converged"``: an iterate passed ``tol`` both on that cheap
       residual and on the full one, which adds the PSD deficit from an
       eigenvalue computation; it is an extension up to ``tol``.
-    * ``"infeasible"``: at cycles 1, 2, 4, 8, ... a Farkas candidate is
-      read off the affine correction terms and checked with one
-      eigenvalue computation; a check that holds proves that no extension
-      exists, and is returned as ``certificate``.
+    * ``"infeasible"``: at cycles 1, 2, 4, 8, ... the marginal duals are
+      checked as a Farkas candidate with one eigenvalue computation; a
+      check that holds proves that no extension exists, and is returned
+      as ``certificate``.
     * ``"max_iters"``: neither happened within ``max_iters`` cycles; this
       proves nothing either way.
 
     ``residual`` is the full residual of the returned candidate.
 
     When every target has an all-zero imaginary part, the iterates, the
-    correction terms and all eigensolves are float64, which is exact by the
-    conjugation argument in the module docstring; otherwise they are
+    correction, the duals and all eigensolves are float64, which is exact
+    by the conjugation argument in the module docstring; otherwise they are
     complex128.  ``candidate`` is complex either way.  When every target
     conserves weight, the density projection and the eigenvalue checks run
     block by block over the weight sectors, which is exact by the phase
@@ -335,29 +339,22 @@ def dykstra_find_extension(
     sectors = _weight_sectors(d, targets)
     first_slot, first_target = targets[0]
     x = _embed_identity_at(first_target / d, d, first_slot)
-
-    n = d**3
-    nsets = len(targets) + 1
-    corrections = [np.zeros((n, n), dtype=first_target.dtype) for _ in range(nsets)]
+    correction = np.zeros((d**3, d**3), dtype=first_target.dtype)
+    duals = [np.zeros_like(first_target) for _ in targets]
 
     best, best_cheap = x, math.inf
     trace_log: list[float] = []
-    iterations = 0
     converged = False
     certificate = None
 
-    for _ in range(max_iters):
-        for i, (j, target) in enumerate(targets):
-            shifted = x + corrections[i]
-            projected = _project_marginal(shifted, d, j, target)
-            corrections[i] = shifted - projected
-            x = projected
-        shifted = x + corrections[-1]
-        projected = _project_density(shifted, sectors)
-        corrections[-1] = shifted - projected
-        x = projected
+    for iterations in range(1, max_iters + 1):
+        for y, (j, target) in zip(duals, targets):
+            x, deficit = _project_marginal(x, d, j, target)
+            y -= deficit
+        shifted = x + correction
+        x = _project_density(shifted, sectors)
+        correction = shifted - x
 
-        iterations += 1
         current = max(_marginal_errors(x, d, targets)) + abs(complex(np.trace(x)) - 1.0)
         trace_log.append(current)
         if current < best_cheap:
@@ -368,7 +365,7 @@ def dykstra_find_extension(
                 best, converged = x, True
                 break
         if iterations & (iterations - 1) == 0:
-            certificate = _certificate(corrections, d, targets, sectors)
+            certificate = _certificate(duals, d, targets, sectors)
             if certificate is not None:
                 break
 

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import math
 import numbers
+import operator
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable
@@ -57,7 +58,7 @@ class TensorOperator:
     factor_dims: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        dims = tuple(int(d) for d in self.factor_dims)
+        dims = tuple(operator.index(d) for d in self.factor_dims)
         if not dims or min(dims) < 1:
             raise ValueError(f"factor dimensions must be positive integers, got {dims}")
         side = math.prod(dims)

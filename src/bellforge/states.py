@@ -10,6 +10,7 @@ families whose partial traces reproduce Werner states.
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -110,7 +111,7 @@ class Permutation3:
     parity: int = field(init=False)
 
     def __post_init__(self) -> None:
-        images = tuple(int(i) for i in self.images)
+        images = tuple(operator.index(i) for i in self.images)
         if sorted(images) != [1, 2, 3]:
             raise ValueError(f"images {images} are not a permutation of (1, 2, 3)")
         inversions = sum(

@@ -11,9 +11,12 @@ import pytest
 import bellforge as bf
 from bellforge import extensions
 from bellforge.extensions import (
+    _certificate,
     _embed_identity_at,
+    _marginal_errors,
     _project_density,
     _project_marginal,
+    _residual,
     _weight_sectors,
 )
 from bellforge.linalg import PSD_TOL, _ptrace
@@ -89,6 +92,22 @@ def test_pattern_validation():
         bf.MarginalPattern(((1, w), (2, bf.werner(3))))
 
 
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda i: bf.MarginalPattern(((i, bf.werner(2)),)).constraints[0][0],
+        lambda i: bf.Permutation3((i, 1, 3)).images[0],
+        lambda i: bf.TensorOperator(np.eye(4), (i, 2)).factor_dims[0],
+    ],
+    ids=["MarginalPattern", "Permutation3", "TensorOperator"],
+)
+def test_slots_and_dimensions_must_be_integers(build):
+    for bad in (2.7, 2.0, 1.9):
+        with pytest.raises(TypeError):
+            build(bad)
+    assert build(np.int64(2)) == 2
+
+
 def test_pattern_rejects_non_bipartite_targets():
     tri = bf.DensityOperator((1.0 / 8.0) * bf.identity((2, 2, 2)))
     with pytest.raises(ValueError, match="bipartite"):
@@ -151,10 +170,12 @@ def test_marginal_projection_is_exact_and_idempotent():
     target = random_density(rng, d * d)
     for j in (1, 2, 3):
         x = random_hermitian(rng, d**3)
-        proj = _project_marginal(x, d, j, target)
+        proj, deficit = _project_marginal(x, d, j, target)
         assert np.max(np.abs(_ptrace(proj, (d, d, d), j) - target)) <= 1e-12
-        again = _project_marginal(proj, d, j, target)
+        assert np.max(np.abs(proj - x - _embed_identity_at(deficit, d, j))) <= 1e-12
+        again, no_deficit = _project_marginal(proj, d, j, target)
         assert np.max(np.abs(again - proj)) <= 1e-12
+        assert np.max(np.abs(no_deficit)) <= 1e-12
 
 
 def test_marginal_projection_is_orthogonal():
@@ -163,10 +184,10 @@ def test_marginal_projection_is_orthogonal():
     d = 2
     target = random_density(rng, d * d)
     x = random_hermitian(rng, d**3)
-    proj = _project_marginal(x, d, 2, target)
+    proj, _ = _project_marginal(x, d, 2, target)
     for _ in range(3):
-        u = _project_marginal(random_hermitian(rng, d**3), d, 2, target)
-        v = _project_marginal(random_hermitian(rng, d**3), d, 2, target)
+        u, _ = _project_marginal(random_hermitian(rng, d**3), d, 2, target)
+        v, _ = _project_marginal(random_hermitian(rng, d**3), d, 2, target)
         inner = np.trace((x - proj).conj().T @ (u - v))
         assert abs(inner) <= 1e-10
 
@@ -438,3 +459,94 @@ def test_dykstra_rejects_bad_iteration_count():
     w = bf.werner(2)
     with pytest.raises(ValueError, match="positive"):
         bf.dykstra_find_extension(bf.pattern_right2(w), max_iters=0, tol=1e-6)
+
+
+def textbook_dykstra(
+    pattern: bf.MarginalPattern, max_iters: int, tol: float
+) -> bf.FeasibilityResult:
+    """The search with a full correction term per set, as Dykstra's method is usually stated.
+
+    The dual of marginal set j is read back from its correction as ``ptr_j(c_j) / d``.
+    """
+    d = pattern.local_dim
+    targets = raw_targets(pattern)
+    if not any(target.imag.any() for _, target in targets):
+        targets = tuple((j, target.real.copy()) for j, target in targets)
+    sectors = _weight_sectors(d, targets)
+    x = _embed_identity_at(targets[0][1] / d, d, targets[0][0])
+    corrections = [np.zeros_like(x) for _ in range(len(targets) + 1)]
+    best, best_cheap, converged, certificate = x, math.inf, False, None
+    for iterations in range(1, max_iters + 1):
+        for i, (j, target) in enumerate(targets):
+            shifted = x + corrections[i]
+            x, _ = _project_marginal(shifted, d, j, target)
+            corrections[i] = shifted - x
+        shifted = x + corrections[-1]
+        x = _project_density(shifted, sectors)
+        corrections[-1] = shifted - x
+        current = max(_marginal_errors(x, d, targets)) + abs(complex(np.trace(x)) - 1.0)
+        if current < best_cheap:
+            best, best_cheap = x, current
+        if current <= tol and _residual(x, d, targets, sectors) <= tol:
+            best, converged = x, True
+            break
+        if iterations & (iterations - 1) == 0:
+            duals = [_ptrace(c, (d, d, d), j) / d for c, (j, _) in zip(corrections, targets)]
+            certificate = _certificate(duals, d, targets, sectors)
+            if certificate is not None:
+                break
+    return bf.FeasibilityResult(
+        candidate=bf.TensorOperator(best, (d, d, d)),
+        residual=_residual(best, d, targets, sectors),
+        iterations=iterations,
+        converged=converged,
+        residual_trace=(),
+        certificate=certificate,
+    )
+
+
+DUAL_CASES = {
+    "werner3-sym3": lambda: bf.pattern_sym3(bf.werner(3)),
+    "werner4-right2": lambda: bf.pattern_right2(bf.werner(4)),
+    "singlet-right2": lambda: bf.pattern_right2(bf.singlet()),
+    "werner2-sym3": lambda: bf.pattern_sym3(bf.werner(2)),
+    "sym3-p0.45": lambda: bf.pattern_sym3(singlet_mixture(0.45)),
+    "right2-p0.7": lambda: bf.pattern_right2(singlet_mixture(0.7)),
+    "rotated-sym3": lambda: real_and_rotated(3, (1, 2, 3))[1],
+}
+
+
+@pytest.mark.parametrize("case", sorted(DUAL_CASES))
+def test_bipartite_duals_match_full_corrections(case):
+    """Carrying each marginal set's dual ``Y_j`` runs the same search as textbook Dykstra."""
+    pattern = DUAL_CASES[case]()
+    ours = bf.dykstra_find_extension(pattern, max_iters=5000, tol=1e-6)
+    reference = textbook_dykstra(pattern, max_iters=5000, tol=1e-6)
+    assert ours.stop_reason == reference.stop_reason
+    assert ours.iterations == reference.iterations
+    assert abs(ours.residual - reference.residual) <= 1e-12
+    assert np.max(np.abs(ours.candidate.entries - reference.candidate.entries)) <= 1e-12
+    assert (ours.certificate is None) == (reference.certificate is None)
+    if ours.certificate is not None:
+        assert ours.certificate.slots == reference.certificate.slots
+        assert abs(ours.certificate.value - reference.certificate.value) <= 1e-12
+        for y, z in zip(ours.certificate.duals, reference.certificate.duals):
+            assert np.max(np.abs(y.entries - z.entries)) <= 1e-12
+
+
+@pytest.mark.parametrize("case", ["werner3-sym3", "werner4-right2", "singlet-right2"])
+def test_certificate_checks_take_no_partial_traces(monkeypatch, case):
+    """Each cycle traces once per constraint to project and once to assess; nothing else does."""
+    calls = 0
+
+    def counted(*args, _original=extensions._ptrace):
+        nonlocal calls
+        calls += 1
+        return _original(*args)
+
+    monkeypatch.setattr(extensions, "_ptrace", counted)
+    pattern = DUAL_CASES[case]()
+    result = bf.dykstra_find_extension(pattern, max_iters=5000, tol=1e-6)
+    k = len(pattern.constraints)
+    assert calls == 2 * k * result.iterations + k
+
