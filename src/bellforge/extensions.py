@@ -38,11 +38,17 @@ every D.  Then each marginal set, and the density set, is invariant under
 in the commutant of those phases, which is block-diagonal over weight
 sectors: the basis states ``|abc>`` that share the multiset ``{a, b, c}``,
 in blocks of 1, 3 or 6 states at every d.  Every state this package names
-has that structure, so the search runs its density projection and its
-eigenvalue checks block by block and loses nothing.  This is the symmetry
-reduction of Gatermann & Parrilo, J. Pure Appl. Algebra 192, 95 (2004),
-applied to the torus inside the ``U x U`` symmetry of Werner states
-(Eggeling & Werner, PRA 63, 042111 (2001)).  Other targets run as one block.
+has that structure.  This is the symmetry reduction of Gatermann & Parrilo,
+J. Pure Appl. Algebra 192, 95 (2004), applied to the torus inside the
+``U x U`` symmetry of Werner states (Eggeling & Werner, PRA 63, 042111 (2001)).
+
+The search therefore stores only the block entries (996 of 46 656 at d = 6):
+the iterate, the density correction and a certificate's combined operator
+are each one flat vector of them.  A partial trace is one ``bincount``, the
+density projection one stacked eigensolve per block size, and ``lambda_min``
+is exact, since no entry outside the blocks exists.  A target that does not
+conserve weight makes the whole basis one block, so every target runs the
+same code.
 """
 
 from __future__ import annotations
@@ -53,15 +59,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import (
-    PSD_TOL,
-    TensorOperator,
-    _density_defects,
-    _hermitian_part,
-    _lowest_eigenvalue,
-    _ptrace,
-    _spectral_map,
-)
+from .linalg import PSD_TOL, TensorOperator, _eigenvalues, _eigh, _hermitian_part, _ptrace
 from .states import DensityOperator, _bipartite_dim, _check_local_dim
 
 __all__ = [
@@ -173,15 +171,10 @@ def verify_marginals(t: TensorOperator, pattern: MarginalPattern) -> list[float]
         raise ValueError(
             f"operator factors {t.factor_dims} do not match the pattern's space ({d}, {d}, {d})"
         )
-    targets = tuple((j, target.op.entries) for j, target in pattern.constraints)
-    return _marginal_errors(t.entries, d, targets)
-
-
-def _marginal_errors(
-    m: np.ndarray, d: int, targets: tuple[tuple[int, np.ndarray], ...]
-) -> list[float]:
-    """Frobenius deviation of each constrained partial trace of a raw matrix from its target."""
-    return [float(np.linalg.norm(_ptrace(m, (d, d, d), j) - target)) for j, target in targets]
+    return [
+        float(np.linalg.norm(_ptrace(t.entries, (d, d, d), j) - target.op.entries))
+        for j, target in pattern.constraints
+    ]
 
 
 def _project_simplex(vals: np.ndarray) -> np.ndarray:
@@ -194,27 +187,17 @@ def _project_simplex(vals: np.ndarray) -> np.ndarray:
     return np.maximum(vals - theta, 0.0)
 
 
-def _project_density(m: np.ndarray, sectors: tuple[np.ndarray, ...] | None = None) -> np.ndarray:
-    """Nearest density matrix in Frobenius norm: clip eigenvalues onto the simplex.
+def _weight_sectors(d: int, targets: tuple[tuple[int, np.ndarray], ...]) -> tuple[np.ndarray, ...]:
+    """Basis indices of the diagonal blocks of every iterate: one ``(blocks, size)`` array per size.
 
-    ``sectors`` is a ``linalg`` partition that ``m`` is block-diagonal over.
-    """
-    return _spectral_map(m, _project_simplex, sectors)
-
-
-def _weight_sectors(
-    d: int, targets: tuple[tuple[int, np.ndarray], ...]
-) -> tuple[np.ndarray, ...] | None:
-    """The weight sectors of the ``d**3`` basis as a ``linalg`` partition, if the targets allow.
-
-    ``None`` (the whole space as one block) unless every target is exactly zero
-    between bipartite basis states of different digit multisets.
+    The blocks are the weight sectors if every target is exactly zero between bipartite
+    basis states of different digit multisets, and the whole ``d**3`` basis otherwise.
     """
     # Digit a weighs 4**a; with at most three digits, the sum encodes the multiset.
     weight = 4 ** np.arange(d)
     pair = (weight[:, None] + weight[None, :]).ravel()
     if any(target[pair[:, None] != pair[None, :]].any() for _, target in targets):
-        return None
+        return (np.arange(d**3)[None, :],)
     triple = (pair[:, None] + weight[None, :]).ravel()
     order = np.argsort(triple, kind="stable")
     _, starts, sizes = np.unique(triple[order], return_index=True, return_counts=True)
@@ -224,62 +207,147 @@ def _weight_sectors(
     return tuple(np.array(by_size[size]) for size in sorted(by_size))
 
 
-def _embed_identity_at(b: np.ndarray, d: int, slot: int) -> np.ndarray:
-    """Tensor a bipartite matrix with the identity placed at 1-based ``slot``."""
-    pair, eye = [d, d], [1, 1, 1]
-    pair.insert(slot - 1, 1)
-    eye[slot - 1] = d
-    product = b.reshape(pair + pair) * np.eye(d, dtype=b.dtype).reshape(eye + eye)
-    return product.reshape(d**3, d**3)
+@dataclass(frozen=True, eq=False)
+class _Layout:
+    """Where each entry of a block-diagonal ``d**3``-sided matrix sits in a flat vector.
+
+    The blocks of one size form the row-major ``(blocks, size, size)`` chunk
+    ``v[start:stop].reshape(shape)`` for each ``(start, stop, shape)`` in ``chunks``.
+    Entry k sits at ``(rows[k], cols[k])`` of the matrix.  ``traced[j - 1]`` holds the
+    entries whose slot-j digits agree, which partial trace j sums, and the flat index
+    ``row_pair * d**2 + col_pair`` of the bipartite entry that each one adds to.
+    """
+
+    d: int
+    chunks: tuple[tuple[int, int, tuple[int, int, int]], ...]
+    rows: np.ndarray
+    cols: np.ndarray
+    diagonal: np.ndarray
+    traced: tuple[tuple[np.ndarray, np.ndarray], ...]
+
+
+def _layout(d: int, sectors: tuple[np.ndarray, ...]) -> _Layout:
+    """The flat layout of the matrices that are block-diagonal over ``sectors``."""
+    chunks, rows, cols, start = [], [], [], 0
+    for idx in sectors:
+        blocks, size = idx.shape
+        shape = (blocks, size, size)
+        chunks.append((start, start + idx.size * size, shape))
+        rows.append(np.broadcast_to(idx[:, :, None], shape).ravel())
+        cols.append(np.broadcast_to(idx[:, None, :], shape).ravel())
+        start += idx.size * size
+    rows, cols = np.concatenate(rows), np.concatenate(cols)
+    # Row r of ``place`` is the place value of slot r + 1 in a basis index; dropping
+    # that digit from the index leaves the bipartite index ``pair[r]``.
+    basis, place = np.arange(d**3), np.array([[d * d], [d], [1]])
+    digit, pair = basis // place % d, basis // (d * place) * place + basis % place
+    traced = []
+    for r in range(3):
+        entries = np.flatnonzero(digit[r][rows] == digit[r][cols])
+        traced.append((entries, pair[r][rows[entries]] * d * d + pair[r][cols[entries]]))
+    return _Layout(d, tuple(chunks), rows, cols, np.flatnonzero(rows == cols), tuple(traced))
+
+
+def _block_ptrace(v: np.ndarray, layout: _Layout, j: int) -> np.ndarray:
+    """Trace the 1-based factor ``j`` out of the matrix whose block entries are ``v``."""
+    entries, key = layout.traced[j - 1]
+    picked, n = v[entries], layout.d**4
+    if np.iscomplexobj(picked):
+        summed = np.bincount(key, picked.real, n) + 1j * np.bincount(key, picked.imag, n)
+    else:
+        summed = np.bincount(key, picked, n)
+    return summed.reshape(layout.d**2, layout.d**2)
+
+
+def _add_embedded(v: np.ndarray, b: np.ndarray, layout: _Layout, j: int) -> np.ndarray:
+    """``v`` plus the block entries of the bipartite ``b`` tensored with the identity at slot j."""
+    entries, key = layout.traced[j - 1]
+    out = v.copy()
+    out[entries] += b.ravel()[key]
+    return out
+
+
+def _chunks(v: np.ndarray, layout: _Layout) -> list[np.ndarray]:
+    """The chunks of ``v`` as ``(blocks, size, size)`` stacks that share its memory."""
+    return [v[start:stop].reshape(shape) for start, stop, shape in layout.chunks]
+
+
+def _lowest_eigenvalue(v: np.ndarray, layout: _Layout) -> float:
+    """Lowest eigenvalue of the Hermitian part of the matrix whose block entries are ``v``.
+
+    It is exact: the matrix has no entry outside its blocks.  A 1x1 block's eigenvalue is
+    the real part of its entry, and each larger block size is one stacked eigensolve.
+    """
+    return min(
+        float((c.real if c.shape[1] == 1 else _eigenvalues(c)).min()) for c in _chunks(v, layout)
+    )
+
+
+def _project_density(v: np.ndarray, layout: _Layout) -> np.ndarray:
+    """Nearest density matrix in Frobenius norm: clip eigenvalues onto the simplex.
+
+    Each block size is one stacked eigensolve (none for 1x1 blocks, whose eigenvalue is
+    the real part of the entry), and the simplex projection sees the joint spectrum.
+    """
+    spectra = [
+        (c[:, 0].real, np.ones_like(c)) if c.shape[1] == 1 else _eigh(c) for c in _chunks(v, layout)
+    ]
+    joint = _project_simplex(np.concatenate([vals.ravel() for vals, _ in spectra]))
+    out, offset = np.empty_like(v), 0
+    for (start, stop, _), (vals, vecs) in zip(layout.chunks, spectra):
+        mapped = joint[offset : offset + vals.size].reshape(vals.shape)
+        offset += vals.size
+        block = (vecs * mapped[:, None, :]) @ vecs.conj().swapaxes(-1, -2)
+        out[start:stop] = _hermitian_part(block).ravel()
+    return out
 
 
 def _project_marginal(
-    m: np.ndarray, d: int, j: int, target: np.ndarray
+    v: np.ndarray, layout: _Layout, j: int, target: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """Orthogonal projection onto operators whose j-th partial trace is ``target``, and its deficit.
 
-    It adds the deficit (target - partial_trace(m)) / d tensored with the identity at slot j.
+    It adds the deficit (target - partial_trace) / d tensored with the identity at slot j.
     """
-    deficit = (target - _ptrace(m, (d, d, d), j)) / d
-    return m + _embed_identity_at(deficit, d, j), deficit
+    deficit = (target - _block_ptrace(v, layout, j)) / layout.d
+    return _add_embedded(v, deficit, layout, j), deficit
 
 
-def _residual(
-    m: np.ndarray,
-    d: int,
-    targets: tuple[tuple[int, np.ndarray], ...],
-    sectors: tuple[np.ndarray, ...] | None,
+def _cheap_residual(
+    v: np.ndarray, layout: _Layout, targets: tuple[tuple[int, np.ndarray], ...]
 ) -> float:
-    """Total infeasibility: worst marginal deviation + PSD deficit + trace deficit.
+    """Worst Frobenius deviation of a constrained partial trace from its target + trace deficit."""
+    marginal = max(float(np.linalg.norm(_block_ptrace(v, layout, j) - t)) for j, t in targets)
+    return marginal + abs(complex(v[layout.diagonal].sum()) - 1.0)
 
-    The PSD deficit is an upper bound, exact when ``m`` is block-diagonal over ``sectors``.
-    """
-    marginal = max(_marginal_errors(m, d, targets))
-    trace_error, negativity = _density_defects(m, sectors)
-    return marginal + negativity + trace_error
+
+def _residual(v: np.ndarray, layout: _Layout, targets: tuple[tuple[int, np.ndarray], ...]) -> float:
+    """Total infeasibility: worst marginal deviation + trace deficit + PSD deficit."""
+    return _cheap_residual(v, layout, targets) + max(0.0, -_lowest_eigenvalue(v, layout))
 
 
 def _certificate(
-    raw_duals: list[np.ndarray],
-    d: int,
-    targets: tuple[tuple[int, np.ndarray], ...],
-    sectors: tuple[np.ndarray, ...] | None,
+    raw_duals: list[np.ndarray], layout: _Layout, targets: tuple[tuple[int, np.ndarray], ...]
 ) -> InfeasibilityCertificate | None:
     """Check the marginal duals ``Y_j`` as a Farkas witness; keep it only if it holds.
 
     Only the density set keeps a full correction, as marginal set j's (``Y_j`` tensored with
-    the identity at slot j) never moves its projection.  The check uses a lower bound on
-    ``lambda_min`` over ``sectors``, so it holds even where the bound is not exact.
+    the identity at slot j) never moves its projection.  The duals are sums of deficits, which
+    are exactly zero between pairs of different digit multisets when the targets are, so the
+    combined operator has no entry outside the blocks and its ``lambda_min`` is exact.
     """
     duals = [_hermitian_part(y) for y in raw_duals]
     scale = sum(float(np.linalg.norm(y)) for y in duals)
     if scale == 0.0:
         return None
-    combined = sum(_embed_identity_at(y, d, j) for y, (j, _) in zip(duals, targets))
+    combined = np.zeros(layout.rows.size, dtype=duals[0].dtype)
+    for y, (j, _) in zip(duals, targets):
+        combined = _add_embedded(combined, y, layout, j)
     paired = sum(float(np.vdot(y, target).real) for y, (_, target) in zip(duals, targets))
-    value = (paired - _lowest_eigenvalue(combined, sectors)) / scale
+    value = (paired - _lowest_eigenvalue(combined, layout)) / scale
     if not value < -PSD_TOL:
         return None
+    d = layout.d
     return InfeasibilityCertificate(
         slots=tuple(j for j, _ in targets),
         duals=tuple(TensorOperator(y, (d, d)) for y in duals),
@@ -320,11 +388,11 @@ def dykstra_find_extension(
     When every target has an all-zero imaginary part, the iterates, the
     correction, the duals and all eigensolves are float64, which is exact
     by the conjugation argument in the module docstring; otherwise they are
-    complex128.  ``candidate`` is complex either way.  When every target
-    conserves weight, the density projection and the eigenvalue checks run
-    block by block over the weight sectors, which is exact by the phase
-    argument there; otherwise they run on the whole matrix.  The local dimension
-    must lie in 2..6 and ``tol`` must be finite and positive.
+    complex128.  ``candidate`` is complex either way.  The iterate is stored as
+    its weight-sector block entries, and ``lambda_min`` is exact, by the phase
+    argument there; a target that does not conserve weight makes one block of
+    the whole space.  The local dimension must lie in 2..6 and ``tol`` must
+    be finite and positive.
     """
     d = pattern.local_dim
     _check_local_dim(d)
@@ -336,10 +404,10 @@ def dykstra_find_extension(
     targets = tuple((j, target.op.entries) for j, target in pattern.constraints)
     if not any(target.imag.any() for _, target in targets):
         targets = tuple((j, target.real.copy()) for j, target in targets)
-    sectors = _weight_sectors(d, targets)
+    layout = _layout(d, _weight_sectors(d, targets))
     first_slot, first_target = targets[0]
-    x = _embed_identity_at(first_target / d, d, first_slot)
-    correction = np.zeros((d**3, d**3), dtype=first_target.dtype)
+    correction = np.zeros(layout.rows.size, dtype=first_target.dtype)
+    x = _add_embedded(correction, first_target / d, layout, first_slot)
     duals = [np.zeros_like(first_target) for _ in targets]
 
     best, best_cheap = x, math.inf
@@ -349,29 +417,31 @@ def dykstra_find_extension(
 
     for iterations in range(1, max_iters + 1):
         for y, (j, target) in zip(duals, targets):
-            x, deficit = _project_marginal(x, d, j, target)
+            x, deficit = _project_marginal(x, layout, j, target)
             y -= deficit
         shifted = x + correction
-        x = _project_density(shifted, sectors)
+        x = _project_density(shifted, layout)
         correction = shifted - x
 
-        current = max(_marginal_errors(x, d, targets)) + abs(complex(np.trace(x)) - 1.0)
+        current = _cheap_residual(x, layout, targets)
         trace_log.append(current)
         if current < best_cheap:
             best, best_cheap = x, current
         if current <= tol:
-            full = _residual(x, d, targets, sectors)
+            full = _residual(x, layout, targets)
             if full <= tol:
                 best, converged = x, True
                 break
         if iterations & (iterations - 1) == 0:
-            certificate = _certificate(duals, d, targets, sectors)
+            certificate = _certificate(duals, layout, targets)
             if certificate is not None:
                 break
 
+    candidate = np.zeros((d**3, d**3), dtype=best.dtype)
+    candidate[layout.rows, layout.cols] = best
     return FeasibilityResult(
-        candidate=TensorOperator(best, (d, d, d)),
-        residual=full if converged else _residual(best, d, targets, sectors),
+        candidate=TensorOperator(candidate, (d, d, d)),
+        residual=full if converged else _residual(best, layout, targets),
         iterations=iterations,
         converged=converged,
         residual_trace=tuple(trace_log),

@@ -8,11 +8,6 @@ delegate to a private kernel on raw arrays (Hermitian part, spectral map,
 partial trace, factor reordering and permutation), which the solvers'
 inner loops call directly.  The kernel keeps the dtype of its input, so
 real symmetric arrays stay real.
-
-The spectral kernel can also work block by block.  A partition lists the
-basis indices of the diagonal blocks of a matrix known to be
-block-diagonal, grouped by block size: one ``(blocks, size)`` integer
-array per size.  ``None`` is the whole space as one block.
 """
 
 from __future__ import annotations
@@ -207,39 +202,18 @@ def _signs(vals: np.ndarray) -> np.ndarray:
     return np.where(vals >= 0.0, 1.0, -1.0)
 
 
-def _blocks(idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Index that gathers, or scatters, the ``(blocks, size, size)`` stack of blocks ``idx``."""
-    return idx[:, :, None], idx[:, None, :]
+def _eigh(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Ascending eigenvalues and eigenvectors of the Hermitian part of a matrix or a stack."""
+    return np.linalg.eigh(_hermitian_part(m))
 
 
-def _spectral_map(
-    m: np.ndarray,
-    f: Callable[[np.ndarray], np.ndarray],
-    partition: tuple[np.ndarray, ...] | None = None,
-) -> np.ndarray:
+def _spectral_map(m: np.ndarray, f: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
     """``V f(L) V^H`` for the eigendecomposition of the Hermitian part of ``m``, symmetrized.
 
     One ``eigh`` call maps every matrix of an ``(..., n, n)`` stack as it would map it alone.
-    With a partition, ``m`` is one matrix taken as block-diagonal: each block size is one
-    stacked ``eigh`` (none for 1x1 blocks, whose eigenvalue is the entry), ``f`` sees the
-    joint spectrum of all blocks, and every entry outside the blocks maps to zero.
     """
-    h = _hermitian_part(m)
-    if partition is None:
-        vals, vecs = np.linalg.eigh(h)
-        return _hermitian_part((vecs * f(vals)[..., None, :]) @ vecs.conj().swapaxes(-1, -2))
-    spectra = []
-    for idx in partition:
-        block = h[_blocks(idx)]
-        one = idx.shape[1] == 1
-        spectra.append((block[:, 0].real, np.ones_like(block)) if one else np.linalg.eigh(block))
-    ends = np.cumsum([vals.size for vals, _ in spectra])
-    joint = np.split(f(np.concatenate([vals.ravel() for vals, _ in spectra])), ends[:-1])
-    out = np.zeros_like(h)
-    for idx, (vals, vecs), mapped in zip(partition, spectra, joint):
-        block = (vecs * mapped.reshape(vals.shape)[:, None, :]) @ vecs.conj().swapaxes(-1, -2)
-        out[_blocks(idx)] = _hermitian_part(block)
-    return out
+    vals, vecs = _eigh(m)
+    return _hermitian_part((vecs * f(vals)[..., None, :]) @ vecs.conj().swapaxes(-1, -2))
 
 
 def _eigenvalues(m: np.ndarray) -> np.ndarray:
@@ -247,34 +221,9 @@ def _eigenvalues(m: np.ndarray) -> np.ndarray:
     return np.linalg.eigvalsh(_hermitian_part(m))
 
 
-def _lowest_eigenvalue(m: np.ndarray, partition: tuple[np.ndarray, ...] | None = None) -> float:
-    """Lowest eigenvalue of the Hermitian part of ``m``, or a lower bound on it.
-
-    With a partition this is the lowest eigenvalue of the blocks minus the Frobenius
-    norm of the entries outside them: a lower bound by Weyl's inequality, exact when
-    those entries are zero.
-    """
-    if partition is None:
-        return float(_eigenvalues(m)[0])
-    outside = _hermitian_part(m)
-    lowest = math.inf
-    for idx in partition:
-        block = outside[_blocks(idx)]
-        vals = block.real if idx.shape[1] == 1 else np.linalg.eigvalsh(block)
-        lowest = min(lowest, float(vals.min()))
-        outside[_blocks(idx)] = 0.0
-    return lowest - float(np.linalg.norm(outside))
-
-
-def _density_defects(
-    m: np.ndarray, partition: tuple[np.ndarray, ...] | None = None
-) -> tuple[float, float]:
-    """``(|tr m - 1|, magnitude of the lowest eigenvalue if negative)`` of a raw matrix.
-
-    With a partition the second entry bounds the magnitude from above (see
-    :func:`_lowest_eigenvalue`).
-    """
-    lowest = _lowest_eigenvalue(m, partition)
+def _density_defects(m: np.ndarray) -> tuple[float, float]:
+    """``(|tr m - 1|, magnitude of the lowest eigenvalue if negative)`` of a raw matrix."""
+    lowest = float(_eigenvalues(m)[0])
     return abs(complex(np.trace(m)) - 1.0), max(0.0, -lowest)
 
 

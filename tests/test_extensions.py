@@ -11,12 +11,11 @@ import pytest
 import bellforge as bf
 from bellforge import extensions
 from bellforge.extensions import (
-    _certificate,
-    _embed_identity_at,
-    _marginal_errors,
+    _add_embedded,
+    _block_ptrace,
+    _layout,
     _project_density,
     _project_marginal,
-    _residual,
     _weight_sectors,
 )
 from bellforge.linalg import PSD_TOL, _ptrace
@@ -75,6 +74,53 @@ def certificate_value(cert: bf.InfeasibilityCertificate, pattern: bf.MarginalPat
         paired += np.trace(targets[j].op.entries @ y.entries).real
     scale = sum(np.linalg.norm(y.entries) for y in cert.duals)
     return (paired - np.linalg.eigvalsh(m)[0]) / scale
+
+
+def embed_identity(b: np.ndarray, d: int, slot: int) -> np.ndarray:
+    """``b`` tensored with the identity at 1-based ``slot``, built from public calls."""
+    pair = bf.TensorOperator(b, (d, d))
+    product = bf.reorder_factors(bf.kron(pair, bf.identity((d,))), SLOT_ORDER[slot]).entries
+    return product if np.iscomplexobj(b) else product.real
+
+
+def dense(v: np.ndarray, layout) -> np.ndarray:
+    """The full matrix whose block entries, in ``layout``, are ``v``."""
+    m = np.zeros((layout.d**3, layout.d**3), dtype=v.dtype)
+    m[layout.rows, layout.cols] = v
+    return m
+
+
+def one_block(d: int) -> tuple[np.ndarray, ...]:
+    """The whole ``d**3`` basis as one block, the layout of targets that do not conserve weight."""
+    return (np.arange(d**3)[None, :],)
+
+
+def random_entries(rng: np.random.Generator, layout, real: bool) -> np.ndarray:
+    """The block entries of a random Hermitian matrix: its blocks are Hermitian as well."""
+    m = random_hermitian(rng, layout.d**3)
+    return (m.real if real else m)[layout.rows, layout.cols]
+
+
+def layouts(d: int):
+    """The weight-sector layout and the one-block layout at local dimension ``d``."""
+    return {"sectors": _layout(d, _weight_sectors(d, ())), "one block": _layout(d, one_block(d))}
+
+
+def density_layouts():
+    """The one block of d = 2 and the weight sectors of d = 3, with their local dimensions."""
+    return ((2, _layout(2, one_block(2))), (3, _layout(3, _weight_sectors(3, ()))))
+
+
+def random_pair(rng: np.random.Generator, d: int, real: bool, kind: str) -> np.ndarray:
+    """A bipartite Hermitian matrix that the layout ``kind`` holds exactly once embedded.
+
+    For the weight sectors it is zero between basis pairs of different digit multisets.
+    """
+    g = random_hermitian(rng, d * d)
+    if kind == "sectors":
+        labels = np.array([4**a + 4**b for a, b in itertools.product(range(d), repeat=2)])
+        g = g * (labels[:, None] == labels[None, :])
+    return g.real.copy() if real else g
 
 
 # -------------------------------------------------------------------- patterns
@@ -150,74 +196,91 @@ def test_verify_marginals_rejects_wrong_space():
 
 
 def test_embed_identity_matches_reordered_kron():
+    """The gather-add is ``b (x) I`` at each slot and the ``bincount`` trace is ``_ptrace``."""
     rng = np.random.default_rng(41)
-    d = 3
-    b = random_hermitian(rng, d * d)
-    for slot, order in ((1, (3, 1, 2)), (2, (1, 3, 2)), (3, (1, 2, 3))):
-        embedded = _embed_identity_at(b, d, slot)
-        reference = bf.reorder_factors(
-            bf.kron(bf.TensorOperator(b, (d, d)), bf.identity((d,))), order
-        )
-        assert np.max(np.abs(embedded - reference.entries)) <= 1e-13
-        # tracing the identity slot recovers d * b
-        back = _ptrace(embedded, (d, d, d), slot)
-        assert np.max(np.abs(back - d * b)) <= 1e-12
+    for d, real in itertools.product(range(2, 7), (True, False)):
+        for kind, layout in layouts(d).items():
+            b = random_pair(rng, d, real, kind)
+            x = random_entries(rng, layout, real)
+            for slot in (1, 2, 3):
+                embedded = _add_embedded(np.zeros_like(x), b, layout, slot)
+                assert embedded.dtype == x.dtype
+                assert np.max(np.abs(dense(embedded, layout) - embed_identity(b, d, slot))) == 0.0
+                # tracing the identity slot recovers d * b
+                back = _block_ptrace(embedded, layout, slot)
+                assert np.max(np.abs(back - d * b)) <= 1e-12
+                reference = _ptrace(dense(x, layout), (d, d, d), slot)
+                assert np.max(np.abs(_block_ptrace(x, layout, slot) - reference)) <= 1e-12
 
 
 def test_marginal_projection_is_exact_and_idempotent():
     rng = np.random.default_rng(42)
-    d = 3
-    target = random_density(rng, d * d)
-    for j in (1, 2, 3):
-        x = random_hermitian(rng, d**3)
-        proj, deficit = _project_marginal(x, d, j, target)
-        assert np.max(np.abs(_ptrace(proj, (d, d, d), j) - target)) <= 1e-12
-        assert np.max(np.abs(proj - x - _embed_identity_at(deficit, d, j))) <= 1e-12
-        again, no_deficit = _project_marginal(proj, d, j, target)
-        assert np.max(np.abs(again - proj)) <= 1e-12
-        assert np.max(np.abs(no_deficit)) <= 1e-12
+    for d, real in itertools.product(range(2, 7), (True, False)):
+        for kind, layout in layouts(d).items():
+            target = random_pair(rng, d, real, kind)
+            for j in (1, 2, 3):
+                x = random_entries(rng, layout, real)
+                proj, deficit = _project_marginal(x, layout, j, target)
+                full = dense(proj, layout)
+                assert np.max(np.abs(_ptrace(full, (d, d, d), j) - target)) <= 1e-12
+                step = full - dense(x, layout)
+                assert np.max(np.abs(step - embed_identity(deficit, d, j))) <= 1e-12
+                again, no_deficit = _project_marginal(proj, layout, j, target)
+                assert np.max(np.abs(again - proj)) <= 1e-12
+                assert np.max(np.abs(no_deficit)) <= 1e-12
 
 
 def test_marginal_projection_is_orthogonal():
     """The residual x - P(x) is orthogonal to differences of feasible points."""
     rng = np.random.default_rng(43)
-    d = 2
-    target = random_density(rng, d * d)
-    x = random_hermitian(rng, d**3)
-    proj, _ = _project_marginal(x, d, 2, target)
-    for _ in range(3):
-        u, _ = _project_marginal(random_hermitian(rng, d**3), d, 2, target)
-        v, _ = _project_marginal(random_hermitian(rng, d**3), d, 2, target)
-        inner = np.trace((x - proj).conj().T @ (u - v))
-        assert abs(inner) <= 1e-10
+    for d, real in itertools.product(range(2, 7), (True, False)):
+        for kind, layout in layouts(d).items():
+            target = random_pair(rng, d, real, kind)
+
+            def project(x, j):
+                return dense(_project_marginal(x, layout, j, target)[0], layout)
+
+            def draw():
+                return random_entries(rng, layout, real)
+
+            for j in (1, 2, 3):
+                x = draw()
+                residual = dense(x, layout) - project(x, j)
+                for _ in range(2):
+                    inner = np.vdot(residual, project(draw(), j) - project(draw(), j))
+                    assert abs(inner) <= 1e-10
 
 
 def test_density_projection_returns_density_and_is_idempotent():
     rng = np.random.default_rng(44)
-    x = random_hermitian(rng, 8)
-    p = _project_density(x)
-    asym, trace_err, neg = bf.density_deficits(bf.TensorOperator(p, (2, 2, 2)))
-    assert asym <= 1e-13 and trace_err <= 1e-12 and neg <= 1e-12
-    again = _project_density(p)
-    assert np.max(np.abs(again - p)) <= 1e-12
+    for d, layout in density_layouts():
+        x = random_entries(rng, layout, False)
+        p = _project_density(x, layout)
+        asym, trace_err, neg = bf.density_deficits(bf.TensorOperator(dense(p, layout), (d, d, d)))
+        assert asym <= 1e-13 and trace_err <= 1e-12 and neg <= 1e-12
+        again = _project_density(p, layout)
+        assert np.max(np.abs(again - p)) <= 1e-12
 
 
 def test_density_projection_is_nonexpansive_toward_densities():
     rng = np.random.default_rng(45)
-    for _ in range(5):
-        x = random_hermitian(rng, 6)
-        witness = random_density(rng, 6)
-        px = _project_density(x)
-        assert np.linalg.norm(px - witness) <= np.linalg.norm(x - witness) + 1e-12
+    for d, layout in density_layouts():
+        for _ in range(5):
+            x = random_entries(rng, layout, False)
+            witness = random_density(rng, d**3)
+            px = dense(_project_density(x, layout), layout)
+            before = np.linalg.norm(dense(x, layout) - witness)
+            assert np.linalg.norm(px - witness) <= before + 1e-12
 
 
 def test_density_projection_picks_nearest_point():
     rng = np.random.default_rng(46)
-    x = random_hermitian(rng, 5)
-    px = _project_density(x)
-    for _ in range(10):
-        other = random_density(rng, 5)
-        assert np.linalg.norm(x - px) <= np.linalg.norm(x - other) + 1e-12
+    for d, layout in density_layouts():
+        v = random_entries(rng, layout, False)
+        x, px = dense(v, layout), dense(_project_density(v, layout), layout)
+        for _ in range(10):
+            other = random_density(rng, d**3)
+            assert np.linalg.norm(x - px) <= np.linalg.norm(x - other) + 1e-12
 
 
 # ------------------------------------------------------------------- dykstra
@@ -359,16 +422,20 @@ def test_weight_sectors_group_basis_states_by_digit_multiset(d):
     assert all(np.array_equal(a, b) for a, b in zip(diagonal, sectors))
 
 
+def is_one_block(sectors: tuple[np.ndarray, ...], d: int) -> bool:
+    return len(sectors) == 1 and np.array_equal(sectors[0], one_block(d)[0])
+
+
 def test_weight_sectors_fall_back_to_one_block():
     real, rotated, _ = real_and_rotated(3, (1, 2, 3))
-    assert _weight_sectors(3, raw_targets(real)) is None
-    assert _weight_sectors(3, raw_targets(rotated)) is None
+    assert is_one_block(_weight_sectors(3, raw_targets(real)), 3)
+    assert is_one_block(_weight_sectors(3, raw_targets(rotated)), 3)
     # One entry pair between different multisets, |01> and |02>, is enough.
     mixed = np.eye(9) / 9
     mixed[1, 2] = mixed[2, 1] = 0.01
-    assert _weight_sectors(3, ((3, mixed),)) is None
+    assert is_one_block(_weight_sectors(3, ((3, mixed),)), 3)
     mixed[1, 2] = mixed[2, 1] = 0.0
-    assert _weight_sectors(3, ((3, mixed),)) is not None
+    assert not is_one_block(_weight_sectors(3, ((3, mixed),)), 3)
 
 
 SECTOR_STATES = {
@@ -382,14 +449,15 @@ SECTOR_STATES = {
 def test_weight_sectors_change_no_search_outcome(monkeypatch, state, make_pattern):
     """The blockwise search and the one-block search agree up to rounding."""
     pattern = make_pattern(SECTOR_STATES[state]())
-    assert _weight_sectors(pattern.local_dim, raw_targets(pattern)) is not None
+    d = pattern.local_dim
+    assert not is_one_block(_weight_sectors(d, raw_targets(pattern)), d)
     blocked = bf.dykstra_find_extension(pattern, max_iters=5000, tol=1e-6)
-    monkeypatch.setattr(extensions, "_weight_sectors", lambda d, targets: None)
-    dense = bf.dykstra_find_extension(pattern, max_iters=5000, tol=1e-6)
-    assert blocked.stop_reason == dense.stop_reason
-    assert blocked.iterations == dense.iterations
-    assert abs(blocked.residual - dense.residual) <= 1e-12
-    assert np.max(np.abs(blocked.candidate.entries - dense.candidate.entries)) <= 1e-12
+    monkeypatch.setattr(extensions, "_weight_sectors", lambda d, targets: one_block(d))
+    whole = bf.dykstra_find_extension(pattern, max_iters=5000, tol=1e-6)
+    assert blocked.stop_reason == whole.stop_reason
+    assert blocked.iterations == whole.iterations
+    assert abs(blocked.residual - whole.residual) <= 1e-12
+    assert np.max(np.abs(blocked.candidate.entries - whole.candidate.entries)) <= 1e-12
 
 
 @pytest.mark.parametrize("d, slots", [(2, (2, 3)), (3, (1, 2, 3)), (3, (2, 3))])
@@ -461,47 +529,91 @@ def test_dykstra_rejects_bad_iteration_count():
         bf.dykstra_find_extension(bf.pattern_right2(w), max_iters=0, tol=1e-6)
 
 
+def dense_ptrace(m: np.ndarray, d: int, j: int) -> np.ndarray:
+    return np.trace(m.reshape((d,) * 6), axis1=j - 1, axis2=j + 2).reshape(d * d, d * d)
+
+
+def lowest_eigenvalue(m: np.ndarray) -> float:
+    return float(np.linalg.eigvalsh((m + m.conj().T) / 2.0)[0])
+
+
+def nearest_density(m: np.ndarray) -> np.ndarray:
+    """Full-matrix ``eigh``, then the sort-based simplex projection of the whole spectrum."""
+    vals, vecs = np.linalg.eigh((m + m.conj().T) / 2.0)
+    u = np.sort(vals)[::-1]
+    excess = np.cumsum(u) - 1.0
+    k = np.nonzero(u > excess / np.arange(1, u.size + 1))[0][-1]
+    p = (vecs * np.maximum(vals - excess[k] / (k + 1), 0.0)) @ vecs.conj().T
+    return (p + p.conj().T) / 2.0
+
+
 def textbook_dykstra(
     pattern: bf.MarginalPattern, max_iters: int, tol: float
 ) -> bf.FeasibilityResult:
-    """The search with a full correction term per set, as Dykstra's method is usually stated.
+    """The search on dense matrices with a full correction per set, as Dykstra's method is stated.
 
-    The dual of marginal set j is read back from its correction as ``ptr_j(c_j) / d``.
+    It calls no helper of the search: embeddings come from public ``kron`` and
+    ``reorder_factors``, the density projection from one full-matrix ``eigh``, and
+    ``lambda_min`` from a dense ``eigvalsh``.  The dual of marginal set j is read back
+    from its correction as ``ptr_j(c_j) / d``.
     """
     d = pattern.local_dim
     targets = raw_targets(pattern)
     if not any(target.imag.any() for _, target in targets):
         targets = tuple((j, target.real.copy()) for j, target in targets)
-    sectors = _weight_sectors(d, targets)
-    x = _embed_identity_at(targets[0][1] / d, d, targets[0][0])
+
+    def cheap(x):
+        errors = [np.linalg.norm(dense_ptrace(x, d, j) - target) for j, target in targets]
+        return float(max(errors)) + abs(complex(np.trace(x)) - 1.0)
+
+    def residual(x):
+        return cheap(x) + max(0.0, -lowest_eigenvalue(x))
+
+    def certificate(corrections):
+        duals = [dense_ptrace(c, d, j) / d for c, (j, _) in zip(corrections, targets)]
+        duals = [(y + y.conj().T) / 2.0 for y in duals]
+        scale = sum(float(np.linalg.norm(y)) for y in duals)
+        if scale == 0.0:
+            return None
+        combined = sum(embed_identity(y, d, j) for y, (j, _) in zip(duals, targets))
+        paired = sum(float(np.vdot(y, target).real) for y, (_, target) in zip(duals, targets))
+        value = (paired - lowest_eigenvalue(combined)) / scale
+        if not value < -PSD_TOL:
+            return None
+        return bf.InfeasibilityCertificate(
+            slots=tuple(j for j, _ in targets),
+            duals=tuple(bf.TensorOperator(y, (d, d)) for y in duals),
+            value=value,
+        )
+
+    x = embed_identity(targets[0][1] / d, d, targets[0][0])
     corrections = [np.zeros_like(x) for _ in range(len(targets) + 1)]
-    best, best_cheap, converged, certificate = x, math.inf, False, None
+    best, best_cheap, converged, found = x, math.inf, False, None
     for iterations in range(1, max_iters + 1):
         for i, (j, target) in enumerate(targets):
             shifted = x + corrections[i]
-            x, _ = _project_marginal(shifted, d, j, target)
+            x = shifted + embed_identity((target - dense_ptrace(shifted, d, j)) / d, d, j)
             corrections[i] = shifted - x
         shifted = x + corrections[-1]
-        x = _project_density(shifted, sectors)
+        x = nearest_density(shifted)
         corrections[-1] = shifted - x
-        current = max(_marginal_errors(x, d, targets)) + abs(complex(np.trace(x)) - 1.0)
+        current = cheap(x)
         if current < best_cheap:
             best, best_cheap = x, current
-        if current <= tol and _residual(x, d, targets, sectors) <= tol:
+        if current <= tol and residual(x) <= tol:
             best, converged = x, True
             break
         if iterations & (iterations - 1) == 0:
-            duals = [_ptrace(c, (d, d, d), j) / d for c, (j, _) in zip(corrections, targets)]
-            certificate = _certificate(duals, d, targets, sectors)
-            if certificate is not None:
+            found = certificate(corrections)
+            if found is not None:
                 break
     return bf.FeasibilityResult(
         candidate=bf.TensorOperator(best, (d, d, d)),
-        residual=_residual(best, d, targets, sectors),
+        residual=residual(best),
         iterations=iterations,
         converged=converged,
         residual_trace=(),
-        certificate=certificate,
+        certificate=found,
     )
 
 
@@ -516,9 +628,30 @@ DUAL_CASES = {
 }
 
 
+# The seven searches of the benchmark's ``extend-converge`` and ``extend-stall``
+# workloads, at the CLI defaults, with the stop reason and cycle count of each.
+BENCHMARK_SEARCHES = {
+    **{
+        f"werner{d}-sym3": (lambda d=d: bf.pattern_sym3(bf.werner(d)), "converged", cycles)
+        for d, cycles in ((3, 96), (4, 59), (5, 47), (6, 40))
+    },
+    "werner4-right2": (lambda: bf.pattern_right2(bf.werner(4)), "converged", 352),
+    "singlet-right2": (lambda: bf.pattern_right2(bf.singlet()), "infeasible", 2),
+    "werner2-sym3": (lambda: bf.pattern_sym3(bf.werner(2)), "infeasible", 4),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BENCHMARK_SEARCHES))
+def test_benchmark_searches_keep_their_outcomes(case):
+    """A faster search must take the same path: same stop reason after the same cycles."""
+    make_pattern, reason, cycles = BENCHMARK_SEARCHES[case]
+    result = bf.dykstra_find_extension(make_pattern(), max_iters=5000, tol=1e-6)
+    assert (result.stop_reason, result.iterations) == (reason, cycles)
+
+
 @pytest.mark.parametrize("case", sorted(DUAL_CASES))
 def test_bipartite_duals_match_full_corrections(case):
-    """Carrying each marginal set's dual ``Y_j`` runs the same search as textbook Dykstra."""
+    """The block-entry search with duals ``Y_j`` runs the same search as dense textbook Dykstra."""
     pattern = DUAL_CASES[case]()
     ours = bf.dykstra_find_extension(pattern, max_iters=5000, tol=1e-6)
     reference = textbook_dykstra(pattern, max_iters=5000, tol=1e-6)
@@ -539,12 +672,12 @@ def test_certificate_checks_take_no_partial_traces(monkeypatch, case):
     """Each cycle traces once per constraint to project and once to assess; nothing else does."""
     calls = 0
 
-    def counted(*args, _original=extensions._ptrace):
+    def counted(*args, _original=extensions._block_ptrace):
         nonlocal calls
         calls += 1
         return _original(*args)
 
-    monkeypatch.setattr(extensions, "_ptrace", counted)
+    monkeypatch.setattr(extensions, "_block_ptrace", counted)
     pattern = DUAL_CASES[case]()
     result = bf.dykstra_find_extension(pattern, max_iters=5000, tol=1e-6)
     k = len(pattern.constraints)

@@ -8,7 +8,13 @@ import numpy as np
 import pytest
 
 from bellforge import linalg as la
-from bellforge.extensions import _project_simplex, _weight_sectors
+from bellforge.extensions import (
+    _layout,
+    _lowest_eigenvalue,
+    _project_density,
+    _project_simplex,
+    _weight_sectors,
+)
 
 
 def random_operator(rng: np.random.Generator, dims: tuple[int, ...]) -> la.TensorOperator:
@@ -294,37 +300,47 @@ def test_spectral_kernel_maps_stacks_like_single_matrices():
             np.testing.assert_array_equal(mapped, [la._spectral_map(m, f) for m in stack])
 
 
-def sector_hermitian(rng: np.random.Generator, d: int, real: bool):
-    """A random Hermitian matrix on d**3 sides, zero outside the weight sectors, and those sectors."""
-    sectors = _weight_sectors(d, ())
-    inside = np.zeros((d**3, d**3), dtype=bool)
-    for idx in sectors:
-        inside[la._blocks(idx)] = True
+def dense(v: np.ndarray, layout) -> np.ndarray:
+    """The full matrix whose block entries, in ``layout``, are ``v``."""
+    m = np.zeros((layout.d**3, layout.d**3), dtype=v.dtype)
+    m[layout.rows, layout.cols] = v
+    return m
+
+
+def sector_hermitian(rng: np.random.Generator, d: int, real: bool) -> np.ndarray:
+    """A random Hermitian matrix on d**3 sides, zero between states of different digit multisets."""
+    labels = np.array([sum(4**a for a in s) for s in itertools.product(range(d), repeat=3)])
     g = rng.standard_normal((d**3, d**3))
     if not real:
         g = g + 1j * rng.standard_normal((d**3, d**3))
-    return la._hermitian_part(g) * inside, sectors, inside
+    return la._hermitian_part(g) * (labels[:, None] == labels[None, :])
 
 
 @pytest.mark.parametrize("real", [True, False])
 @pytest.mark.parametrize("d", [2, 3, 4, 5, 6])
 def test_sector_partition_matches_one_block_kernel(d, real):
-    """Block by block over weight sectors, the spectral map and lambda_min equal the dense ones."""
+    """On weight-sector block entries, the density projection and lambda_min equal the dense ones."""
     rng = np.random.default_rng(100 + d)
-    m, sectors, inside = sector_hermitian(rng, d, real)
-    assert [idx.shape[1] for idx in sectors] == ([1, 3] if d == 2 else [1, 3, 6])
-    for f in (_project_simplex, la._signs):
-        blocked = la._spectral_map(m, f, sectors)
-        assert blocked.dtype == m.dtype
-        assert np.max(np.abs(blocked - la._spectral_map(m, f))) <= 1e-12
+    m = sector_hermitian(rng, d, real)
+    layouts = (_layout(d, _weight_sectors(d, ())), _layout(d, (np.arange(d**3)[None, :],)))
+    sizes = [shape[1] for _, _, shape in layouts[0].chunks]
+    assert sizes == ([1, 3] if d == 2 else [1, 3, 6])
+    dense_projection = la._spectral_map(m, _project_simplex)
     dense_lowest = float(np.linalg.eigvalsh(m)[0])
-    assert abs(la._lowest_eigenvalue(m, sectors) - dense_lowest) <= 1e-12
-    assert la._lowest_eigenvalue(m) == dense_lowest
-    # Entries outside the blocks lower the bound; it stays below the true lambda_min.
-    bump = 1e-6 * la._hermitian_part(rng.standard_normal(m.shape)) * ~inside
-    bound = la._lowest_eigenvalue(m + bump, sectors)
-    lowest = float(np.linalg.eigvalsh(m + bump)[0])
-    assert lowest - 2.0 * np.linalg.norm(bump) <= bound <= lowest
+    for layout in layouts:
+        v = m[layout.rows, layout.cols]
+        # The entries of the layout are exactly the blocks: nothing outside is lost.
+        np.testing.assert_array_equal(dense(v, layout), m)
+        projected = _project_density(v, layout)
+        assert projected.dtype == m.dtype
+        assert np.max(np.abs(dense(projected, layout) - dense_projection)) <= 1e-12
+        assert abs(_lowest_eigenvalue(v, layout) - dense_lowest) <= 1e-12
+    # Moved below every other eigenvalue, the 1x1 block of |000> must set lambda_min.
+    low = m.copy()
+    low[0, 0] = dense_lowest - 1.0
+    for layout in layouts:
+        lowest = _lowest_eigenvalue(low[layout.rows, layout.cols], layout)
+        assert abs(lowest - float(np.linalg.eigvalsh(low)[0])) <= 1e-12
 
 
 def hermitian_sign(m: np.ndarray) -> np.ndarray:
