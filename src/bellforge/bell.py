@@ -17,7 +17,10 @@ optima; each restart is an independent deterministic stream.  Restarts
 (and both sign branches of the gap) advance together as stacks of matrices,
 in blocks of up to 256 restarts, one stacked eigendecomposition per update;
 each stops at its own convergence test, so results equal running them one
-at a time.
+at a time.  Every contraction with the state is a batched matrix product:
+the state is reshaped once into two ``d² x d²`` matrices, and each
+observable of a stack is a ``1 x d²`` row multiplied by one of them on its
+own, so a row's bits do not depend on the height of the stack.
 """
 
 from __future__ import annotations
@@ -120,10 +123,25 @@ def _check_state(rho: DensityOperator) -> tuple[np.ndarray, int]:
     return rho.op.entries, _bipartite_dim(rho.op.factor_dims)
 
 
+def _layouts(rho_mat: np.ndarray, d: int) -> tuple[np.ndarray, np.ndarray]:
+    """The state ``rho[(i, j), (k, l)]`` as the ``d² x d²`` matrices ``[(j, l), (i, k)]``
+    and ``[(i, k), (j, l)]``, the layouts that Alice's and Bob's contractions multiply by."""
+    r4 = rho_mat.reshape(d, d, d, d)
+    return (
+        r4.transpose(1, 3, 0, 2).reshape(d * d, d * d),
+        r4.transpose(0, 2, 1, 3).reshape(d * d, d * d),
+    )
+
+
+def _rows(m: np.ndarray) -> np.ndarray:
+    """The transposes of a matrix or an ``(n, d, d)`` stack, each flattened to a ``1 x d²`` row."""
+    return m.swapaxes(-1, -2).reshape(*m.shape[:-2], 1, -1)
+
+
 def _raw_inputs(
     rho: DensityOperator, observables: tuple[Observable, ...], names: tuple[str, ...]
-) -> tuple[np.ndarray, list[np.ndarray]]:
-    """The state as a 4-index tensor and the observables' matrices, dimensions checked."""
+) -> tuple[tuple[np.ndarray, np.ndarray], list[np.ndarray]]:
+    """The state's two layouts and the observables' matrices, dimensions checked."""
     rho_mat, d = _check_state(rho)
     mats = []
     for obs, name in zip(observables, names):
@@ -132,65 +150,56 @@ def _raw_inputs(
                 f"observable {obs.label or name} has dimension {obs.dim}, state needs {d}"
             )
         mats.append(obs.op.entries)
-    return rho_mat.reshape(d, d, d, d), mats
+    return _layouts(rho_mat, d), mats
 
 
-def _corr_raw(r4: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+def _corr_raw(r: tuple[np.ndarray, np.ndarray], a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """``tr(rho (a x b))`` for matching matrices or ``(n, d, d)`` stacks of them."""
-    val = np.einsum("ijkl,...ki,...lj->...", r4, a, b)
+    val = (_rows(a) @ r[1] @ _rows(b).swapaxes(-1, -2))[..., 0, 0]
     worst = np.max(np.abs(val.imag))
     if worst > 1e-10:
         raise ValueError(f"correlation has imaginary part {worst:.3e}")
     return val.real
 
 
-def _gap_raw(r4: np.ndarray, ja: np.ndarray, jb1: np.ndarray, jb2: np.ndarray) -> np.ndarray:
-    e1 = _corr_raw(r4, ja, jb1)
-    e2 = _corr_raw(r4, ja, jb2)
-    e3 = _corr_raw(r4, jb1, jb2)
+def _gap_raw(r: tuple, ja: np.ndarray, jb1: np.ndarray, jb2: np.ndarray) -> np.ndarray:
+    e1 = _corr_raw(r, ja, jb1)
+    e2 = _corr_raw(r, ja, jb2)
+    e3 = _corr_raw(r, jb1, jb2)
     return abs(e1 - e2) - (1.0 - e3)
 
 
 def _chsh_raw(
-    r4: np.ndarray, a1: np.ndarray, a2: np.ndarray, b1: np.ndarray, b2: np.ndarray
+    r: tuple, a1: np.ndarray, a2: np.ndarray, b1: np.ndarray, b2: np.ndarray
 ) -> np.ndarray:
     """Signed CHSH combination E11 + E12 + E21 - E22."""
-    return (
-        _corr_raw(r4, a1, b1)
-        + _corr_raw(r4, a1, b2)
-        + _corr_raw(r4, a2, b1)
-        - _corr_raw(r4, a2, b2)
-    )
+    return _corr_raw(r, a1, b1) + _corr_raw(r, a1, b2) + _corr_raw(r, a2, b1) - _corr_raw(r, a2, b2)
 
 
-def _alice_effective(r4: np.ndarray, b: np.ndarray) -> np.ndarray:
+def _alice_effective(r: tuple[np.ndarray, np.ndarray], b: np.ndarray) -> np.ndarray:
     """Matrices M with tr(rho (A x B)) = tr(A M) for every first-factor observable A."""
-    return np.einsum("ijkl,...lj->...ik", r4, b)
+    return (_rows(b) @ r[0]).reshape(b.shape)
 
 
-def _bob_effective(r4: np.ndarray, a: np.ndarray) -> np.ndarray:
+def _bob_effective(r: tuple[np.ndarray, np.ndarray], a: np.ndarray) -> np.ndarray:
     """Matrices N with tr(rho (A x B)) = tr(B N) for every second-factor observable B."""
-    return np.einsum("ijkl,...ki->...jl", r4, a)
+    return (_rows(a) @ r[1]).reshape(a.shape)
 
 
 def _draw_observables(d: int, seeds: Sequence[int], count: int) -> np.ndarray:
     """``count`` observables per seed's stream, as a ``(len(seeds), count, d, d)`` array.
 
-    Gaussians are drawn in stream order and clamped to [-1, 1] by one stacked spectral map.
+    One draw per stream yields, matrix by matrix, the real and then the imaginary Gaussian
+    parts; they are clamped to [-1, 1] by one stacked spectral map.
     """
-    gaussians = []
-    for seed in seeds:
-        rng = np.random.default_rng(seed)
-        gaussians.append(
-            [rng.standard_normal((d, d)) + 1.0j * rng.standard_normal((d, d)) for _ in range(count)]
-        )
-    return _spectral_map(np.array(gaussians), lambda vals: np.clip(vals, -1.0, 1.0))
+    g = np.array([np.random.default_rng(seed).standard_normal((count, 2, d, d)) for seed in seeds])
+    return _spectral_map(g[:, :, 0] + 1.0j * g[:, :, 1], lambda vals: np.clip(vals, -1.0, 1.0))
 
 
 def correlation(rho: DensityOperator, a: Observable, b: Observable) -> float:
     """Expectation tr(rho (a x b)) with ``a`` on the first factor, ``b`` on the second."""
-    r4, mats = _raw_inputs(rho, (a, b), ("a", "b"))
-    return float(_corr_raw(r4, *mats))
+    r, mats = _raw_inputs(rho, (a, b), ("a", "b"))
+    return float(_corr_raw(r, *mats))
 
 
 def original_bell_gap(
@@ -202,66 +211,64 @@ def original_bell_gap(
     observable ``jb1`` appears both as a second-side setting and as the
     shared first-side setting of the third correlation.
     """
-    r4, mats = _raw_inputs(rho, (ja, jb1, jb2), ("a", "b1", "b2"))
-    return float(_gap_raw(r4, *mats))
+    r, mats = _raw_inputs(rho, (ja, jb1, jb2), ("a", "b1", "b2"))
+    return float(_gap_raw(r, *mats))
 
 
 def chsh_value(
     rho: DensityOperator, a1: Observable, a2: Observable, b1: Observable, b2: Observable
 ) -> float:
     """CHSH combination |E11 + E12 + E21 - E22|; values above 2 witness nonclassicality."""
-    r4, mats = _raw_inputs(rho, (a1, a2, b1, b2), ("a1", "a2", "b1", "b2"))
-    return float(abs(_chsh_raw(r4, *mats)))
+    r, mats = _raw_inputs(rho, (a1, a2, b1, b2), ("a1", "a2", "b1", "b2"))
+    return float(abs(_chsh_raw(r, *mats)))
 
 
-def _original_sweep(r4: np.ndarray, s: np.ndarray, mats: list) -> tuple:
+def _original_sweep(r: tuple, s: np.ndarray, mats: list) -> tuple:
     """One cyclic update of the gap's sign branches ``s`` and their linearized objectives."""
     ja, jb1, jb2 = mats
-    ja = _spectral_map(s * (_alice_effective(r4, jb1) - _alice_effective(r4, jb2)), _signs)
-    jb1 = _spectral_map(s * _bob_effective(r4, ja) + _alice_effective(r4, jb2), _signs)
-    jb2 = _spectral_map(-s * _bob_effective(r4, ja) + _bob_effective(r4, jb1), _signs)
+    ja = _spectral_map(s * (_alice_effective(r, jb1) - _alice_effective(r, jb2)), _signs)
+    jb1 = _spectral_map(s * _bob_effective(r, ja) + _alice_effective(r, jb2), _signs)
+    jb2 = _spectral_map(-s * _bob_effective(r, ja) + _bob_effective(r, jb1), _signs)
     s = s[:, 0, 0]
-    value = s * (_corr_raw(r4, ja, jb1) - _corr_raw(r4, ja, jb2)) + _corr_raw(r4, jb1, jb2) - 1.0
+    value = s * (_corr_raw(r, ja, jb1) - _corr_raw(r, ja, jb2)) + _corr_raw(r, jb1, jb2) - 1.0
     return (ja, jb1, jb2), value
 
 
-def _chsh_sweep(r4: np.ndarray, s: np.ndarray, mats: list) -> tuple:
+def _chsh_sweep(r: tuple, s: np.ndarray, mats: list) -> tuple:
     """One cyclic update of the four CHSH observables (one branch, ``s`` unused) and their value."""
     a1, a2, b1, b2 = mats
-    a1 = _spectral_map(_alice_effective(r4, b1) + _alice_effective(r4, b2), _signs)
-    a2 = _spectral_map(_alice_effective(r4, b1) - _alice_effective(r4, b2), _signs)
-    b1 = _spectral_map(_bob_effective(r4, a1) + _bob_effective(r4, a2), _signs)
-    b2 = _spectral_map(_bob_effective(r4, a1) - _bob_effective(r4, a2), _signs)
+    a1 = _spectral_map(_alice_effective(r, b1) + _alice_effective(r, b2), _signs)
+    a2 = _spectral_map(_alice_effective(r, b1) - _alice_effective(r, b2), _signs)
+    b1 = _spectral_map(_bob_effective(r, a1) + _bob_effective(r, a2), _signs)
+    b2 = _spectral_map(_bob_effective(r, a1) - _bob_effective(r, a2), _signs)
     mats = (a1, a2, b1, b2)
-    return mats, _chsh_raw(r4, *mats)
+    return mats, _chsh_raw(r, *mats)
 
 
 def _seesaw_block(
-    r4: np.ndarray,
-    seeds: range,
-    count: int,
+    r: tuple,
+    starts: np.ndarray,
     signs: tuple[float, ...],
     sweep: Callable,
     final: Callable,
 ) -> tuple[float, int, list[np.ndarray], list[float]]:
-    """The restarts seeded by ``seeds`` and their sign branches, advanced together as stacks.
+    """The restarts from ``starts`` and their sign branches, advanced together as stacks.
 
-    Row ``i`` runs branch ``signs[i % len(signs)]`` from the ``count`` start
-    observables drawn from the stream ``seeds[i // len(signs)]``.
-    ``sweep(r4, s, mats)`` updates the given rows and returns their values.  A
+    Row ``i`` runs branch ``signs[i % len(signs)]`` from the start observables
+    ``starts[i // len(signs)]``, on the state's layouts ``r``.
+    ``sweep(r, s, mats)`` updates the given rows and returns their values.  A
     row freezes after ``_MAX_SWEEPS`` sweeps or a gain below ``_CONVERGENCE_EPS``,
-    so it ends as it would alone.  Returns the largest ``final(r4, *mats)`` (ties
+    so it ends as it would alone.  Returns the largest ``final(r, *mats)`` (ties
     go to the lowest row), its row, its observables and its value trace.
     """
-    starts = _draw_observables(r4.shape[0], seeds, count)
-    mats = [np.repeat(starts[:, k], len(signs), axis=0) for k in range(count)]
-    s = np.tile(signs, len(seeds))[:, None, None]
+    mats = [np.repeat(starts[:, k], len(signs), axis=0) for k in range(starts.shape[1])]
+    s = np.tile(signs, len(starts))[:, None, None]
 
     last = np.full(len(s), -math.inf)
     history = []  # (active rows, their values) of every sweep
     rows = np.arange(len(s))
     for _ in range(_MAX_SWEEPS):
-        updated, values = sweep(r4, s[rows], [m[rows] for m in mats])
+        updated, values = sweep(r, s[rows], [m[rows] for m in mats])
         for m, new in zip(mats, updated):
             m[rows] = new
         history.append((rows, values))
@@ -271,7 +278,7 @@ def _seesaw_block(
         if not rows.size:
             break
 
-    scores = final(r4, *mats)
+    scores = final(r, *mats)
     best = int(np.argmax(scores))
     trace = np.concatenate([values[rows == best] for rows, values in history]).tolist()
     return float(scores[best]), best, [m[best] for m in mats], trace
@@ -292,12 +299,12 @@ def _seesaw(
     """
     rho_mat, d = _check_state(rho)
     _check_local_dim(d)
-    r4 = rho_mat.reshape(d, d, d, d)
+    r = _layouts(rho_mat, d)
     end = cfg.base_seed + cfg.restarts
     best = None
     for first in range(cfg.base_seed, end, _RESTART_BLOCK):
-        seeds = range(first, min(first + _RESTART_BLOCK, end))
-        score, row, mats, trace = _seesaw_block(r4, seeds, len(labels), signs, sweep, final)
+        starts = _draw_observables(d, range(first, min(first + _RESTART_BLOCK, end)), len(labels))
+        score, row, mats, trace = _seesaw_block(r, starts, signs, sweep, final)
         if best is None or score > best[0]:
             best = (score, first - cfg.base_seed + row // len(signs), mats, trace)
     score, restart, mats, trace = best
@@ -350,10 +357,10 @@ def horodecki_chsh_oracle(rho: DensityOperator) -> float:
     rho_mat, d = _check_state(rho)
     if d != 2:
         raise ValueError(f"closed-form CHSH maximum needs qubit factors, got dimension {d}")
-    r4 = rho_mat.reshape(2, 2, 2, 2)
+    r = _layouts(rho_mat, 2)
     t = np.empty((3, 3), dtype=np.float64)
     for i, si in enumerate(_PAULIS):
         for j, sj in enumerate(_PAULIS):
-            t[i, j] = _corr_raw(r4, si, sj)
+            t[i, j] = _corr_raw(r, si, sj)
     grams = np.linalg.eigvalsh(t.T @ t)
     return float(2.0 * math.sqrt(grams[-1] + grams[-2]))

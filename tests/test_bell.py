@@ -73,6 +73,27 @@ def test_random_observable_norm_bounded(d):
         assert bf.operator_norm(TensorOperator(w, (d,))) <= 1.0 + 1e-12
 
 
+def per_matrix_draw(d: int, seeds, count: int) -> np.ndarray:
+    """The start draw as two ``standard_normal`` calls per observable, the reference for one
+    call per stream."""
+    gaussians = []
+    for seed in seeds:
+        rng = np.random.default_rng(seed)
+        gaussians.append(
+            [rng.standard_normal((d, d)) + 1.0j * rng.standard_normal((d, d)) for _ in range(count)]
+        )
+    return bell._spectral_map(np.array(gaussians), lambda vals: np.clip(vals, -1.0, 1.0))
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 5, 6])
+@pytest.mark.parametrize("count", [1, 3, 4])
+def test_draw_matches_per_matrix_draw(d, count):
+    seeds = range(300)
+    np.testing.assert_array_equal(
+        bell._draw_observables(d, seeds, count), per_matrix_draw(d, seeds, count)
+    )
+
+
 def test_random_observable_mean_is_centered():
     n = 10_000
     mean = bell._draw_observables(2, range(n), 1)[:, 0].mean(axis=0)
@@ -196,6 +217,56 @@ def test_chsh_singlet_optimal_settings_reach_tsirelson():
     assert value == pytest.approx(2.0 * math.sqrt(2.0), abs=1e-12)
 
 
+# ---------------------------------------------------------------- contractions
+
+
+def einsum_alice(r4: np.ndarray, b: np.ndarray) -> np.ndarray:
+    return np.einsum("ijkl,...lj->...ik", r4, b)
+
+
+def einsum_bob(r4: np.ndarray, a: np.ndarray) -> np.ndarray:
+    return np.einsum("ijkl,...ki->...jl", r4, a)
+
+
+def einsum_corr(r4: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    return np.einsum("ijkl,...ki,...lj->...", r4, a, b)
+
+
+def random_density_matrix(d: int, seed: int) -> np.ndarray:
+    rng = np.random.default_rng(seed)
+    g = rng.standard_normal((d * d, d * d)) + 1.0j * rng.standard_normal((d * d, d * d))
+    rho = g @ g.conj().T
+    return rho / np.trace(rho).real
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 5, 6])
+def test_contractions_match_einsum_oracle(d):
+    """The batched products on the state's two layouts equal the 4-index einsums over
+    ``r4[i, j, k, l] = rho[(i, j), (k, l)]``, on stacks and on single matrices."""
+    rho = random_density_matrix(d, seed=60 + d)
+    r4 = rho.reshape(d, d, d, d)
+    r = bell._layouts(rho, d)
+    a, b = bell._draw_observables(d, range(5), 2).swapaxes(0, 1)
+    for x, y in ((a, b), (a[0], b[0])):
+        for new, oracle in (
+            (bell._alice_effective(r, y), einsum_alice(r4, y)),
+            (bell._bob_effective(r, x), einsum_bob(r4, x)),
+            (bell._corr_raw(r, x, y), einsum_corr(r4, x, y).real),
+        ):
+            assert new.shape == oracle.shape
+            np.testing.assert_allclose(new, oracle, rtol=0.0, atol=1e-13)
+
+
+@pytest.mark.parametrize("d", [2, 6])
+def test_correlation_rejects_imaginary_part(d):
+    r = bell._layouts(random_density_matrix(d, seed=70 + d), d)
+    eye = np.eye(d, dtype=complex)
+    assert bell._corr_raw(r, 1e-11j * eye, eye) == 0.0
+    for a in (1e-9j * eye, np.stack([eye, 1e-9j * eye])):
+        with pytest.raises(ValueError, match="imaginary part"):
+            bell._corr_raw(r, a, np.broadcast_to(eye, a.shape))
+
+
 # ---------------------------------------------------------------------- oracle
 
 
@@ -309,12 +380,22 @@ SEARCHES = {"original": (bf.seesaw_original_bell, 3), "chsh": (bf.seesaw_chsh, 4
 
 
 @pytest.mark.parametrize("functional", sorted(SEARCHES))
-@pytest.mark.parametrize("state", ["werner2", "werner3", "singlet"])
+@pytest.mark.parametrize("state", ["werner2", "werner3", "werner4", "singlet"])
 def test_stacked_restarts_match_independent_runs(functional, state):
-    """Restarts run as one stack equal the best of single-restart runs, lowest index on ties."""
+    """Restarts run as one stack equal the best of single-restart runs, lowest index on ties.
+
+    One GEMM over the whole stack would make a row's bits depend on the stack
+    height; the ``chsh`` cases on ``werner(3)`` and ``werner(4)`` catch that.
+    """
     search, _ = SEARCHES[functional]
-    rho = {"werner2": bf.werner(2), "werner3": bf.werner(3), "singlet": bf.singlet()}[state]
-    restarts, base_seed = 6, 0
+    rho, restarts = {
+        "werner2": (bf.werner(2), 6),
+        "werner3": (bf.werner(3), 6),
+        # the first six gap restarts on werner(4) all stop after two sweeps
+        "werner4": (bf.werner(4), 12),
+        "singlet": (bf.singlet(), 6),
+    }[state]
+    base_seed = 0
     stacked = search(rho, SeeSawConfig(restarts=restarts, base_seed=base_seed))
     singles = [search(rho, SeeSawConfig(restarts=1, base_seed=base_seed + r)) for r in range(restarts)]
     # restarts stop after different sweep counts, so each froze on its own
@@ -365,17 +446,31 @@ def test_seesaw_eigensolver_calls_do_not_grow_with_restarts(monkeypatch, functio
     assert stacked[5] == stacked[40]
 
 
+# Seeds at which the winner of 7 restarts on ``werner(3)`` ties a restart in another block of two.
+BLOCK_TIES = {
+    "original": SeeSawConfig(restarts=7, base_seed=32),
+    "chsh": SeeSawConfig(restarts=7, base_seed=3),
+}
+
+
 @pytest.mark.parametrize("functional", sorted(SEARCHES))
 def test_restart_blocks_match_one_stack(monkeypatch, functional):
     """Restarts run in blocks of two equal one stack bit for bit, and no stack outgrows a block.
 
-    At base seed 2 on ``werner(3)`` the gap ties between restarts 3 and 4,
-    which fall in different blocks, and both functionals' winners sit past
-    the first block, so the tie-break and the index offset are exercised.
+    On ``werner(3)`` each functional's winner ties a restart in another block,
+    and sits past the first block, so the tie-break and the index offset are
+    exercised; the single-restart scores check that premise.
     """
     search, _ = SEARCHES[functional]
     signs = 2 if functional == "original" else 1
-    cfg = SeeSawConfig(restarts=7, base_seed=2)
+    cfg = BLOCK_TIES[functional]
+    scores = [
+        search(bf.werner(3), SeeSawConfig(restarts=1, base_seed=cfg.base_seed + r)).best_value
+        for r in range(cfg.restarts)
+    ]
+    winner = max(range(cfg.restarts), key=scores.__getitem__)
+    assert winner >= 2
+    assert any(scores[r] == scores[winner] and r // 2 != winner // 2 for r in range(cfg.restarts))
     rows = []
 
     def recorded(m, f, _original=bell._spectral_map):
@@ -389,7 +484,7 @@ def test_restart_blocks_match_one_stack(monkeypatch, functional):
     monkeypatch.setattr(bell, "_RESTART_BLOCK", 2)
     blocked = search(bf.werner(3), cfg)
     assert max(rows) <= 2 * signs
-    assert blocked.restart_index == whole.restart_index == 3
+    assert blocked.restart_index == whole.restart_index == winner
     assert blocked.best_value == whole.best_value
     assert blocked.sweeps_used == whole.sweeps_used
     assert blocked.value_trace == whole.value_trace
