@@ -20,12 +20,15 @@ each stops at its own convergence test, so results equal running them one
 at a time.  Every contraction with the state is a batched matrix product:
 the state is reshaped once into two ``d² x d²`` matrices, and each
 observable of a stack is a ``1 x d²`` row multiplied by one of them on its
-own, so a row's bits do not depend on the height of the stack.
+own, so a row's bits do not depend on the height of the stack.  Each sweep
+forms each effective operator once and reads its correlations off Bob's, and
+a row's final score comes from its last sweep, with no re-evaluation pass.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -97,9 +100,9 @@ class SeeSawConfig:
     base_seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.restarts < 1:
+        if operator.index(self.restarts) < 1:
             raise ValueError(f"restarts must be positive, got {self.restarts}")
-        if self.base_seed < 0:
+        if operator.index(self.base_seed) < 0:
             raise ValueError(f"base_seed must be nonnegative, got {self.base_seed}")
 
 
@@ -153,27 +156,18 @@ def _raw_inputs(
     return _layouts(rho_mat, d), mats
 
 
-def _corr_raw(r: tuple[np.ndarray, np.ndarray], a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """``tr(rho (a x b))`` for matching matrices or ``(n, d, d)`` stacks of them."""
-    val = (_rows(a) @ r[1] @ _rows(b).swapaxes(-1, -2))[..., 0, 0]
+def _pair(n: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``tr(b n)`` for matching matrices or stacks of them, as ``(n, 1, d²) @ (n, d², 1)``."""
+    val = (n.reshape(*n.shape[:-2], 1, -1) @ _rows(b).swapaxes(-1, -2))[..., 0, 0]
     worst = np.max(np.abs(val.imag))
     if worst > 1e-10:
         raise ValueError(f"correlation has imaginary part {worst:.3e}")
     return val.real
 
 
-def _gap_raw(r: tuple, ja: np.ndarray, jb1: np.ndarray, jb2: np.ndarray) -> np.ndarray:
-    e1 = _corr_raw(r, ja, jb1)
-    e2 = _corr_raw(r, ja, jb2)
-    e3 = _corr_raw(r, jb1, jb2)
-    return abs(e1 - e2) - (1.0 - e3)
-
-
-def _chsh_raw(
-    r: tuple, a1: np.ndarray, a2: np.ndarray, b1: np.ndarray, b2: np.ndarray
-) -> np.ndarray:
-    """Signed CHSH combination E11 + E12 + E21 - E22."""
-    return _corr_raw(r, a1, b1) + _corr_raw(r, a1, b2) + _corr_raw(r, a2, b1) - _corr_raw(r, a2, b2)
+def _corr_raw(r: tuple[np.ndarray, np.ndarray], a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``tr(rho (a x b))`` for matching matrices or ``(n, d, d)`` stacks of them."""
+    return _pair(_bob_effective(r, a), b)
 
 
 def _alice_effective(r: tuple[np.ndarray, np.ndarray], b: np.ndarray) -> np.ndarray:
@@ -211,64 +205,70 @@ def original_bell_gap(
     observable ``jb1`` appears both as a second-side setting and as the
     shared first-side setting of the third correlation.
     """
-    r, mats = _raw_inputs(rho, (ja, jb1, jb2), ("a", "b1", "b2"))
-    return float(_gap_raw(r, *mats))
+    r, (ja, jb1, jb2) = _raw_inputs(rho, (ja, jb1, jb2), ("a", "b1", "b2"))
+    e1, e2, e3 = _corr_raw(r, ja, jb1), _corr_raw(r, ja, jb2), _corr_raw(r, jb1, jb2)
+    return float(abs(e1 - e2) - (1.0 - e3))
 
 
 def chsh_value(
     rho: DensityOperator, a1: Observable, a2: Observable, b1: Observable, b2: Observable
 ) -> float:
     """CHSH combination |E11 + E12 + E21 - E22|; values above 2 witness nonclassicality."""
-    r, mats = _raw_inputs(rho, (a1, a2, b1, b2), ("a1", "a2", "b1", "b2"))
-    return float(abs(_chsh_raw(r, *mats)))
+    r, (a1, a2, b1, b2) = _raw_inputs(rho, (a1, a2, b1, b2), ("a1", "a2", "b1", "b2"))
+    e11, e12, e21, e22 = (_corr_raw(r, a, b) for a in (a1, a2) for b in (b1, b2))
+    return float(abs(e11 + e12 + e21 - e22))
 
 
 def _original_sweep(r: tuple, s: np.ndarray, mats: list) -> tuple:
-    """One cyclic update of the gap's sign branches ``s`` and their linearized objectives."""
+    """One cyclic update of the gap's sign branches ``s``: observables, linearized values, gaps."""
     ja, jb1, jb2 = mats
-    ja = _spectral_map(s * (_alice_effective(r, jb1) - _alice_effective(r, jb2)), _signs)
-    jb1 = _spectral_map(s * _bob_effective(r, ja) + _alice_effective(r, jb2), _signs)
-    jb2 = _spectral_map(-s * _bob_effective(r, ja) + _bob_effective(r, jb1), _signs)
-    s = s[:, 0, 0]
-    value = s * (_corr_raw(r, ja, jb1) - _corr_raw(r, ja, jb2)) + _corr_raw(r, jb1, jb2) - 1.0
-    return (ja, jb1, jb2), value
+    m2 = _alice_effective(r, jb2)
+    ja = _spectral_map(s * (_alice_effective(r, jb1) - m2), _signs)
+    na = _bob_effective(r, ja)
+    jb1 = _spectral_map(s * na + m2, _signs)
+    n1 = _bob_effective(r, jb1)
+    jb2 = _spectral_map(-s * na + n1, _signs)
+    e1, e2, e3 = _pair(na, jb1), _pair(na, jb2), _pair(n1, jb2)
+    value = s[:, 0, 0] * (e1 - e2) + e3 - 1.0
+    return (ja, jb1, jb2), value, abs(e1 - e2) - (1.0 - e3)
 
 
 def _chsh_sweep(r: tuple, s: np.ndarray, mats: list) -> tuple:
-    """One cyclic update of the four CHSH observables (one branch, ``s`` unused) and their value."""
+    """One cyclic CHSH update (``s`` unused): observables, signed values and absolute values."""
     a1, a2, b1, b2 = mats
-    a1 = _spectral_map(_alice_effective(r, b1) + _alice_effective(r, b2), _signs)
-    a2 = _spectral_map(_alice_effective(r, b1) - _alice_effective(r, b2), _signs)
-    b1 = _spectral_map(_bob_effective(r, a1) + _bob_effective(r, a2), _signs)
-    b2 = _spectral_map(_bob_effective(r, a1) - _bob_effective(r, a2), _signs)
-    mats = (a1, a2, b1, b2)
-    return mats, _chsh_raw(r, *mats)
+    m1, m2 = _alice_effective(r, b1), _alice_effective(r, b2)
+    a1 = _spectral_map(m1 + m2, _signs)
+    a2 = _spectral_map(m1 - m2, _signs)
+    n1, n2 = _bob_effective(r, a1), _bob_effective(r, a2)
+    b1 = _spectral_map(n1 + n2, _signs)
+    b2 = _spectral_map(n1 - n2, _signs)
+    value = _pair(n1, b1) + _pair(n1, b2) + _pair(n2, b1) - _pair(n2, b2)
+    return (a1, a2, b1, b2), value, abs(value)
 
 
 def _seesaw_block(
-    r: tuple,
-    starts: np.ndarray,
-    signs: tuple[float, ...],
-    sweep: Callable,
-    final: Callable,
+    r: tuple, starts: np.ndarray, signs: tuple[float, ...], sweep: Callable
 ) -> tuple[float, int, list[np.ndarray], list[float]]:
     """The restarts from ``starts`` and their sign branches, advanced together as stacks.
 
     Row ``i`` runs branch ``signs[i % len(signs)]`` from the start observables
     ``starts[i // len(signs)]``, on the state's layouts ``r``.
-    ``sweep(r, s, mats)`` updates the given rows and returns their values.  A
-    row freezes after ``_MAX_SWEEPS`` sweeps or a gain below ``_CONVERGENCE_EPS``,
-    so it ends as it would alone.  Returns the largest ``final(r, *mats)`` (ties
-    go to the lowest row), its row, its observables and its value trace.
+    ``sweep(r, s, mats)`` updates the given rows, forming each effective operator
+    once, and returns their observables, values and scores, all read off those
+    operators.  A row freezes after ``_MAX_SWEEPS`` sweeps or a gain below
+    ``_CONVERGENCE_EPS``, so it ends as it would alone; its score is its last
+    sweep's, with no re-evaluation pass.  Returns the largest score (ties go to
+    the lowest row), its row, its observables and its value trace.
     """
     mats = [np.repeat(starts[:, k], len(signs), axis=0) for k in range(starts.shape[1])]
     s = np.tile(signs, len(starts))[:, None, None]
 
     last = np.full(len(s), -math.inf)
+    scores = np.empty(len(s))
     history = []  # (active rows, their values) of every sweep
     rows = np.arange(len(s))
     for _ in range(_MAX_SWEEPS):
-        updated, values = sweep(r, s[rows], [m[rows] for m in mats])
+        updated, values, scores[rows] = sweep(r, s[rows], [m[rows] for m in mats])
         for m, new in zip(mats, updated):
             m[rows] = new
         history.append((rows, values))
@@ -278,7 +278,6 @@ def _seesaw_block(
         if not rows.size:
             break
 
-    scores = final(r, *mats)
     best = int(np.argmax(scores))
     trace = np.concatenate([values[rows == best] for rows, values in history]).tolist()
     return float(scores[best]), best, [m[best] for m in mats], trace
@@ -290,7 +289,6 @@ def _seesaw(
     labels: tuple[str, ...],
     signs: tuple[float, ...],
     sweep: Callable,
-    final: Callable,
 ) -> OptimizationResult:
     """Every restart of a see-saw, run in consecutive blocks of ``_RESTART_BLOCK``.
 
@@ -304,7 +302,7 @@ def _seesaw(
     best = None
     for first in range(cfg.base_seed, end, _RESTART_BLOCK):
         starts = _draw_observables(d, range(first, min(first + _RESTART_BLOCK, end)), len(labels))
-        score, row, mats, trace = _seesaw_block(r, starts, signs, sweep, final)
+        score, row, mats, trace = _seesaw_block(r, starts, signs, sweep)
         if best is None or score > best[0]:
             best = (score, first - cfg.base_seed + row // len(signs), mats, trace)
     score, restart, mats, trace = best
@@ -331,7 +329,7 @@ def seesaw_original_bell(
     ``base_seed + r``, and ties across restarts resolve to the lowest
     restart index, so results are reproducible.
     """
-    return _seesaw(rho, cfg, ("a", "b1", "b2"), (1.0, -1.0), _original_sweep, _gap_raw)
+    return _seesaw(rho, cfg, ("a", "b1", "b2"), (1.0, -1.0), _original_sweep)
 
 
 def seesaw_chsh(rho: DensityOperator, cfg: SeeSawConfig = SeeSawConfig()) -> OptimizationResult:
@@ -342,17 +340,18 @@ def seesaw_chsh(rho: DensityOperator, cfg: SeeSawConfig = SeeSawConfig()) -> Opt
     monotonically.  Restart seeding and tie-breaking match
     :func:`seesaw_original_bell`.
     """
-    return _seesaw(
-        rho, cfg, ("a1", "a2", "b1", "b2"), (1.0,), _chsh_sweep, lambda *a: abs(_chsh_raw(*a))
-    )
+    return _seesaw(rho, cfg, ("a1", "a2", "b1", "b2"), (1.0,), _chsh_sweep)
 
 
 def horodecki_chsh_oracle(rho: DensityOperator) -> float:
-    """Closed-form maximal CHSH value of a two-qubit state.
+    """Closed-form CHSH maximum of a two-qubit state over traceless spin observables.
 
     Builds the 3x3 correlation matrix T with entries tr(rho (sigma_i x
     sigma_j)) over the Pauli basis and returns 2 sqrt(u1 + u2), where u1
-    and u2 are the two largest eigenvalues of T^T T.
+    and u2 are the two largest eigenvalues of T^T T.  Identity observables
+    alone reach 2, so over all norm-one observables the maximum is
+    ``max(2, value)`` when both local Bloch vectors vanish (Werner states,
+    the singlet, Bell-diagonal states), and may exceed it otherwise.
     """
     rho_mat, d = _check_state(rho)
     if d != 2:

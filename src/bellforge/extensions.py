@@ -396,7 +396,7 @@ def dykstra_find_extension(
     """
     d = pattern.local_dim
     _check_local_dim(d)
-    if max_iters < 1:
+    if operator.index(max_iters) < 1:
         raise ValueError(f"max_iters must be positive, got {max_iters}")
     if not 0.0 < tol < math.inf:
         raise ValueError(f"tol must be finite and positive, got {tol}")

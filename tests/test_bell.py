@@ -294,6 +294,13 @@ def test_seesaw_config_validation():
         SeeSawConfig(base_seed=-3)
 
 
+@pytest.mark.parametrize("field", ["restarts", "base_seed"])
+def test_seesaw_config_rejects_non_integers(field):
+    with pytest.raises(TypeError):
+        SeeSawConfig(**{field: 2.5})
+    assert getattr(SeeSawConfig(**{field: np.int64(2)}), field) == 2
+
+
 def test_seesaw_rejects_large_dimension():
     with pytest.raises(ValueError, match="outside"):
         bf.seesaw_original_bell(maximally_mixed(7), SeeSawConfig(restarts=1))
@@ -491,3 +498,165 @@ def test_restart_blocks_match_one_stack(monkeypatch, functional):
     for a, b in zip(blocked.observables, whole.observables):
         assert a.label == b.label
         np.testing.assert_array_equal(a.op.entries, b.op.entries)
+
+
+# ----------------------------------------------------------- reference sweeps
+# The sweeps as they were before each effective operator was formed once per
+# sweep: every correlation was its own contraction with the state, and a row's
+# score came from a separate pass over its final observables.
+
+
+def reference_corr(r: tuple, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    val = (bell._rows(a) @ r[1] @ bell._rows(b).swapaxes(-1, -2))[..., 0, 0]
+    worst = np.max(np.abs(val.imag))
+    if worst > 1e-10:
+        raise ValueError(f"correlation has imaginary part {worst:.3e}")
+    return val.real
+
+
+def reference_gap(r: tuple, ja: np.ndarray, jb1: np.ndarray, jb2: np.ndarray) -> np.ndarray:
+    e1 = reference_corr(r, ja, jb1)
+    e2 = reference_corr(r, ja, jb2)
+    e3 = reference_corr(r, jb1, jb2)
+    return abs(e1 - e2) - (1.0 - e3)
+
+
+def reference_chsh(r: tuple, a1, a2, b1, b2) -> np.ndarray:
+    corr = reference_corr
+    return corr(r, a1, b1) + corr(r, a1, b2) + corr(r, a2, b1) - corr(r, a2, b2)
+
+
+def reference_original_sweep(r: tuple, s: np.ndarray, mats) -> tuple:
+    alice, bob, sign = bell._alice_effective, bell._bob_effective, bell._signs
+    ja, jb1, jb2 = mats
+    ja = bell._spectral_map(s * (alice(r, jb1) - alice(r, jb2)), sign)
+    jb1 = bell._spectral_map(s * bob(r, ja) + alice(r, jb2), sign)
+    jb2 = bell._spectral_map(-s * bob(r, ja) + bob(r, jb1), sign)
+    s = s[:, 0, 0]
+    corr = reference_corr
+    value = s * (corr(r, ja, jb1) - corr(r, ja, jb2)) + corr(r, jb1, jb2) - 1.0
+    return (ja, jb1, jb2), value
+
+
+def reference_chsh_sweep(r: tuple, s: np.ndarray, mats) -> tuple:
+    alice, bob, sign = bell._alice_effective, bell._bob_effective, bell._signs
+    a1, a2, b1, b2 = mats
+    a1 = bell._spectral_map(alice(r, b1) + alice(r, b2), sign)
+    a2 = bell._spectral_map(alice(r, b1) - alice(r, b2), sign)
+    b1 = bell._spectral_map(bob(r, a1) + bob(r, a2), sign)
+    b2 = bell._spectral_map(bob(r, a1) - bob(r, a2), sign)
+    mats = (a1, a2, b1, b2)
+    return mats, reference_chsh(r, *mats)
+
+
+# functional: (reference sweep, reference score, sweep, sign branches)
+REFERENCE = {
+    "original": (reference_original_sweep, reference_gap, bell._original_sweep, (1.0, -1.0)),
+    "chsh": (reference_chsh_sweep, lambda *m: abs(reference_chsh(*m)), bell._chsh_sweep, (1.0,)),
+}
+LABELS = {"original": ("a", "b1", "b2"), "chsh": ("a1", "a2", "b1", "b2")}
+
+
+def sweep_inputs(d: int, signs: tuple[float, ...], count: int) -> tuple[np.ndarray, list]:
+    """Six rows alternating over the sign branches, with the see-saw's start observables."""
+    starts = bell._draw_observables(d, range(6), count)
+    s = np.tile(signs, 6 // len(signs))[:, None, None]
+    return s, [starts[:, k].copy() for k in range(count)]
+
+
+def state_matrix(kind: str, d: int) -> np.ndarray:
+    return bf.werner(d).op.entries if kind == "werner" else random_density_matrix(d, seed=80 + d)
+
+
+@pytest.mark.parametrize("kind", ["werner", "random"])
+@pytest.mark.parametrize("d", [2, 3, 4, 5, 6])
+@pytest.mark.parametrize("functional", sorted(REFERENCE))
+def test_sweeps_match_reference_bit_for_bit(functional, d, kind):
+    """Three sweeps from the same starts give the reference's observables, values and scores,
+    on the real ``werner(d)`` and on a random complex state, both gap branches included."""
+    reference_sweep, reference_score, sweep, signs = REFERENCE[functional]
+    r = bell._layouts(state_matrix(kind, d), d)
+    s, mats = sweep_inputs(d, signs, len(LABELS[functional]))
+    expected = mats
+    for _ in range(3):
+        mats, values, scores = sweep(r, s, mats)
+        expected, expected_values = reference_sweep(r, s, expected)
+        for m, e in zip(mats, expected, strict=True):
+            np.testing.assert_array_equal(m, e)
+        np.testing.assert_array_equal(values, expected_values)
+        np.testing.assert_array_equal(scores, reference_score(r, *expected))
+
+
+@pytest.mark.parametrize("kind", ["werner", "random"])
+@pytest.mark.parametrize("functional", sorted(REFERENCE))
+def test_seesaw_results_match_reference(functional, kind):
+    """Whole searches on the reference sweeps, each row scored by a pass over its final
+    observables, give the same result bit for bit."""
+    reference_sweep, reference_score, _, signs = REFERENCE[functional]
+    d = 4
+    rho = bf.DensityOperator(TensorOperator(state_matrix(kind, d), (d, d)))
+    cfg = SeeSawConfig(restarts=12, base_seed=3)
+
+    def scored(r, s, mats):
+        updated, values = reference_sweep(r, s, mats)
+        return updated, values, reference_score(r, *updated)
+
+    expected = bell._seesaw(rho, cfg, LABELS[functional], signs, scored)
+    result = SEARCHES[functional][0](rho, cfg)
+    assert result.best_value == expected.best_value
+    assert result.restart_index == expected.restart_index
+    assert result.sweeps_used == expected.sweeps_used
+    assert result.value_trace == expected.value_trace
+    for a, b in zip(result.observables, expected.observables, strict=True):
+        assert a.label == b.label
+        np.testing.assert_array_equal(a.op.entries, b.op.entries)
+
+
+@pytest.mark.parametrize("functional", sorted(REFERENCE))
+def test_sweep_forms_each_effective_operator_once(monkeypatch, functional):
+    """A sweep of either functional forms two effective operators for each side."""
+    _, _, sweep, signs = REFERENCE[functional]
+    calls = []
+    for name in ("_alice_effective", "_bob_effective"):
+
+        def counted(r, m, _name=name, _original=getattr(bell, name)):
+            calls.append(_name)
+            return _original(r, m)
+
+        monkeypatch.setattr(bell, name, counted)
+    s, mats = sweep_inputs(3, signs, len(LABELS[functional]))
+    sweep(bell._layouts(bf.werner(3).op.entries, 3), s, mats)
+    assert sorted(calls) == ["_alice_effective"] * 2 + ["_bob_effective"] * 2
+
+
+# ------------------------------------------------------- oracle cross-check
+
+BELL_BASIS = np.array([[1, 0, 0, 1], [1, 0, 0, -1], [0, 1, 1, 0], [0, 1, -1, 0]]) / math.sqrt(2.0)
+
+
+def random_unitary(rng: np.random.Generator) -> np.ndarray:
+    q, r = np.linalg.qr(rng.standard_normal((2, 2)) + 1.0j * rng.standard_normal((2, 2)))
+    return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
+def test_seesaw_chsh_meets_horodecki_oracle_on_zero_marginal_states():
+    """Bell-diagonal states turned by random local unitaries are complex and have vanishing
+    local Bloch vectors, so the maximum over all norm-one observables is ``max(2, oracle)``."""
+    rng = np.random.default_rng(13)
+    oracles, gaps = [], []
+    for _ in range(60):
+        u = np.kron(random_unitary(rng), random_unitary(rng))
+        m = u @ (BELL_BASIS.T * rng.dirichlet(np.ones(4))) @ BELL_BASIS @ u.conj().T
+        rho = bf.DensityOperator(TensorOperator((m + m.conj().T) / 2.0, (2, 2)))
+        for j in (1, 2):
+            marginal = bf.partial_trace(rho.op, j).entries
+            np.testing.assert_allclose(marginal, np.eye(2) / 2.0, rtol=0.0, atol=1e-14)
+        oracles.append(bf.horodecki_chsh_oracle(rho))
+        value = bf.seesaw_chsh(rho, SeeSawConfig(restarts=20, base_seed=0)).best_value
+        gaps.append(value - max(2.0, oracles[-1]))
+    # both sides of the classical value occur
+    assert min(oracles) < 2.0 < max(oracles) - 0.2
+    assert np.iscomplexobj(m) and np.abs(m.imag).max() > 0.1
+    assert min(gaps) >= -1e-5
+    assert max(gaps) <= 1e-12
+

@@ -529,6 +529,15 @@ def test_dykstra_rejects_bad_iteration_count():
         bf.dykstra_find_extension(bf.pattern_right2(w), max_iters=0, tol=1e-6)
 
 
+def test_dykstra_rejects_non_integer_iteration_count(monkeypatch):
+    """A float cycle count fails before the weight sectors are found, not inside the loop."""
+    found = []
+    monkeypatch.setattr(bf.extensions, "_weight_sectors", lambda *args: found.append(args))
+    with pytest.raises(TypeError):
+        bf.dykstra_find_extension(bf.pattern_right2(bf.werner(2)), max_iters=2.5, tol=1e-6)
+    assert not found
+
+
 def dense_ptrace(m: np.ndarray, d: int, j: int) -> np.ndarray:
     return np.trace(m.reshape((d,) * 6), axis1=j - 1, axis2=j + 2).reshape(d * d, d * d)
 

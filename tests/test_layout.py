@@ -1,5 +1,6 @@
 """Source-layout guards: one spectral kernel, one owner of the dimension range, no thread pools,
-and a public surface trimmed to what the solvers, the CLI and the benchmark call."""
+the see-saw's state layouts multiplied only by its two effective-operator functions, and a public
+surface trimmed to what the solvers, the CLI and the benchmark call."""
 
 from __future__ import annotations
 
@@ -79,6 +80,28 @@ def test_dimension_range_lives_in_states():
     ]
     assert not stray, f"MIN_LOCAL_DIM / MAX_LOCAL_DIM outside states.py: {stray}"
     assert _local_dim_uses(modules["states.py"])
+
+
+def _layout_uses(tree: ast.Module) -> list[str]:
+    """Enclosing top-level name of every ``r[0]`` and ``r[1]``: in ``bell.py``, ``r`` always
+    names the pair of ``d² x d²`` layouts of the state that ``bell._layouts`` returns."""
+    return [
+        getattr(top, "name", "<module>")
+        for top in tree.body
+        for node in ast.walk(top)
+        if isinstance(node, ast.Subscript)
+        and isinstance(node.value, ast.Name)
+        and node.value.id == "r"
+        and isinstance(node.slice, ast.Constant)
+        and node.slice.value in (0, 1)
+    ]
+
+
+def test_layouts_are_multiplied_only_by_the_effective_operators():
+    """Every contraction with the state forms an effective operator; correlations are read off
+    those, so each sweep multiplies by the layouts once per effective operator."""
+    owners = _layout_uses(dict(_modules())["bell.py"])
+    assert sorted(owners) == ["_alice_effective", "_bob_effective"]
 
 
 def test_no_thread_pools():
