@@ -180,14 +180,16 @@ def _bob_effective(r: tuple[np.ndarray, np.ndarray], a: np.ndarray) -> np.ndarra
     return (_rows(a) @ r[1]).reshape(a.shape)
 
 
-def _draw_observables(d: int, seeds: Sequence[int], count: int) -> np.ndarray:
+def _draw_observables(d: int, seeds: Sequence[int], count: int, unread: int = 0) -> np.ndarray:
     """``count`` observables per seed's stream, as a ``(len(seeds), count, d, d)`` array.
 
     One draw per stream yields, matrix by matrix, the real and then the imaginary Gaussian
-    parts; they are clamped to [-1, 1] by one stacked spectral map.
-    """
+    parts; one stacked spectral map clamps them to [-1, 1], but for the first ``unread``
+    of each stream, which a sweep overwrites before it reads them."""
     g = np.array([np.random.default_rng(seed).standard_normal((count, 2, d, d)) for seed in seeds])
-    return _spectral_map(g[:, :, 0] + 1.0j * g[:, :, 1], lambda vals: np.clip(vals, -1.0, 1.0))
+    z = g[:, :, 0] + 1.0j * g[:, :, 1]
+    z[:, unread:] = _spectral_map(z[:, unread:], lambda vals: np.clip(vals, -1.0, 1.0))
+    return z
 
 
 def correlation(rho: DensityOperator, a: Observable, b: Observable) -> float:
@@ -220,7 +222,8 @@ def chsh_value(
 
 
 def _original_sweep(r: tuple, s: np.ndarray, mats: list) -> tuple:
-    """One cyclic update of the gap's sign branches ``s``: observables, linearized values, gaps."""
+    """One cyclic update of the gap's sign branches ``s`` from ``jb1`` and ``jb2`` (``ja`` is
+    not read): observables, linearized values, gaps."""
     ja, jb1, jb2 = mats
     m2 = _alice_effective(r, jb2)
     ja = _spectral_map(s * (_alice_effective(r, jb1) - m2), _signs)
@@ -234,7 +237,8 @@ def _original_sweep(r: tuple, s: np.ndarray, mats: list) -> tuple:
 
 
 def _chsh_sweep(r: tuple, s: np.ndarray, mats: list) -> tuple:
-    """One cyclic CHSH update (``s`` unused): observables, signed values and absolute values."""
+    """One cyclic CHSH update from ``b1`` and ``b2`` (``a1``, ``a2`` and ``s`` are not read):
+    observables, signed values and absolute values."""
     a1, a2, b1, b2 = mats
     m1, m2 = _alice_effective(r, b1), _alice_effective(r, b2)
     a1 = _spectral_map(m1 + m2, _signs)
@@ -301,7 +305,8 @@ def _seesaw(
     end = cfg.base_seed + cfg.restarts
     best = None
     for first in range(cfg.base_seed, end, _RESTART_BLOCK):
-        starts = _draw_observables(d, range(first, min(first + _RESTART_BLOCK, end)), len(labels))
+        seeds = range(first, min(first + _RESTART_BLOCK, end))
+        starts = _draw_observables(d, seeds, len(labels), unread=len(labels) - 2)
         score, row, mats, trace = _seesaw_block(r, starts, signs, sweep)
         if best is None or score > best[0]:
             best = (score, first - cfg.base_seed + row // len(signs), mats, trace)

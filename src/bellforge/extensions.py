@@ -35,12 +35,9 @@ A target with exact zeros at every entry ``(ab, cd)`` with
 ``sorted(ab) != sorted(cd)`` satisfies ``(D x D) rho (D x D)^H = rho`` for
 every D.  Then each marginal set, and the density set, is invariant under
 ``D x D x D``, and so are Dykstra's iterates and correction terms.  They lie
-in the commutant of those phases, which is block-diagonal over weight
-sectors: the basis states ``|abc>`` that share the multiset ``{a, b, c}``,
-in blocks of 1, 3 or 6 states at every d.  Every state this package names
-has that structure.  This is the symmetry reduction of Gatermann & Parrilo,
-J. Pure Appl. Algebra 192, 95 (2004), applied to the torus inside the
-``U x U`` symmetry of Werner states (Eggeling & Werner, PRA 63, 042111 (2001)).
+in the commutant of those phases, which is block-diagonal over the weight
+sectors that ``linalg`` defines (blocks of 1, 3 or 6 states at every d).
+Every state this package names has that structure.
 
 The search therefore stores only the block entries (996 of 46 656 at d = 6):
 the iterate, the density correction and a certificate's combined operator
@@ -59,7 +56,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import PSD_TOL, TensorOperator, _eigenvalues, _eigh, _hermitian_part, _ptrace
+from .linalg import (
+    PSD_TOL, TensorOperator, _eigenvalues, _eigh, _hermitian_part, _multisets, _ptrace, _sectors
+)
 from .states import DensityOperator, _bipartite_dim, _check_local_dim
 
 __all__ = [
@@ -188,23 +187,12 @@ def _project_simplex(vals: np.ndarray) -> np.ndarray:
 
 
 def _weight_sectors(d: int, targets: tuple[tuple[int, np.ndarray], ...]) -> tuple[np.ndarray, ...]:
-    """Basis indices of the diagonal blocks of every iterate: one ``(blocks, size)`` array per size.
-
-    The blocks are the weight sectors if every target is exactly zero between bipartite
-    basis states of different digit multisets, and the whole ``d**3`` basis otherwise.
-    """
-    # Digit a weighs 4**a; with at most three digits, the sum encodes the multiset.
-    weight = 4 ** np.arange(d)
-    pair = (weight[:, None] + weight[None, :]).ravel()
+    """The diagonal blocks of every iterate: the weight sectors if every target is exactly
+    zero between pairs of different digit multisets, and the whole basis otherwise."""
+    pair = _multisets(d, 2)
     if any(target[pair[:, None] != pair[None, :]].any() for _, target in targets):
         return (np.arange(d**3)[None, :],)
-    triple = (pair[:, None] + weight[None, :]).ravel()
-    order = np.argsort(triple, kind="stable")
-    _, starts, sizes = np.unique(triple[order], return_index=True, return_counts=True)
-    by_size: dict[int, list[np.ndarray]] = {}
-    for start, size in zip(starts, sizes):
-        by_size.setdefault(int(size), []).append(order[start : start + size])
-    return tuple(np.array(by_size[size]) for size in sorted(by_size))
+    return _sectors(d)
 
 
 @dataclass(frozen=True, eq=False)
@@ -273,14 +261,9 @@ def _chunks(v: np.ndarray, layout: _Layout) -> list[np.ndarray]:
 
 
 def _lowest_eigenvalue(v: np.ndarray, layout: _Layout) -> float:
-    """Lowest eigenvalue of the Hermitian part of the matrix whose block entries are ``v``.
-
-    It is exact: the matrix has no entry outside its blocks.  A 1x1 block's eigenvalue is
-    the real part of its entry, and each larger block size is one stacked eigensolve.
-    """
-    return min(
-        float((c.real if c.shape[1] == 1 else _eigenvalues(c)).min()) for c in _chunks(v, layout)
-    )
+    """Lowest eigenvalue of the Hermitian part of the matrix whose block entries are ``v``;
+    exact, as the matrix has no entry outside its blocks, with one stacked solve per size."""
+    return min(float(_eigenvalues(c).min()) for c in _chunks(v, layout))
 
 
 def _project_density(v: np.ndarray, layout: _Layout) -> np.ndarray:
@@ -289,9 +272,7 @@ def _project_density(v: np.ndarray, layout: _Layout) -> np.ndarray:
     Each block size is one stacked eigensolve (none for 1x1 blocks, whose eigenvalue is
     the real part of the entry), and the simplex projection sees the joint spectrum.
     """
-    spectra = [
-        (c[:, 0].real, np.ones_like(c)) if c.shape[1] == 1 else _eigh(c) for c in _chunks(v, layout)
-    ]
+    spectra = [_eigh(c) for c in _chunks(v, layout)]
     joint = _project_simplex(np.concatenate([vals.ravel() for vals, _ in spectra]))
     out, offset = np.empty_like(v), 0
     for (start, stop, _), (vals, vecs) in zip(layout.chunks, spectra):

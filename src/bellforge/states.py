@@ -4,7 +4,9 @@ The bipartite objects live on C^d (x) C^d: the flip (swap) operator, the
 antisymmetric projector, and the Werner state built from it.  The
 tripartite objects live on C^d (x) C^d (x) C^d: signed permutation
 operators, the three-factor antisymmetrizer, and the two source-operator
-families whose partial traces reproduce Werner states.
+families whose partial traces reproduce Werner states.  Density operators
+are validated by ``density_deficits``, whose spectral check runs, exactly, in
+real arithmetic for real operators and by weight sector for three-factor ones.
 """
 
 from __future__ import annotations
@@ -76,7 +78,7 @@ def density_deficits(t: TensorOperator) -> tuple[float, float, float]:
     Frobenius asymmetry, ``|tr t - 1|``, and the magnitude of the most
     negative eigenvalue of the symmetrized matrix (0 when PSD).
     """
-    return (_asymmetry(t.entries), *_density_defects(t.entries))
+    return (_asymmetry(t.entries), *_density_defects(t.entries, t.factor_dims))
 
 
 @dataclass(frozen=True, eq=False)

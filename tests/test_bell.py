@@ -101,6 +101,62 @@ def test_random_observable_mean_is_centered():
     assert np.max(np.abs(mean)) <= 5.0 / math.sqrt(n)
 
 
+@pytest.mark.parametrize("unread", [1, 2])
+@pytest.mark.parametrize("d", [2, 3, 6])
+def test_unread_draws_keep_the_stream_and_the_read_starts(d, unread):
+    """Leaving the first starts unclamped changes neither the draw nor the clamped starts."""
+    seeds = range(40)
+    full = bell._draw_observables(d, seeds, unread + 2)
+    partial = bell._draw_observables(d, seeds, unread + 2, unread=unread)
+    np.testing.assert_array_equal(partial[:, unread:], full[:, unread:])
+    raw = np.array([np.random.default_rng(s).standard_normal((unread, 2, d, d)) for s in seeds])
+    np.testing.assert_array_equal(partial[:, :unread], raw[:, :, 0] + 1.0j * raw[:, :, 1])
+
+
+SEESAWS = {"original": bf.seesaw_original_bell, "chsh": bf.seesaw_chsh}
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 5, 6])
+@pytest.mark.parametrize("functional", sorted(SEESAWS))
+def test_seesaw_never_reads_the_unclamped_starts(monkeypatch, functional, d):
+    """A sweep overwrites ``a`` (``a1``, ``a2``) before it reads it: NaN there changes no bit."""
+    cfg = SeeSawConfig(restarts=8, base_seed=4)
+    expected = SEESAWS[functional](bf.werner(d), cfg)
+    poisoned = []
+
+    def draw(*args, _original=bell._draw_observables, **kwargs):
+        starts = _original(*args, **kwargs)
+        starts[:, :-2] = np.nan
+        poisoned.append(starts.shape)
+        return starts
+
+    monkeypatch.setattr(bell, "_draw_observables", draw)
+    got = SEESAWS[functional](bf.werner(d), cfg)
+    assert poisoned
+    assert got.best_value == expected.best_value
+    assert (got.sweeps_used, got.restart_index) == (expected.sweeps_used, expected.restart_index)
+    assert got.value_trace == expected.value_trace
+    for a, b in zip(got.observables, expected.observables, strict=True):
+        assert a.label == b.label
+        np.testing.assert_array_equal(a.op.entries, b.op.entries)
+
+
+@pytest.mark.parametrize("functional", sorted(SEESAWS))
+def test_seesaw_clamps_only_the_starts_it_reads(monkeypatch, functional):
+    """50 restarts clamp 100 start observables, ``b1`` and ``b2`` of each, for either functional."""
+    clamped = 0
+
+    def spectral_map(m, f, _original=bell._spectral_map):
+        nonlocal clamped
+        if f is not bell._signs:
+            clamped += math.prod(m.shape[:-2])
+        return _original(m, f)
+
+    monkeypatch.setattr(bell, "_spectral_map", spectral_map)
+    SEESAWS[functional](bf.werner(3), SeeSawConfig(restarts=50))
+    assert clamped == 100
+
+
 # ------------------------------------------------------------------ correlation
 
 

@@ -380,6 +380,22 @@ def test_every_entry_point_reports_the_supported_range(capsys, tmp_path, entry):
     assert "outside 2..6" in message
 
 
+def test_verify_solves_three_factor_operators_by_weight_sector(monkeypatch, capsys):
+    """``verify --d 6`` checks the 216-sided source operator block by block, in blocks of 3
+    and 6 states (1x1 blocks need no solve), and the 36-sided Werner state as one block."""
+    sides = []
+    for name in ("eigvalsh", "eigh"):
+
+        def spy(m, *args, _original=getattr(np.linalg, name), **kwargs):
+            sides.append(m.shape[-1])
+            return _original(m, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, spy)
+    code, report, _ = run_cli(capsys, ["verify", "--d", "6", "--quiet"])
+    assert code == 0 and report["results"]["source_negativity"]["pass"]
+    assert sorted(set(sides)) == [3, 6, 36]
+
+
 # ----------------------------------------------------------------------- misc
 
 

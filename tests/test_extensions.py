@@ -658,6 +658,54 @@ def test_benchmark_searches_keep_their_outcomes(case):
     assert (result.stop_reason, result.iterations) == (reason, cycles)
 
 
+def reference_weight_sectors(d: int, targets) -> tuple[np.ndarray, ...]:
+    """The weight sectors as ``extensions`` grouped them itself, before ``linalg`` owned them."""
+    weight = 4 ** np.arange(d)
+    pair = (weight[:, None] + weight[None, :]).ravel()
+    if any(target[pair[:, None] != pair[None, :]].any() for _, target in targets):
+        return (np.arange(d**3)[None, :],)
+    triple = (pair[:, None] + weight[None, :]).ravel()
+    order = np.argsort(triple, kind="stable")
+    _, starts, sizes = np.unique(triple[order], return_index=True, return_counts=True)
+    by_size: dict[int, list[np.ndarray]] = {}
+    for start, size in zip(starts, sizes):
+        by_size.setdefault(int(size), []).append(order[start : start + size])
+    return tuple(np.array(by_size[size]) for size in sorted(by_size))
+
+
+@pytest.mark.parametrize("conserving", [True, False])
+@pytest.mark.parametrize("d", [2, 3, 4, 5, 6])
+def test_weight_sectors_keep_the_reference_layout(d, conserving):
+    """Built on ``linalg``'s sectors, the layout equals the reference's entry for entry."""
+    targets = raw_targets(bf.pattern_sym3(bf.werner(d)))
+    if not conserving:
+        mixed = np.eye(d * d) / (d * d)
+        mixed[0, 1] = mixed[1, 0] = 0.01  # |00> and |01> hold different multisets
+        targets = ((3, mixed),)
+    ours = _layout(d, _weight_sectors(d, targets))
+    reference = _layout(d, reference_weight_sectors(d, targets))
+    assert is_one_block(_weight_sectors(d, targets), d) is not conserving
+    assert (ours.d, ours.chunks) == (reference.d, reference.chunks)
+    pairs = [(ours.rows, reference.rows), (ours.cols, reference.cols)]
+    pairs += [(ours.diagonal, reference.diagonal)]
+    pairs += [p for a, b in zip(ours.traced, reference.traced, strict=True) for p in zip(a, b)]
+    for a, b in pairs:
+        assert a.dtype == b.dtype
+        np.testing.assert_array_equal(a, b)
+
+
+@pytest.mark.parametrize("case", sorted(BENCHMARK_SEARCHES))
+def test_benchmark_searches_match_reference_sectors_bit_for_bit(monkeypatch, case):
+    """The 7 benchmark searches run on the same blocks as before ``linalg`` owned them."""
+    pattern = BENCHMARK_SEARCHES[case][0]()
+    ours = bf.dykstra_find_extension(pattern, max_iters=5000, tol=1e-6)
+    monkeypatch.setattr(extensions, "_weight_sectors", reference_weight_sectors)
+    reference = bf.dykstra_find_extension(pattern, max_iters=5000, tol=1e-6)
+    assert (ours.stop_reason, ours.iterations) == (reference.stop_reason, reference.iterations)
+    assert ours.residual == reference.residual
+    np.testing.assert_array_equal(ours.candidate.entries, reference.candidate.entries)
+
+
 @pytest.mark.parametrize("case", sorted(DUAL_CASES))
 def test_bipartite_duals_match_full_corrections(case):
     """The block-entry search with duals ``Y_j`` runs the same search as dense textbook Dykstra."""

@@ -57,6 +57,19 @@ def test_guard_sees_the_exempt_oracle():
     assert _eig_uses(uses["linalg.py"])
 
 
+def test_eigvalsh_has_one_caller_in_linalg():
+    """Every eigenvalue-only solve in ``linalg`` runs in ``_eigenvalues``, which the spectral
+    kernel and Dykstra's blockwise ``lambda_min`` both call."""
+    tree = dict(_modules())["linalg.py"]
+    owners = [
+        top.name
+        for top in tree.body
+        for node in ast.walk(top)
+        if isinstance(node, ast.Attribute) and node.attr == "eigvalsh"
+    ]
+    assert owners == ["_eigenvalues"]
+
+
 def _local_dim_uses(tree: ast.Module) -> list[int]:
     """Lines that name ``MIN_LOCAL_DIM`` or ``MAX_LOCAL_DIM``, imports included."""
     found = []

@@ -7,6 +7,7 @@ import itertools
 import numpy as np
 import pytest
 
+import bellforge as bf
 from bellforge import linalg as la
 from bellforge.extensions import (
     _layout,
@@ -459,3 +460,62 @@ def test_save_and_load_operator(tmp_path):
     back = la.load_operator(path)
     assert back.factor_dims == (3,)
     np.testing.assert_array_equal(back.entries, t.entries)
+
+
+# ------------------------------------------------------------ spectral kernel
+
+
+def eig_spy(monkeypatch) -> list[tuple[int, str]]:
+    """Record ``(side, dtype kind)`` of every matrix that ``eigvalsh`` or ``eigh`` is given."""
+    solved = []
+    for name in ("eigvalsh", "eigh"):
+
+        def spy(m, *args, _original=getattr(np.linalg, name), **kwargs):
+            solved.append((m.shape[-1], m.dtype.kind))
+            return _original(m, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, spy)
+    return solved
+
+
+def random_real_symmetric(rng: np.random.Generator, dims: tuple[int, ...]) -> la.TensorOperator:
+    return la.TensorOperator(random_hermitian(rng, dims).entries.real, dims)
+
+
+# name: (operator, side of the largest matrix solved, dtype kind of the solves)
+KERNEL_CASES = {
+    **{f"werner{d}": (lambda d=d: bf.werner(d).op, d * d, "f") for d in range(2, 7)},
+    "singlet": (lambda: bf.singlet().op, 4, "f"),
+    "dso_two_qubit": (lambda: bf.dso_two_qubit().op, 3, "f"),
+    **{f"dso_general{d}": (lambda d=d: bf.dso_general(d).op, 6, "f") for d in range(3, 7)},
+    "conserving-complex": (
+        lambda: la.TensorOperator(sector_hermitian(np.random.default_rng(31), 4, False), (4,) * 3),
+        6,
+        "c",
+    ),
+    "non-conserving-real": (
+        lambda: random_real_symmetric(np.random.default_rng(32), (3, 3, 3)), 27, "f"
+    ),
+    "non-conserving-complex": (
+        lambda: random_hermitian(np.random.default_rng(33), (3, 3, 3)), 27, "c"
+    ),
+    "non-conserving-bipartite": (
+        lambda: random_hermitian(np.random.default_rng(34), (3, 3)), 9, "c"
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(KERNEL_CASES))
+def test_spectrum_matches_dense_complex_solve(monkeypatch, case):
+    """Real and blockwise solves give the spectrum of the dense complex solve, and a matrix
+    with entries between weight sectors, or on another space, is solved as one block."""
+    make, side, kind = KERNEL_CASES[case]
+    t = make()
+    oracle = np.linalg.eigvalsh(t.entries.astype(np.complex128))
+    solved = eig_spy(monkeypatch)
+    np.testing.assert_allclose(la.eigenvalues(t), oracle[::-1], rtol=0.0, atol=1e-12)
+    assert max(s for s, _ in solved) == side
+    assert {k for _, k in solved} == {kind}
+    _, negativity = la._density_defects(t.entries, t.factor_dims)
+    assert abs(negativity - max(0.0, -oracle[0])) <= 1e-12
+

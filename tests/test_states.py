@@ -255,6 +255,40 @@ def test_density_operator_rejects_non_hermitian():
         bf.DensityOperator(bf.TensorOperator(m, (2, 2)))
 
 
+# One pair of basis states of three qutrits per block size, both in the same weight sector:
+# |000> alone, |001> and |010> of the 3-state sector, |012> and |021> of the 6-state one.
+SECTOR_PAIRS = {1: (0, 0), 3: (1, 3), 6: (5, 7)}
+
+
+@pytest.mark.parametrize("real", [True, False])
+@pytest.mark.parametrize("size", sorted(SECTOR_PAIRS))
+def test_density_operator_rejects_negativity_inside_one_block(monkeypatch, size, real):
+    """A weight-conserving operator whose only negative eigenvalue lies in one block of the
+    given size is rejected, by a blockwise check that solves no matrix above 6 x 6."""
+    i, j = SECTOR_PAIRS[size]
+    m = np.eye(27, dtype=complex) / 27.0
+    if size == 1:
+        m[0, 0], m[13, 13] = -1e-3, 2.0 / 27.0 + 1e-3  # |111> keeps the trace at one
+    else:
+        m[i, j] = m[j, i] = 2.0 / 27.0
+    if not real:
+        m[5, 11], m[11, 5] = 0.01j, -0.01j  # |012> and |102>, in the 6-state sector
+    lowest = float(np.linalg.eigvalsh(m)[0])
+    assert lowest < -bf.linalg.PSD_TOL
+    sides = []
+
+    def spy(a, *args, _original=np.linalg.eigvalsh, **kwargs):
+        sides.append(a.shape[-1])
+        return _original(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", spy)
+    t = bf.TensorOperator(m, (3, 3, 3))
+    with pytest.raises(ValueError, match="negative eigenvalue"):
+        bf.DensityOperator(t)
+    assert abs(bf.density_deficits(t)[2] + lowest) <= 1e-15
+    assert sides and max(sides) <= 6
+
+
 def test_density_deficits_of_valid_state_vanish():
     asym, trace_err, neg = bf.density_deficits(bf.werner(3).op)
     assert asym <= 1e-15
