@@ -57,7 +57,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import (
-    PSD_TOL, TensorOperator, _eigenvalues, _eigh, _hermitian_part, _multisets, _ptrace, _sectors
+    PSD_TOL, TensorOperator, _conserves, _eigenvalues, _eigh, _hermitian_part, _ptrace, _sectors
 )
 from .states import DensityOperator, _bipartite_dim, _check_local_dim
 
@@ -189,10 +189,8 @@ def _project_simplex(vals: np.ndarray) -> np.ndarray:
 def _weight_sectors(d: int, targets: tuple[tuple[int, np.ndarray], ...]) -> tuple[np.ndarray, ...]:
     """The diagonal blocks of every iterate: the weight sectors if every target is exactly
     zero between pairs of different digit multisets, and the whole basis otherwise."""
-    pair = _multisets(d, 2)
-    if any(target[pair[:, None] != pair[None, :]].any() for _, target in targets):
-        return (np.arange(d**3)[None, :],)
-    return _sectors(d)
+    conserving = all(_conserves(target, d, 2) for _, target in targets)
+    return _sectors(d) if conserving else (np.arange(d**3)[None, :],)
 
 
 @dataclass(frozen=True, eq=False)
@@ -267,11 +265,8 @@ def _lowest_eigenvalue(v: np.ndarray, layout: _Layout) -> float:
 
 
 def _project_density(v: np.ndarray, layout: _Layout) -> np.ndarray:
-    """Nearest density matrix in Frobenius norm: clip eigenvalues onto the simplex.
-
-    Each block size is one stacked eigensolve (none for 1x1 blocks, whose eigenvalue is
-    the real part of the entry), and the simplex projection sees the joint spectrum.
-    """
+    """Nearest density matrix in Frobenius norm: clip the joint spectrum of the blocks, one
+    stacked eigensolve per block size (none for 1x1 blocks), onto the simplex."""
     spectra = [_eigh(c) for c in _chunks(v, layout)]
     joint = _project_simplex(np.concatenate([vals.ravel() for vals, _ in spectra]))
     out, offset = np.empty_like(v), 0

@@ -234,13 +234,20 @@ def _eigenvalues(m: np.ndarray) -> np.ndarray:
 
 
 def _multisets(d: int, n: int) -> np.ndarray:
-    """Per basis state of n <= 3 copies of C^d, the sum of 4**digit: one code per multiset."""
-    return (4 ** np.indices((d,) * n)).sum(axis=0).ravel()
+    """Per basis state of n copies of C^d, its digits sorted descending as one code below d**n."""
+    digits = np.sort(np.indices((d,) * n).reshape(n, -1), axis=0)[::-1]
+    return np.ravel_multi_index(tuple(digits), (d,) * n)
+
+
+def _conserves(m: np.ndarray, d: int, n: int) -> bool:
+    """Whether ``m`` on n copies of C^d is exactly zero between states of different multisets."""
+    code = _multisets(d, n)
+    return not m[code[:, None] != code].any()
 
 
 def _sectors(d: int) -> tuple[np.ndarray, ...]:
-    """Basis indices of the weight sectors of three factors C^d: one ``(blocks, size)`` array
-    per block size, ascending."""
+    """Basis indices of the weight sectors of three factors C^d, a (blocks, size) array per size
+    in ascending order of size."""
     code = _multisets(d, 3)
     size = np.bincount(code)[code]
     order = np.lexsort((code, size))
@@ -251,10 +258,8 @@ def _spectrum(m: np.ndarray, dims: tuple[int, ...]) -> np.ndarray:
     """Ascending eigenvalues of the Hermitian part of ``m`` on ``dims``, reduced as above."""
     m = m if m.imag.any() else m.real
     blocks = [m[None]]
-    if len(dims) == 3 and len(set(dims)) == 1:
-        sectors = [m[idx[:, :, None], idx[:, None, :]] for idx in _sectors(dims[0])]
-        if sum(np.count_nonzero(b) for b in sectors) == np.count_nonzero(m):
-            blocks = sectors
+    if len(dims) == 3 and len(set(dims)) == 1 and _conserves(m, dims[0], 3):
+        blocks = [m[idx[:, :, None], idx[:, None, :]] for idx in _sectors(dims[0])]
     return np.sort(np.concatenate([_eigenvalues(b).ravel() for b in blocks]))
 
 

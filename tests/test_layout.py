@@ -70,6 +70,19 @@ def test_eigvalsh_has_one_caller_in_linalg():
     assert owners == ["_eigenvalues"]
 
 
+def test_multisets_are_read_only_by_the_sector_definition():
+    """Whether an operator conserves weight, and which states form its sectors, are decided
+    in ``linalg._conserves`` and ``_sectors`` alone; the kernel and Dykstra both call them."""
+    owners = sorted(
+        f"{name}:{getattr(top, 'name', '<module>')}"
+        for name, tree in _modules()
+        for top in tree.body
+        for node in ast.walk(top)
+        if isinstance(node, ast.Name) and node.id == "_multisets"
+    )
+    assert owners == ["linalg.py:_conserves", "linalg.py:_sectors"]
+
+
 def _local_dim_uses(tree: ast.Module) -> list[int]:
     """Lines that name ``MIN_LOCAL_DIM`` or ``MAX_LOCAL_DIM``, imports included."""
     found = []

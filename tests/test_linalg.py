@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import itertools
+import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -519,3 +521,37 @@ def test_spectrum_matches_dense_complex_solve(monkeypatch, case):
     _, negativity = la._density_defects(t.entries, t.factor_dims)
     assert abs(negativity - max(0.0, -oracle[0])) <= 1e-12
 
+
+
+@pytest.mark.parametrize("d", [16, 40])
+def test_sector_grouping_scales_with_the_basis(d):
+    """Multiset codes stay below d**n, so grouping the sectors of a large d neither allocates
+    far beyond the basis nor overflows, and still yields d, d(d-1) and C(d, 3) blocks."""
+    for n in (2, 3):
+        code = la._multisets(d, n)
+        assert 0 <= code.min() and code.max() < d**n
+    tracemalloc.start()
+    try:
+        sectors = la._sectors(d)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 8 * d**3
+    assert [idx.shape for idx in sectors] == [(d, 1), (d * (d - 1), 3), (math.comb(d, 3), 6)]
+    covered = np.sort(np.concatenate([idx.ravel() for idx in sectors]))
+    assert np.array_equal(covered, np.arange(d**3))
+    digits = np.sort(np.stack(np.unravel_index(sectors[2], (d,) * 3)), axis=0)
+    assert (digits == digits[:, :, :1]).all()
+
+
+def test_spectrum_gathers_blocks_only_for_conserving_operators(monkeypatch):
+    """The conservation check comes first; an operator that fails it is solved as one block
+    without the sector indices being formed."""
+    mixed, conserving = random_hermitian(np.random.default_rng(35), (3, 3, 3)), bf.dso_general(3)
+    grouped = []
+    original = la._sectors
+    monkeypatch.setattr(la, "_sectors", lambda d: grouped.append(d) or original(d))
+    la._spectrum(mixed.entries, (3, 3, 3))
+    assert grouped == []
+    la._spectrum(conserving.op.entries, (3, 3, 3))
+    assert grouped == [3]
