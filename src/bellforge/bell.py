@@ -180,15 +180,15 @@ def _bob_effective(r: tuple[np.ndarray, np.ndarray], a: np.ndarray) -> np.ndarra
     return (_rows(a) @ r[1]).reshape(a.shape)
 
 
-def _draw_observables(d: int, seeds: Sequence[int], count: int, unread: int = 0) -> np.ndarray:
+def _draw_observables(d: int, seeds: Sequence[int], count: int) -> np.ndarray:
     """``count`` observables per seed's stream, as a ``(len(seeds), count, d, d)`` array.
 
     One draw per stream yields, matrix by matrix, the real and then the imaginary Gaussian
-    parts; one stacked spectral map clamps them to [-1, 1], but for the first ``unread``
-    of each stream, which a sweep overwrites before it reads them."""
+    parts; one stacked spectral map clamps the last two of each stream to [-1, 1].  Those are
+    the starts a sweep reads; it overwrites any others before it reads them."""
     g = np.array([np.random.default_rng(seed).standard_normal((count, 2, d, d)) for seed in seeds])
     z = g[:, :, 0] + 1.0j * g[:, :, 1]
-    z[:, unread:] = _spectral_map(z[:, unread:], lambda vals: np.clip(vals, -1.0, 1.0))
+    z[:, -2:] = _spectral_map(z[:, -2:], lambda vals: np.clip(vals, -1.0, 1.0))
     return z
 
 
@@ -306,7 +306,7 @@ def _seesaw(
     best = None
     for first in range(cfg.base_seed, end, _RESTART_BLOCK):
         seeds = range(first, min(first + _RESTART_BLOCK, end))
-        starts = _draw_observables(d, seeds, len(labels), unread=len(labels) - 2)
+        starts = _draw_observables(d, seeds, len(labels))
         score, row, mats, trace = _seesaw_block(r, starts, signs, sweep)
         if best is None or score > best[0]:
             best = (score, first - cfg.base_seed + row // len(signs), mats, trace)

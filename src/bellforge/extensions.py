@@ -39,13 +39,12 @@ in the commutant of those phases, which is block-diagonal over the weight
 sectors that ``linalg`` defines (blocks of 1, 3 or 6 states at every d).
 Every state this package names has that structure.
 
-The search therefore stores only the block entries (996 of 46 656 at d = 6):
-the iterate, the density correction and a certificate's combined operator
-are each one flat vector of them.  A partial trace is one ``bincount``, the
-density projection one stacked eigensolve per block size, and ``lambda_min``
-is exact, since no entry outside the blocks exists.  A target that does not
-conserve weight makes the whole basis one block, so every target runs the
-same code.
+The search therefore stores only the block entries (996 of 46 656 at d = 6)
+in the flat layout that ``linalg._layout`` builds once per dimension, or the
+whole basis as one block if a target does not conserve weight.  ``linalg``
+owns that layout and every map on it: partial trace, embedding, density
+projection and the exact ``lambda_min``.  This module keeps the patterns,
+the results, the certificate, the residuals and the loop.
 """
 
 from __future__ import annotations
@@ -57,7 +56,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import (
-    PSD_TOL, TensorOperator, _conserves, _eigenvalues, _eigh, _hermitian_part, _ptrace, _sectors
+    PSD_TOL, TensorOperator, _add_embedded, _block_eigenvalues, _block_ptrace, _conserves,
+    _hermitian_part, _Layout, _layout, _project_density, _ptrace,
 )
 from .states import DensityOperator, _bipartite_dim, _check_local_dim
 
@@ -176,108 +176,6 @@ def verify_marginals(t: TensorOperator, pattern: MarginalPattern) -> list[float]
     ]
 
 
-def _project_simplex(vals: np.ndarray) -> np.ndarray:
-    """Euclidean projection of a real vector onto the probability simplex."""
-    u = np.sort(vals)[::-1]
-    shifted = np.cumsum(u) - 1.0
-    ks = np.arange(1, vals.size + 1)
-    support = np.nonzero(u - shifted / ks > 0)[0][-1]
-    theta = shifted[support] / (support + 1)
-    return np.maximum(vals - theta, 0.0)
-
-
-def _weight_sectors(d: int, targets: tuple[tuple[int, np.ndarray], ...]) -> tuple[np.ndarray, ...]:
-    """The diagonal blocks of every iterate: the weight sectors if every target is exactly
-    zero between pairs of different digit multisets, and the whole basis otherwise."""
-    conserving = all(_conserves(target, d, 2) for _, target in targets)
-    return _sectors(d) if conserving else (np.arange(d**3)[None, :],)
-
-
-@dataclass(frozen=True, eq=False)
-class _Layout:
-    """Where each entry of a block-diagonal ``d**3``-sided matrix sits in a flat vector.
-
-    The blocks of one size form the row-major ``(blocks, size, size)`` chunk
-    ``v[start:stop].reshape(shape)`` for each ``(start, stop, shape)`` in ``chunks``.
-    Entry k sits at ``(rows[k], cols[k])`` of the matrix.  ``traced[j - 1]`` holds the
-    entries whose slot-j digits agree, which partial trace j sums, and the flat index
-    ``row_pair * d**2 + col_pair`` of the bipartite entry that each one adds to.
-    """
-
-    d: int
-    chunks: tuple[tuple[int, int, tuple[int, int, int]], ...]
-    rows: np.ndarray
-    cols: np.ndarray
-    diagonal: np.ndarray
-    traced: tuple[tuple[np.ndarray, np.ndarray], ...]
-
-
-def _layout(d: int, sectors: tuple[np.ndarray, ...]) -> _Layout:
-    """The flat layout of the matrices that are block-diagonal over ``sectors``."""
-    chunks, rows, cols, start = [], [], [], 0
-    for idx in sectors:
-        blocks, size = idx.shape
-        shape = (blocks, size, size)
-        chunks.append((start, start + idx.size * size, shape))
-        rows.append(np.broadcast_to(idx[:, :, None], shape).ravel())
-        cols.append(np.broadcast_to(idx[:, None, :], shape).ravel())
-        start += idx.size * size
-    rows, cols = np.concatenate(rows), np.concatenate(cols)
-    # Row r of ``place`` is the place value of slot r + 1 in a basis index; dropping
-    # that digit from the index leaves the bipartite index ``pair[r]``.
-    basis, place = np.arange(d**3), np.array([[d * d], [d], [1]])
-    digit, pair = basis // place % d, basis // (d * place) * place + basis % place
-    traced = []
-    for r in range(3):
-        entries = np.flatnonzero(digit[r][rows] == digit[r][cols])
-        traced.append((entries, pair[r][rows[entries]] * d * d + pair[r][cols[entries]]))
-    return _Layout(d, tuple(chunks), rows, cols, np.flatnonzero(rows == cols), tuple(traced))
-
-
-def _block_ptrace(v: np.ndarray, layout: _Layout, j: int) -> np.ndarray:
-    """Trace the 1-based factor ``j`` out of the matrix whose block entries are ``v``."""
-    entries, key = layout.traced[j - 1]
-    picked, n = v[entries], layout.d**4
-    if np.iscomplexobj(picked):
-        summed = np.bincount(key, picked.real, n) + 1j * np.bincount(key, picked.imag, n)
-    else:
-        summed = np.bincount(key, picked, n)
-    return summed.reshape(layout.d**2, layout.d**2)
-
-
-def _add_embedded(v: np.ndarray, b: np.ndarray, layout: _Layout, j: int) -> np.ndarray:
-    """``v`` plus the block entries of the bipartite ``b`` tensored with the identity at slot j."""
-    entries, key = layout.traced[j - 1]
-    out = v.copy()
-    out[entries] += b.ravel()[key]
-    return out
-
-
-def _chunks(v: np.ndarray, layout: _Layout) -> list[np.ndarray]:
-    """The chunks of ``v`` as ``(blocks, size, size)`` stacks that share its memory."""
-    return [v[start:stop].reshape(shape) for start, stop, shape in layout.chunks]
-
-
-def _lowest_eigenvalue(v: np.ndarray, layout: _Layout) -> float:
-    """Lowest eigenvalue of the Hermitian part of the matrix whose block entries are ``v``;
-    exact, as the matrix has no entry outside its blocks, with one stacked solve per size."""
-    return min(float(_eigenvalues(c).min()) for c in _chunks(v, layout))
-
-
-def _project_density(v: np.ndarray, layout: _Layout) -> np.ndarray:
-    """Nearest density matrix in Frobenius norm: clip the joint spectrum of the blocks, one
-    stacked eigensolve per block size (none for 1x1 blocks), onto the simplex."""
-    spectra = [_eigh(c) for c in _chunks(v, layout)]
-    joint = _project_simplex(np.concatenate([vals.ravel() for vals, _ in spectra]))
-    out, offset = np.empty_like(v), 0
-    for (start, stop, _), (vals, vecs) in zip(layout.chunks, spectra):
-        mapped = joint[offset : offset + vals.size].reshape(vals.shape)
-        offset += vals.size
-        block = (vecs * mapped[:, None, :]) @ vecs.conj().swapaxes(-1, -2)
-        out[start:stop] = _hermitian_part(block).ravel()
-    return out
-
-
 def _project_marginal(
     v: np.ndarray, layout: _Layout, j: int, target: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -299,7 +197,7 @@ def _cheap_residual(
 
 def _residual(v: np.ndarray, layout: _Layout, targets: tuple[tuple[int, np.ndarray], ...]) -> float:
     """Total infeasibility: worst marginal deviation + trace deficit + PSD deficit."""
-    return _cheap_residual(v, layout, targets) + max(0.0, -_lowest_eigenvalue(v, layout))
+    return _cheap_residual(v, layout, targets) + max(0.0, -float(_block_eigenvalues(v, layout)[0]))
 
 
 def _certificate(
@@ -320,7 +218,7 @@ def _certificate(
     for y, (j, _) in zip(duals, targets):
         combined = _add_embedded(combined, y, layout, j)
     paired = sum(float(np.vdot(y, target).real) for y, (_, target) in zip(duals, targets))
-    value = (paired - _lowest_eigenvalue(combined, layout)) / scale
+    value = (paired - float(_block_eigenvalues(combined, layout)[0])) / scale
     if not value < -PSD_TOL:
         return None
     d = layout.d
@@ -364,11 +262,9 @@ def dykstra_find_extension(
     When every target has an all-zero imaginary part, the iterates, the
     correction, the duals and all eigensolves are float64, which is exact
     by the conjugation argument in the module docstring; otherwise they are
-    complex128.  ``candidate`` is complex either way.  The iterate is stored as
-    its weight-sector block entries, and ``lambda_min`` is exact, by the phase
-    argument there; a target that does not conserve weight makes one block of
-    the whole space.  The local dimension must lie in 2..6 and ``tol`` must
-    be finite and positive.
+    complex128.  ``candidate`` is complex either way.  The iterate is stored
+    as its weight-sector block entries, by the phase argument there.  The
+    local dimension must lie in 2..6 and ``tol`` must be finite and positive.
     """
     d = pattern.local_dim
     _check_local_dim(d)
@@ -380,7 +276,7 @@ def dykstra_find_extension(
     targets = tuple((j, target.op.entries) for j, target in pattern.constraints)
     if not any(target.imag.any() for _, target in targets):
         targets = tuple((j, target.real.copy()) for j, target in targets)
-    layout = _layout(d, _weight_sectors(d, targets))
+    layout = _layout(d, all(_conserves(target, d, 2) for _, target in targets))
     first_slot, first_target = targets[0]
     correction = np.zeros(layout.rows.size, dtype=first_target.dtype)
     x = _add_embedded(correction, first_target / d, layout, first_slot)

@@ -9,18 +9,22 @@ partial trace, factor reordering and permutation), which the solvers'
 inner loops call directly.  The kernel keeps the dtype of its input, so
 real symmetric arrays stay real.
 
-``eigenvalues`` and density validation share one exact spectral kernel,
-``_spectrum``.  A matrix with a zero imaginary part is solved in real
-arithmetic.  On three factors C^d the weight sectors group the states
-``|abc>`` of one multiset ``{a, b, c}``, in blocks of 1, 3 and 6; a matrix
-with no entry between sectors is block-diagonal, and its spectrum is the
-union of its blocks', one stacked solve per block size (Eggeling & Werner,
-PRA 63, 042111 (2001); Gatermann & Parrilo, JPAA 192, 95 (2004)).  Any
-other matrix is one block: at d <= 6 two factors solve faster so.
+On three factors C^d the weight sectors group the states ``|abc>`` of one
+multiset ``{a, b, c}``, in blocks of 1, 3 and 6; a matrix with no entry
+between sectors is block-diagonal (Eggeling & Werner, PRA 63, 042111 (2001);
+Gatermann & Parrilo, JPAA 192, 95 (2004)).  ``_layout`` lays such matrices
+out as one flat vector of block entries, once per dimension and read-only.
+On that vector the kernel takes partial traces, embeds, projects onto the
+density set and solves the spectrum, one stacked solve per block size.
+``eigenvalues`` and density validation share one exact kernel, ``_spectrum``:
+real arithmetic for a zero imaginary part, and the blocks of a three-factor
+operator that conserves weight or else one dense solve.  Dykstra's search
+stores its iterates in the same layout.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import numbers
 import operator
@@ -54,6 +58,12 @@ HERMITICITY_TOL = 1e-10
 PSD_TOL = 1e-10
 
 
+def _frozen(a: np.ndarray) -> np.ndarray:
+    """``a``, made read-only, so that every holder may share it."""
+    a.setflags(write=False)
+    return a
+
+
 @dataclass(frozen=True, eq=False)
 class TensorOperator:
     """Square complex matrix on an ordered product of finite-dimensional factors."""
@@ -74,8 +84,7 @@ class TensorOperator:
             )
         if not np.isfinite(mat).all():
             raise ValueError("matrix entries must all be finite")
-        mat.setflags(write=False)
-        object.__setattr__(self, "entries", mat)
+        object.__setattr__(self, "entries", _frozen(mat))
         object.__setattr__(self, "factor_dims", dims)
 
     @property
@@ -218,13 +227,18 @@ def _eigh(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return (m[..., 0].real, np.ones_like(m)) if one else np.linalg.eigh(_hermitian_part(m))
 
 
+def _recompose(vals: np.ndarray, vecs: np.ndarray) -> np.ndarray:
+    """``V diag(vals) V^H`` for eigenvectors ``V`` of a matrix or a stack, symmetrized."""
+    return _hermitian_part((vecs * vals[..., None, :]) @ vecs.conj().swapaxes(-1, -2))
+
+
 def _spectral_map(m: np.ndarray, f: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
     """``V f(L) V^H`` for the eigendecomposition of the Hermitian part of ``m``, symmetrized.
 
     One ``eigh`` call maps every matrix of an ``(..., n, n)`` stack as it would map it alone.
     """
     vals, vecs = _eigh(m)
-    return _hermitian_part((vecs * f(vals)[..., None, :]) @ vecs.conj().swapaxes(-1, -2))
+    return _recompose(f(vals), vecs)
 
 
 def _eigenvalues(m: np.ndarray) -> np.ndarray:
@@ -233,10 +247,19 @@ def _eigenvalues(m: np.ndarray) -> np.ndarray:
     return m[..., 0].real if m.shape[-1] == 1 else np.linalg.eigvalsh(_hermitian_part(m))
 
 
+def _project_simplex(vals: np.ndarray) -> np.ndarray:
+    """Euclidean projection of a real vector onto the probability simplex."""
+    u = np.sort(vals)[::-1]
+    shifted = np.cumsum(u) - 1.0
+    support = np.nonzero(u > shifted / np.arange(1, u.size + 1))[0][-1]
+    return np.maximum(vals - shifted[support] / (support + 1), 0.0)
+
+
+@functools.cache
 def _multisets(d: int, n: int) -> np.ndarray:
     """Per basis state of n copies of C^d, its digits sorted descending as one code below d**n."""
     digits = np.sort(np.indices((d,) * n).reshape(n, -1), axis=0)[::-1]
-    return np.ravel_multi_index(tuple(digits), (d,) * n)
+    return _frozen(np.ravel_multi_index(tuple(digits), (d,) * n))
 
 
 def _conserves(m: np.ndarray, d: int, n: int) -> bool:
@@ -254,19 +277,97 @@ def _sectors(d: int) -> tuple[np.ndarray, ...]:
     return tuple(order[size[order] == n].reshape(-1, n) for n in np.flatnonzero(np.bincount(size)))
 
 
+@dataclass(frozen=True, eq=False)
+class _Layout:
+    """Where each entry of a block-diagonal ``d**3``-sided matrix sits in a flat vector: entry k
+    at ``(rows[k], cols[k])``.  The blocks of one size form the row-major ``(blocks, size, size)``
+    chunk ``v[start:stop].reshape(shape)`` for each ``(start, stop, shape)`` in ``chunks``."""
+
+    d: int
+    chunks: tuple[tuple[int, int, tuple[int, int, int]], ...]
+    rows: np.ndarray
+    cols: np.ndarray
+    diagonal: np.ndarray
+
+    @functools.cached_property
+    def traced(self) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+        """Per slot j, the entries whose slot-j digits agree, which partial trace j sums, and the
+        index ``row_pair * d**2 + col_pair`` each adds to; built on first use, by Dykstra only."""
+        d, rows, cols = self.d, self.rows, self.cols
+        # Row r of ``place`` is the place value of slot r + 1 in a basis index; dropping
+        # that digit from the index leaves the bipartite index ``pair[r]``.
+        basis, place = np.arange(d**3), np.array([[d * d], [d], [1]])
+        digit, pair = basis // place % d, basis // (d * place) * place + basis % place
+        agree = [np.flatnonzero(digit[r][rows] == digit[r][cols]) for r in range(3)]
+        keys = [pair[r][rows[e]] * d * d + pair[r][cols[e]] for r, e in enumerate(agree)]
+        return tuple((_frozen(e), _frozen(k)) for e, k in zip(agree, keys))
+
+
+@functools.cache
+def _layout(d: int, conserving: bool) -> _Layout:
+    """The flat layout, built once and read-only, of the matrices on three factors C^d that are
+    block-diagonal over the weight sectors if ``conserving``, or of all of them as one block."""
+    chunks, rows, cols, start = [], [], [], 0
+    for idx in _sectors(d) if conserving else (np.arange(d**3)[None, :],):
+        shape = (*idx.shape, idx.shape[1])
+        chunks.append((start, start + math.prod(shape), shape))
+        rows.append(np.broadcast_to(idx[:, :, None], shape).ravel())
+        cols.append(np.broadcast_to(idx[:, None, :], shape).ravel())
+        start += math.prod(shape)
+    rows, cols = _frozen(np.concatenate(rows)), _frozen(np.concatenate(cols))
+    return _Layout(d, tuple(chunks), rows, cols, _frozen(np.flatnonzero(rows == cols)))
+
+
+def _chunks(v: np.ndarray, layout: _Layout) -> list[np.ndarray]:
+    """The chunks of ``v`` as ``(blocks, size, size)`` stacks that share its memory."""
+    return [v[start:stop].reshape(shape) for start, stop, shape in layout.chunks]
+
+
+def _block_eigenvalues(v: np.ndarray, layout: _Layout) -> np.ndarray:
+    """Ascending eigenvalues of the Hermitian part of the matrix whose block entries are ``v``;
+    exact, as the matrix has no entry outside its blocks, with one stacked solve per size."""
+    return np.sort(np.concatenate([_eigenvalues(c).ravel() for c in _chunks(v, layout)]))
+
+
+def _block_ptrace(v: np.ndarray, layout: _Layout, j: int) -> np.ndarray:
+    """Trace the 1-based factor ``j`` out of the matrix whose block entries are ``v``."""
+    entries, key = layout.traced[j - 1]
+    picked, n = v[entries], layout.d**4
+    if np.iscomplexobj(picked):
+        summed = np.bincount(key, picked.real, n) + 1j * np.bincount(key, picked.imag, n)
+    else:
+        summed = np.bincount(key, picked, n)
+    return summed.reshape(layout.d**2, layout.d**2)
+
+
+def _add_embedded(v: np.ndarray, b: np.ndarray, layout: _Layout, j: int) -> np.ndarray:
+    """``v`` plus the block entries of the bipartite ``b`` tensored with the identity at slot j."""
+    entries, key = layout.traced[j - 1]
+    out = v.copy()
+    out[entries] += b.ravel()[key]
+    return out
+
+
+def _project_density(v: np.ndarray, layout: _Layout) -> np.ndarray:
+    """Nearest density matrix in Frobenius norm: clip the joint spectrum of the blocks, one
+    stacked eigensolve per block size (none for 1x1 blocks), onto the simplex."""
+    spectra = [_eigh(c) for c in _chunks(v, layout)]
+    joint = _project_simplex(np.concatenate([vals.ravel() for vals, _ in spectra]))
+    out, offset = np.empty_like(v), 0
+    for (start, stop, _), (vals, vecs) in zip(layout.chunks, spectra):
+        mapped = joint[offset : offset + vals.size].reshape(vals.shape)
+        offset += vals.size
+        out[start:stop] = _recompose(mapped, vecs).ravel()
+    return out
+
+
 def _spectrum(m: np.ndarray, dims: tuple[int, ...]) -> np.ndarray:
     """Ascending eigenvalues of the Hermitian part of ``m`` on ``dims``, reduced as above."""
     m = m if m.imag.any() else m.real
-    blocks = [m[None]]
     if len(dims) == 3 and len(set(dims)) == 1 and _conserves(m, dims[0], 3):
-        blocks = [m[idx[:, :, None], idx[:, None, :]] for idx in _sectors(dims[0])]
-    return np.sort(np.concatenate([_eigenvalues(b).ravel() for b in blocks]))
-
-
-def _density_defects(m: np.ndarray, dims: tuple[int, ...] = ()) -> tuple[float, float]:
-    """``(|tr m - 1|, magnitude of the lowest eigenvalue if negative)`` of ``m`` on ``dims``."""
-    lowest = float(_spectrum(m, dims)[0])
-    return abs(complex(np.trace(m)) - 1.0), max(0.0, -lowest)
+        layout = _layout(dims[0], True)
+        return _block_eigenvalues(m[layout.rows, layout.cols], layout)
+    return _eigenvalues(m)
 
 
 def eigenvalues(t: TensorOperator) -> np.ndarray:

@@ -22,8 +22,8 @@ from .linalg import (
     PSD_TOL,
     TensorOperator,
     _asymmetry,
-    _density_defects,
     _permutation,
+    _spectrum,
     identity,
 )
 
@@ -78,7 +78,9 @@ def density_deficits(t: TensorOperator) -> tuple[float, float, float]:
     Frobenius asymmetry, ``|tr t - 1|``, and the magnitude of the most
     negative eigenvalue of the symmetrized matrix (0 when PSD).
     """
-    return (_asymmetry(t.entries), *_density_defects(t.entries, t.factor_dims))
+    m = t.entries
+    lowest = float(_spectrum(m, t.factor_dims)[0])
+    return _asymmetry(m), abs(complex(np.trace(m)) - 1.0), max(0.0, -lowest)
 
 
 @dataclass(frozen=True, eq=False)

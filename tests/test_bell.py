@@ -74,24 +74,27 @@ def test_random_observable_norm_bounded(d):
 
 
 def per_matrix_draw(d: int, seeds, count: int) -> np.ndarray:
-    """The start draw as two ``standard_normal`` calls per observable, the reference for one
-    call per stream."""
+    """The start draw as two ``standard_normal`` calls per observable, unclamped: the reference
+    for one call per stream."""
     gaussians = []
     for seed in seeds:
         rng = np.random.default_rng(seed)
         gaussians.append(
             [rng.standard_normal((d, d)) + 1.0j * rng.standard_normal((d, d)) for _ in range(count)]
         )
-    return bell._spectral_map(np.array(gaussians), lambda vals: np.clip(vals, -1.0, 1.0))
+    return np.array(gaussians)
 
 
 @pytest.mark.parametrize("d", [2, 3, 4, 5, 6])
 @pytest.mark.parametrize("count", [1, 3, 4])
 def test_draw_matches_per_matrix_draw(d, count):
+    """One call per stream draws what two calls per observable do, and clamps the last two
+    starts of each stream, the ones a sweep reads; any before them stay as drawn."""
     seeds = range(300)
-    np.testing.assert_array_equal(
-        bell._draw_observables(d, seeds, count), per_matrix_draw(d, seeds, count)
-    )
+    drawn, raw = bell._draw_observables(d, seeds, count), per_matrix_draw(d, seeds, count)
+    clamped = bell._spectral_map(raw[:, -2:], lambda vals: np.clip(vals, -1.0, 1.0))
+    np.testing.assert_array_equal(drawn[:, -2:], clamped)
+    np.testing.assert_array_equal(drawn[:, :-2], raw[:, :-2])
 
 
 def test_random_observable_mean_is_centered():
@@ -104,13 +107,15 @@ def test_random_observable_mean_is_centered():
 @pytest.mark.parametrize("unread", [1, 2])
 @pytest.mark.parametrize("d", [2, 3, 6])
 def test_unread_draws_keep_the_stream_and_the_read_starts(d, unread):
-    """Leaving the first starts unclamped changes neither the draw nor the clamped starts."""
+    """Leaving the starts before the last two unclamped changes neither the draw nor the
+    clamped starts: those match a clamp of the whole stream."""
     seeds = range(40)
-    full = bell._draw_observables(d, seeds, unread + 2)
-    partial = bell._draw_observables(d, seeds, unread + 2, unread=unread)
-    np.testing.assert_array_equal(partial[:, unread:], full[:, unread:])
+    drawn = bell._draw_observables(d, seeds, unread + 2)
+    g = np.array([np.random.default_rng(s).standard_normal((unread + 2, 2, d, d)) for s in seeds])
+    full = bell._spectral_map(g[:, :, 0] + 1.0j * g[:, :, 1], lambda v: np.clip(v, -1.0, 1.0))
+    np.testing.assert_array_equal(drawn[:, unread:], full[:, unread:])
     raw = np.array([np.random.default_rng(s).standard_normal((unread, 2, d, d)) for s in seeds])
-    np.testing.assert_array_equal(partial[:, :unread], raw[:, :, 0] + 1.0j * raw[:, :, 1])
+    np.testing.assert_array_equal(drawn[:, :unread], raw[:, :, 0] + 1.0j * raw[:, :, 1])
 
 
 SEESAWS = {"original": bf.seesaw_original_bell, "chsh": bf.seesaw_chsh}

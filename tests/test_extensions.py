@@ -10,15 +10,11 @@ import pytest
 
 import bellforge as bf
 from bellforge import extensions
-from bellforge.extensions import (
-    _add_embedded,
-    _block_ptrace,
-    _layout,
-    _project_density,
-    _project_marginal,
-    _weight_sectors,
+from bellforge import linalg as la
+from bellforge.extensions import _project_marginal
+from bellforge.linalg import (
+    PSD_TOL, _add_embedded, _block_ptrace, _layout, _project_density, _ptrace
 )
-from bellforge.linalg import PSD_TOL, _ptrace
 
 
 def random_hermitian(rng: np.random.Generator, side: int) -> np.ndarray:
@@ -103,12 +99,12 @@ def random_entries(rng: np.random.Generator, layout, real: bool) -> np.ndarray:
 
 def layouts(d: int):
     """The weight-sector layout and the one-block layout at local dimension ``d``."""
-    return {"sectors": _layout(d, _weight_sectors(d, ())), "one block": _layout(d, one_block(d))}
+    return {"sectors": _layout(d, True), "one block": _layout(d, False)}
 
 
 def density_layouts():
     """The one block of d = 2 and the weight sectors of d = 3, with their local dimensions."""
-    return ((2, _layout(2, one_block(2))), (3, _layout(3, _weight_sectors(3, ()))))
+    return ((2, _layout(2, False)), (3, _layout(3, True)))
 
 
 def random_pair(rng: np.random.Generator, d: int, real: bool, kind: str) -> np.ndarray:
@@ -409,15 +405,35 @@ def raw_targets(pattern: bf.MarginalPattern) -> tuple[tuple[int, np.ndarray], ..
     return tuple((j, rho.op.entries) for j, rho in pattern.constraints)
 
 
+def search_layout(pattern: bf.MarginalPattern):
+    """The layout that a search for ``pattern`` stores its iterates in, seen at one cycle."""
+    built = []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(extensions, "_layout", lambda *args: built.append(_layout(*args)) or built[-1])
+        bf.dykstra_find_extension(pattern, max_iters=1)
+    return built[0]
+
+
+def blocks_of(layout) -> tuple[np.ndarray, ...]:
+    """The basis indices of the blocks of ``layout``, a (blocks, size) array per chunk."""
+    return tuple(layout.rows[a:b].reshape(shape)[:, :, 0] for a, b, shape in layout.chunks)
+
+
+def factor3_pattern(m: np.ndarray) -> bf.MarginalPattern:
+    """The one constraint that tracing out factor 3 leaves the density matrix ``m``."""
+    d = math.isqrt(m.shape[0])
+    return bf.MarginalPattern(((3, bf.DensityOperator(bf.TensorOperator(m, (d, d)))),))
+
+
 @pytest.mark.parametrize("d", [2, 3, 4, 5, 6])
 def test_weight_sectors_group_basis_states_by_digit_multiset(d):
-    sectors = _weight_sectors(d, raw_targets(bf.pattern_sym3(bf.werner(d))))
+    sectors = blocks_of(search_layout(bf.pattern_sym3(bf.werner(d))))
     found = sorted(sorted(block.tolist()) for idx in sectors for block in idx)
     assert found == sorted(sector_oracle(d).values())
     assert [idx.shape[1] for idx in sectors] == sorted({len(v) for v in sector_oracle(d).values()})
     rng = np.random.default_rng(d)
     classical = bf.DensityOperator(bf.TensorOperator(np.diag(rng.dirichlet(np.ones(d * d))), (d, d)))
-    diagonal = _weight_sectors(d, raw_targets(bf.pattern_right2(classical)))
+    diagonal = blocks_of(search_layout(bf.pattern_right2(classical)))
     assert len(diagonal) == len(sectors)
     assert all(np.array_equal(a, b) for a, b in zip(diagonal, sectors))
 
@@ -428,14 +444,14 @@ def is_one_block(sectors: tuple[np.ndarray, ...], d: int) -> bool:
 
 def test_weight_sectors_fall_back_to_one_block():
     real, rotated, _ = real_and_rotated(3, (1, 2, 3))
-    assert is_one_block(_weight_sectors(3, raw_targets(real)), 3)
-    assert is_one_block(_weight_sectors(3, raw_targets(rotated)), 3)
+    assert is_one_block(blocks_of(search_layout(real)), 3)
+    assert is_one_block(blocks_of(search_layout(rotated)), 3)
     # One entry pair between different multisets, |01> and |02>, is enough.
     mixed = np.eye(9) / 9
     mixed[1, 2] = mixed[2, 1] = 0.01
-    assert is_one_block(_weight_sectors(3, ((3, mixed),)), 3)
+    assert is_one_block(blocks_of(search_layout(factor3_pattern(mixed))), 3)
     mixed[1, 2] = mixed[2, 1] = 0.0
-    assert not is_one_block(_weight_sectors(3, ((3, mixed),)), 3)
+    assert not is_one_block(blocks_of(search_layout(factor3_pattern(mixed))), 3)
 
 
 SECTOR_STATES = {
@@ -450,9 +466,9 @@ def test_weight_sectors_change_no_search_outcome(monkeypatch, state, make_patter
     """The blockwise search and the one-block search agree up to rounding."""
     pattern = make_pattern(SECTOR_STATES[state]())
     d = pattern.local_dim
-    assert not is_one_block(_weight_sectors(d, raw_targets(pattern)), d)
+    assert not is_one_block(blocks_of(search_layout(pattern)), d)
     blocked = bf.dykstra_find_extension(pattern, max_iters=5000, tol=1e-6)
-    monkeypatch.setattr(extensions, "_weight_sectors", lambda d, targets: one_block(d))
+    monkeypatch.setattr(extensions, "_layout", lambda d, conserving: _layout(d, False))
     whole = bf.dykstra_find_extension(pattern, max_iters=5000, tol=1e-6)
     assert blocked.stop_reason == whole.stop_reason
     assert blocked.iterations == whole.iterations
@@ -530,9 +546,9 @@ def test_dykstra_rejects_bad_iteration_count():
 
 
 def test_dykstra_rejects_non_integer_iteration_count(monkeypatch):
-    """A float cycle count fails before the weight sectors are found, not inside the loop."""
+    """A float cycle count fails before the layout is chosen, not inside the loop."""
     found = []
-    monkeypatch.setattr(bf.extensions, "_weight_sectors", lambda *args: found.append(args))
+    monkeypatch.setattr(bf.extensions, "_layout", lambda *args: found.append(args))
     with pytest.raises(TypeError):
         bf.dykstra_find_extension(bf.pattern_right2(bf.werner(2)), max_iters=2.5, tol=1e-6)
     assert not found
@@ -673,18 +689,26 @@ def reference_weight_sectors(d: int, targets) -> tuple[np.ndarray, ...]:
     return tuple(np.array(by_size[size]) for size in sorted(by_size))
 
 
+def reference_layout(pattern: bf.MarginalPattern):
+    """``linalg``'s layout built, past its cache, on the reference's blocks for ``pattern``."""
+    blocks = reference_weight_sectors(pattern.local_dim, raw_targets(pattern))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(la, "_sectors", lambda d: blocks)
+        return la._layout.__wrapped__(pattern.local_dim, True)
+
+
 @pytest.mark.parametrize("conserving", [True, False])
 @pytest.mark.parametrize("d", [2, 3, 4, 5, 6])
 def test_weight_sectors_keep_the_reference_layout(d, conserving):
     """Built on ``linalg``'s sectors, the layout equals the reference's entry for entry."""
-    targets = raw_targets(bf.pattern_sym3(bf.werner(d)))
+    pattern = bf.pattern_sym3(bf.werner(d))
     if not conserving:
         mixed = np.eye(d * d) / (d * d)
         mixed[0, 1] = mixed[1, 0] = 0.01  # |00> and |01> hold different multisets
-        targets = ((3, mixed),)
-    ours = _layout(d, _weight_sectors(d, targets))
-    reference = _layout(d, reference_weight_sectors(d, targets))
-    assert is_one_block(_weight_sectors(d, targets), d) is not conserving
+        pattern = factor3_pattern(mixed)
+    ours = search_layout(pattern)
+    reference = reference_layout(pattern)
+    assert is_one_block(blocks_of(ours), d) is not conserving
     assert (ours.d, ours.chunks) == (reference.d, reference.chunks)
     pairs = [(ours.rows, reference.rows), (ours.cols, reference.cols)]
     pairs += [(ours.diagonal, reference.diagonal)]
@@ -699,7 +723,8 @@ def test_benchmark_searches_match_reference_sectors_bit_for_bit(monkeypatch, cas
     """The 7 benchmark searches run on the same blocks as before ``linalg`` owned them."""
     pattern = BENCHMARK_SEARCHES[case][0]()
     ours = bf.dykstra_find_extension(pattern, max_iters=5000, tol=1e-6)
-    monkeypatch.setattr(extensions, "_weight_sectors", reference_weight_sectors)
+    layout = reference_layout(pattern)
+    monkeypatch.setattr(extensions, "_layout", lambda d, conserving: layout)
     reference = bf.dykstra_find_extension(pattern, max_iters=5000, tol=1e-6)
     assert (ours.stop_reason, ours.iterations) == (reference.stop_reason, reference.iterations)
     assert ours.residual == reference.residual

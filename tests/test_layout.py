@@ -1,6 +1,7 @@
-"""Source-layout guards: one spectral kernel, one owner of the dimension range, no thread pools,
-the see-saw's state layouts multiplied only by its two effective-operator functions, and a public
-surface trimmed to what the solvers, the CLI and the benchmark call."""
+"""Source-layout guards: one spectral kernel, one owner of the weight-sector block layout and of
+the dimension range, no thread pools, the see-saw's state layouts multiplied only by its two
+effective-operator functions, and a public surface trimmed to what the solvers, the CLI and the
+benchmark call."""
 
 from __future__ import annotations
 
@@ -81,6 +82,30 @@ def test_multisets_are_read_only_by_the_sector_definition():
         if isinstance(node, ast.Name) and node.id == "_multisets"
     )
     assert owners == ["linalg.py:_conserves", "linalg.py:_sectors"]
+
+
+def test_block_layout_is_read_only_in_linalg():
+    """``linalg`` owns the weight-sector block layout: only it reads a layout's ``chunks`` and
+    ``traced``, and ``_layout``, which caches one per dimension, alone groups the sectors."""
+    modules = _modules()
+    readers = sorted(
+        {
+            name
+            for name, tree in modules
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and node.attr in ("chunks", "traced")
+        }
+    )
+    assert readers == ["linalg.py"]
+    owners = sorted(
+        f"{name}:{getattr(top, 'name', '<module>')}"
+        for name, tree in modules
+        for top in tree.body
+        for node in ast.walk(top)
+        if (isinstance(node, ast.Name) and node.id == "_sectors")
+        or (isinstance(node, ast.alias) and node.name == "_sectors")
+    )
+    assert owners == ["linalg.py:_layout"]
 
 
 def _local_dim_uses(tree: ast.Module) -> list[int]:

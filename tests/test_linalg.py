@@ -11,13 +11,7 @@ import pytest
 
 import bellforge as bf
 from bellforge import linalg as la
-from bellforge.extensions import (
-    _layout,
-    _lowest_eigenvalue,
-    _project_density,
-    _project_simplex,
-    _weight_sectors,
-)
+from bellforge.linalg import _block_eigenvalues, _layout, _project_density, _project_simplex
 
 
 def random_operator(rng: np.random.Generator, dims: tuple[int, ...]) -> la.TensorOperator:
@@ -325,7 +319,7 @@ def test_sector_partition_matches_one_block_kernel(d, real):
     """On weight-sector block entries, the density projection and lambda_min equal the dense ones."""
     rng = np.random.default_rng(100 + d)
     m = sector_hermitian(rng, d, real)
-    layouts = (_layout(d, _weight_sectors(d, ())), _layout(d, (np.arange(d**3)[None, :],)))
+    layouts = (_layout(d, True), _layout(d, False))
     sizes = [shape[1] for _, _, shape in layouts[0].chunks]
     assert sizes == ([1, 3] if d == 2 else [1, 3, 6])
     dense_projection = la._spectral_map(m, _project_simplex)
@@ -337,12 +331,12 @@ def test_sector_partition_matches_one_block_kernel(d, real):
         projected = _project_density(v, layout)
         assert projected.dtype == m.dtype
         assert np.max(np.abs(dense(projected, layout) - dense_projection)) <= 1e-12
-        assert abs(_lowest_eigenvalue(v, layout) - dense_lowest) <= 1e-12
+        assert abs(_block_eigenvalues(v, layout)[0] - dense_lowest) <= 1e-12
     # Moved below every other eigenvalue, the 1x1 block of |000> must set lambda_min.
     low = m.copy()
     low[0, 0] = dense_lowest - 1.0
     for layout in layouts:
-        lowest = _lowest_eigenvalue(low[layout.rows, layout.cols], layout)
+        lowest = _block_eigenvalues(low[layout.rows, layout.cols], layout)[0]
         assert abs(lowest - float(np.linalg.eigvalsh(low)[0])) <= 1e-12
 
 
@@ -402,7 +396,7 @@ def test_operator_norm_matches_extreme_eigenvalue():
 def test_is_psd_thresholds():
     """The negativity that density validation holds to ``PSD_TOL``."""
     for lowest, psd in [(0.0, True), (-1e-11, True), (-1e-9, False)]:
-        _, negativity = la._density_defects(np.diag([1.0, lowest]))
+        _, _, negativity = bf.density_deficits(la.TensorOperator(np.diag([1.0, lowest]), (2,)))
         assert negativity == -lowest
         assert (negativity <= la.PSD_TOL) is psd
 
@@ -518,7 +512,7 @@ def test_spectrum_matches_dense_complex_solve(monkeypatch, case):
     np.testing.assert_allclose(la.eigenvalues(t), oracle[::-1], rtol=0.0, atol=1e-12)
     assert max(s for s, _ in solved) == side
     assert {k for _, k in solved} == {kind}
-    _, negativity = la._density_defects(t.entries, t.factor_dims)
+    _, _, negativity = bf.density_deficits(t)
     assert abs(negativity - max(0.0, -oracle[0])) <= 1e-12
 
 
@@ -546,12 +540,40 @@ def test_sector_grouping_scales_with_the_basis(d):
 
 def test_spectrum_gathers_blocks_only_for_conserving_operators(monkeypatch):
     """The conservation check comes first; an operator that fails it is solved as one block
-    without the sector indices being formed."""
+    without the sector indices being formed.  One that passes it builds the layout, cleared
+    from the cache first, on them."""
     mixed, conserving = random_hermitian(np.random.default_rng(35), (3, 3, 3)), bf.dso_general(3)
     grouped = []
     original = la._sectors
     monkeypatch.setattr(la, "_sectors", lambda d: grouped.append(d) or original(d))
+    la._layout.cache_clear()
     la._spectrum(mixed.entries, (3, 3, 3))
     assert grouped == []
     la._spectrum(conserving.op.entries, (3, 3, 3))
     assert grouped == [3]
+
+
+@pytest.mark.parametrize("conserving", [True, False])
+def test_cached_layouts_and_codes_are_read_only(conserving):
+    """Every caller shares the cached layout and multiset codes, so no caller can write them."""
+    layout = la._layout(3, conserving)
+    assert la._layout(3, conserving) is layout
+    shared = [layout.rows, layout.cols, layout.diagonal, *itertools.chain(*layout.traced)]
+    shared += [la._multisets(3, 2), la._multisets(3, 3)]
+    for a in shared:
+        with pytest.raises(ValueError, match="read-only"):
+            a[0] = a[0]
+
+
+@pytest.mark.parametrize("d", [3, 4, 5, 6])
+def test_one_sector_grouping_serves_validation_and_dykstra(monkeypatch, d):
+    """``dso_general(d)``, ``density_deficits`` and a Dykstra search at the same d read one
+    cached layout, so the sectors of d are grouped once between them."""
+    grouped = []
+    original = la._sectors
+    monkeypatch.setattr(la, "_sectors", lambda d: grouped.append(d) or original(d))
+    la._layout.cache_clear()
+    dso = bf.dso_general(d)
+    bf.density_deficits(dso.op)
+    bf.dykstra_find_extension(bf.pattern_sym3(bf.werner(d)), max_iters=3)
+    assert grouped == [d]
