@@ -5,9 +5,9 @@ ordered dimensions of its tensor factors.  Values are immutable after
 construction and all functions here are pure, so they are safe to share
 across threads.  The public functions validate at this boundary and
 delegate to a private kernel on raw arrays (Hermitian part, spectral map,
-partial trace, factor reordering and permutation), which the solvers'
-inner loops call directly.  The kernel keeps the dtype of its input, so
-real symmetric arrays stay real.
+partial trace and factor permutation), which the solvers' inner loops call
+directly.  The kernel keeps the dtype of its input, so real symmetric
+arrays stay real.
 
 On three factors C^d the weight sectors group the states ``|abc>`` of one
 multiset ``{a, b, c}``, in blocks of 1, 3 and 6; a matrix with no entry
@@ -29,7 +29,6 @@ import math
 import numbers
 import operator
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Callable
 
 import numpy as np
@@ -37,17 +36,13 @@ import numpy as np
 __all__ = [
     "TensorOperator",
     "identity",
-    "kron",
     "trace",
     "frobenius_distance",
     "partial_trace",
-    "reorder_factors",
     "eigenvalues",
     "operator_norm",
     "operator_to_text",
     "operator_from_text",
-    "save_operator",
-    "load_operator",
 ]
 
 # Relative Frobenius asymmetry allowed before a matrix is rejected as
@@ -135,11 +130,6 @@ def identity(factor_dims: tuple[int, ...]) -> TensorOperator:
     return TensorOperator(np.eye(side, dtype=np.complex128), tuple(factor_dims))
 
 
-def kron(a: TensorOperator, b: TensorOperator) -> TensorOperator:
-    """Tensor product; the factor list of ``a`` is extended by that of ``b``."""
-    return TensorOperator(np.kron(a.entries, b.entries), a.factor_dims + b.factor_dims)
-
-
 def trace(t: TensorOperator) -> complex:
     """Matrix trace as a complex scalar."""
     return complex(np.trace(t.entries))
@@ -159,19 +149,13 @@ def _ptrace(m: np.ndarray, dims: tuple[int, ...], j: int) -> np.ndarray:
     return reduced.reshape(side, side)
 
 
-def _reorder(m: np.ndarray, dims: tuple[int, ...], order: tuple[int, ...]) -> np.ndarray:
-    """Permute the factors of a raw matrix; ``order[k]`` is the old 1-based slot moved to k+1."""
-    n = len(dims)
-    src = [o - 1 for o in order]
-    return m.reshape(dims + dims).transpose(src + [n + o for o in src]).reshape(m.shape)
-
-
-def _permutation(dims: tuple[int, ...], order: tuple[int, ...]) -> np.ndarray:
-    """Unitary ``U`` with ``_reorder(m, dims, order) == U m U^T``, as a real 0/1 matrix."""
+def _permutation(dims: tuple[int, ...], images: tuple[int, ...]) -> np.ndarray:
+    """Real 0/1 unitary that moves the content of 1-based factor ``i`` of a product on ``dims``
+    to factor ``images[i - 1]``; ``U m U^T`` permutes the factors of a matrix ``m`` alike."""
     n = len(dims)
     side = math.prod(dims)
     eye = np.eye(side).reshape(dims + dims)
-    return eye.transpose([o - 1 for o in order] + list(range(n, 2 * n))).reshape(side, side)
+    return eye.transpose([*np.argsort(images), *range(n, 2 * n)]).reshape(side, side)
 
 
 def partial_trace(t: TensorOperator, j: int) -> TensorOperator:
@@ -183,16 +167,6 @@ def partial_trace(t: TensorOperator, j: int) -> TensorOperator:
         raise ValueError(f"factor index {j} outside 1..{n}")
     dims = t.factor_dims
     return TensorOperator(_ptrace(t.entries, dims, j), dims[: j - 1] + dims[j:])
-
-
-def reorder_factors(t: TensorOperator, order: tuple[int, ...]) -> TensorOperator:
-    """Permute tensor factors; ``order[k]`` is the 1-based old position moved to slot k+1."""
-    n = t.nfactors
-    if sorted(order) != list(range(1, n + 1)):
-        raise ValueError(f"order {order} is not a permutation of 1..{n}")
-    dims = t.factor_dims
-    new_dims = tuple(dims[o - 1] for o in order)
-    return TensorOperator(_reorder(t.entries, dims, order), new_dims)
 
 
 def _asymmetry(m: np.ndarray) -> float:
@@ -434,13 +408,3 @@ def operator_from_text(text: str) -> TensorOperator:
         seen.add((row, col))
         mat[row, col] = complex(re, im)
     return TensorOperator(mat, dims)
-
-
-def save_operator(t: TensorOperator, path: str | Path) -> None:
-    """Write an operator to ``path`` in the plain-text matrix format."""
-    Path(path).write_text(operator_to_text(t), encoding="ascii")
-
-
-def load_operator(path: str | Path) -> TensorOperator:
-    """Read an operator from a plain-text matrix file."""
-    return operator_from_text(Path(path).read_text(encoding="ascii"))

@@ -124,10 +124,6 @@ class Permutation3:
         object.__setattr__(self, "images", images)
         object.__setattr__(self, "parity", -1 if inversions % 2 else 1)
 
-    def _order(self) -> tuple[int, int, int]:
-        """The inverse images: slot ``k`` receives the content of slot ``order[k - 1]``."""
-        return tuple(self.images.index(slot) + 1 for slot in (1, 2, 3))
-
 
 ALL_PERMUTATIONS_3: tuple[Permutation3, ...] = tuple(
     Permutation3(images) for images in itertools.permutations((1, 2, 3))
@@ -172,7 +168,7 @@ def permutation_operator(p: Permutation3, d: int) -> TensorOperator:
     compose covariantly: U_p @ U_q is the operator of ``p`` after ``q``.
     """
     dims = _space(d, 3)
-    return TensorOperator(_permutation(dims, p._order()), dims)
+    return TensorOperator(_permutation(dims, p.images), dims)
 
 
 def antisymmetrizer3(d: int) -> TensorOperator:
@@ -182,7 +178,7 @@ def antisymmetrizer3(d: int) -> TensorOperator:
     d(d-1)(d-2)/6, and for d = 2 it is the zero operator.
     """
     dims = _space(d, 3)
-    total = sum(p.parity * _permutation(dims, p._order()) for p in ALL_PERMUTATIONS_3)
+    total = sum(p.parity * _permutation(dims, p.images) for p in ALL_PERMUTATIONS_3)
     return TensorOperator((1.0 / 6.0) * total, dims)
 
 

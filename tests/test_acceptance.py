@@ -162,19 +162,6 @@ def _property_battery(round_index: int, capsys) -> list[str]:
     failures: list[str] = []
     rng = np.random.default_rng(7000 + round_index)
 
-    # mixed-product law
-    for _ in range(3):
-        mats = [
-            rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3)) for _ in range(2)
-        ] + [rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2)) for _ in range(2)]
-        a, c = (bf.TensorOperator(m, (3,)) for m in mats[:2])
-        b, dd = (bf.TensorOperator(m, (2,)) for m in mats[2:])
-        lhs = bf.kron(a, b) @ bf.kron(c, dd)
-        rhs = bf.kron(a @ c, b @ dd)
-        scale = max(1.0, float(np.linalg.norm(lhs.entries)))
-        if bf.frobenius_distance(lhs, rhs) > 1e-12 * scale:
-            failures.append("mixed-product law")
-
     # partial trace linearity and trace preservation
     dims = (2, 2, 3)
     side = 12

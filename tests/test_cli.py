@@ -120,7 +120,7 @@ def test_bell_original_singlet_flags_violation(capsys):
 
 def test_bell_accepts_state_file(capsys, tmp_path):
     path = tmp_path / "w2.mat"
-    bf.save_operator(bf.werner(2).op, path)
+    path.write_text(bf.operator_to_text(bf.werner(2).op), encoding="ascii")
     code, report, _ = run_cli(
         capsys,
         ["bell", "--functional", "chsh", "--state", f"file:{path}", "--restarts", "5"],
@@ -147,7 +147,8 @@ def test_bell_rejects_state_file_with_repeated_entry(capsys, tmp_path):
 
 def test_bell_rejects_non_density_file(capsys, tmp_path):
     path = tmp_path / "bad.mat"
-    bf.save_operator(bf.identity((2, 2)), path)  # trace 4, not a state
+    # trace 4, not a state
+    path.write_text(bf.operator_to_text(bf.identity((2, 2))), encoding="ascii")
     code, _, err = run_cli(capsys, ["bell", "--functional", "chsh", "--state", f"file:{path}"])
     assert code == 3
     assert "not a density operator" in err
@@ -155,7 +156,7 @@ def test_bell_rejects_non_density_file(capsys, tmp_path):
 
 def test_bell_rejects_non_bipartite_file(capsys, tmp_path):
     path = tmp_path / "tri.mat"
-    bf.save_operator((1.0 / 8.0) * bf.identity((2, 2, 2)), path)
+    path.write_text(bf.operator_to_text((1.0 / 8.0) * bf.identity((2, 2, 2))), encoding="ascii")
     code, _, err = run_cli(capsys, ["bell", "--functional", "chsh", "--state", f"file:{path}"])
     assert code == 3
     assert "bipartite" in err
@@ -274,7 +275,7 @@ def test_dso_find_dump_round_trips(capsys, tmp_path):
         ],
     )
     assert code == 0
-    candidate = bf.load_operator(path)
+    candidate = bf.operator_from_text(path.read_text(encoding="ascii"))
     assert candidate.factor_dims == (2, 2, 2)
     assert bf.trace(candidate).real == pytest.approx(1.0, abs=1e-8)
     residuals = bf.verify_marginals(candidate, bf.pattern_right2(bf.werner(2)))
@@ -343,7 +344,7 @@ def test_report_parameters_are_the_options(capsys, tmp_path, argv, options):
     """``parameters`` echoes every option but --quiet in parser order; ``d`` is resolved."""
     if argv[0] == "dso-find":
         path = tmp_path / "w2.mat"
-        bf.save_operator(bf.werner(2).op, path)
+        path.write_text(bf.operator_to_text(bf.werner(2).op), encoding="ascii")
         argv = [*argv, "--state", f"file:{path}"]
     _, report, _ = run_cli(capsys, [*argv, "--quiet"])
     assert list(report["parameters"]) == options
@@ -373,7 +374,7 @@ def test_every_entry_point_reports_the_supported_range(capsys, tmp_path, entry):
         assert code == 2
     else:
         path = tmp_path / "w7.mat"
-        bf.save_operator(w7.op, path)
+        path.write_text(bf.operator_to_text(w7.op), encoding="ascii")
         argv = ["bell", "--functional", "chsh", "--state", f"file:{path}"]
         code, _, message = run_cli(capsys, argv)
         assert code == 3
@@ -394,6 +395,21 @@ def test_verify_solves_three_factor_operators_by_weight_sector(monkeypatch, caps
     code, report, _ = run_cli(capsys, ["verify", "--d", "6", "--quiet"])
     assert code == 0 and report["results"]["source_negativity"]["pass"]
     assert sorted(set(sides)) == [3, 6, 36]
+
+
+def test_verify_solves_each_spectrum_once(monkeypatch, capsys):
+    """``verify --d 2`` solves the 4-sided Werner state and the source operator's 3-sided weight
+    sectors twice each: once to validate the state, once for its negativity and spectrum."""
+    sides = []
+
+    def spy(m, *args, _original=np.linalg.eigvalsh, **kwargs):
+        sides.append(m.shape[-1])
+        return _original(m, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", spy)
+    code, _, _ = run_cli(capsys, ["verify", "--d", "2", "--quiet"])
+    assert code == 0
+    assert sorted(sides) == [3, 3, 4, 4]
 
 
 # ----------------------------------------------------------------------- misc

@@ -13,7 +13,7 @@ from bellforge import extensions
 from bellforge import linalg as la
 from bellforge.extensions import _project_marginal
 from bellforge.linalg import (
-    PSD_TOL, _add_embedded, _block_ptrace, _layout, _project_density, _ptrace
+    PSD_TOL, _add_embedded, _block_ptrace, _layout, _permutation, _project_density, _ptrace
 )
 
 
@@ -55,28 +55,28 @@ def singlet_mixture(p: float) -> bf.DensityOperator:
     return bf.DensityOperator(p * bf.singlet().op + (1.0 - p) * 0.25 * bf.identity((2, 2)))
 
 
-# Factor order that moves the identity of ``kron(Y, I)`` to the traced slot.
-SLOT_ORDER = {1: (3, 1, 2), 2: (1, 3, 2), 3: (1, 2, 3)}
+# Images of the three factors of ``kron(Y, I)`` that move its identity to the traced slot.
+SLOT_IMAGES = {1: (2, 3, 1), 2: (1, 3, 2), 3: (1, 2, 3)}
 
 
 def certificate_value(cert: bf.InfeasibilityCertificate, pattern: bf.MarginalPattern) -> float:
-    """``(sum_j tr(rho_j Y_j) - lambda_min(M)) / sum_j ||Y_j||_F``, built from public calls."""
+    """``(sum_j tr(rho_j Y_j) - lambda_min(M)) / sum_j ||Y_j||_F``, via ``embed_identity``."""
     d = pattern.local_dim
     targets = dict(pattern.constraints)
     m = np.zeros((d**3, d**3), dtype=np.complex128)
     paired = 0.0
     for j, y in zip(cert.slots, cert.duals):
-        m += bf.reorder_factors(bf.kron(y, bf.identity((d,))), SLOT_ORDER[j]).entries
+        m += embed_identity(y.entries, d, j)
         paired += np.trace(targets[j].op.entries @ y.entries).real
     scale = sum(np.linalg.norm(y.entries) for y in cert.duals)
     return (paired - np.linalg.eigvalsh(m)[0]) / scale
 
 
 def embed_identity(b: np.ndarray, d: int, slot: int) -> np.ndarray:
-    """``b`` tensored with the identity at 1-based ``slot``, built from public calls."""
-    pair = bf.TensorOperator(b, (d, d))
-    product = bf.reorder_factors(bf.kron(pair, bf.identity((d,))), SLOT_ORDER[slot]).entries
-    return product if np.iscomplexobj(b) else product.real
+    """``b`` tensored with the identity at 1-based ``slot``: ``kron(b, I)`` conjugated by the
+    factor permutation that the named operators are built from, in the dtype of ``b``."""
+    u = _permutation((d, d, d), SLOT_IMAGES[slot])
+    return u @ np.kron(b, np.eye(d)) @ u.T
 
 
 def dense(v: np.ndarray, layout) -> np.ndarray:
@@ -577,10 +577,9 @@ def textbook_dykstra(
 ) -> bf.FeasibilityResult:
     """The search on dense matrices with a full correction per set, as Dykstra's method is stated.
 
-    It calls no helper of the search: embeddings come from public ``kron`` and
-    ``reorder_factors``, the density projection from one full-matrix ``eigh``, and
-    ``lambda_min`` from a dense ``eigvalsh``.  The dual of marginal set j is read back
-    from its correction as ``ptr_j(c_j) / d``.
+    It calls no helper of the search: embeddings come from ``embed_identity``, the density
+    projection from one full-matrix ``eigh``, and ``lambda_min`` from a dense ``eigvalsh``.
+    The dual of marginal set j is read back from its correction as ``ptr_j(c_j) / d``.
     """
     d = pattern.local_dim
     targets = raw_targets(pattern)

@@ -11,6 +11,7 @@ from pathlib import Path
 import bellforge
 
 PACKAGE = Path(bellforge.__file__).parent
+BENCHMARKS = Path(__file__).resolve().parents[1] / "benchmarks"
 EIG_NAMES = {"eig", "eigh", "eigvals", "eigvalsh"}
 # The closed-form two-qubit CHSH oracle keeps its own 3x3 real eigen-solve,
 # so that it stays an independent reference for the see-saw.
@@ -19,9 +20,9 @@ EIG_EXEMPT = {("bell.py", "horodecki_chsh_oracle")}
 LOCAL_DIM_NAMES = {"MIN_LOCAL_DIM", "MAX_LOCAL_DIM"}
 
 
-def _modules() -> list[tuple[str, ast.Module]]:
-    paths = sorted(PACKAGE.glob("*.py"))
-    assert paths, f"no modules found in {PACKAGE}"
+def _modules(directory: Path = PACKAGE) -> list[tuple[str, ast.Module]]:
+    paths = sorted(directory.glob("*.py"))
+    assert paths, f"no modules found in {directory}"
     return [(p.name, ast.parse(p.read_text(encoding="utf-8"))) for p in paths]
 
 
@@ -170,9 +171,8 @@ def test_no_thread_pools():
 PUBLIC_NAMES = {
     "__version__",
     # linalg
-    "TensorOperator", "identity", "kron", "trace", "frobenius_distance", "partial_trace",
-    "reorder_factors", "eigenvalues", "operator_norm", "operator_to_text", "operator_from_text",
-    "save_operator", "load_operator",
+    "TensorOperator", "identity", "trace", "frobenius_distance", "partial_trace", "eigenvalues",
+    "operator_norm", "operator_to_text", "operator_from_text",
     # states
     "DensityOperator", "Permutation3", "ALL_PERMUTATIONS_3", "density_deficits", "flip",
     "antisym_projector", "permutation_operator", "antisymmetrizer3", "werner", "singlet",
@@ -206,3 +206,68 @@ def test_package_exports_exactly_the_module_lists():
         for alias in node.names
     }
     assert imported <= {"*", "annotations", "bell", "extensions", "linalg", "states"}
+
+
+# Public names that nothing in the package or the benchmark calls yet, each with its reason.
+UNCALLED_PUBLIC = {
+    "permutation_operator": "the paper's U_pi, from which the exact model builds its operators",
+    "correlation": "the paper's E(a, b), which both Bell functionals compose",
+    "original_bell_gap": "re-evaluates a see-saw optimum in the exact model",
+    "chsh_value": "re-evaluates a see-saw optimum in the exact model",
+}
+
+
+def _module_aliases(tree: ast.Module) -> set[str]:
+    """Names that a file binds to ``bellforge`` or to one of its modules."""
+    aliases = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            aliases |= {
+                a.asname or "bellforge" for a in node.names if a.name.split(".")[0] == "bellforge"
+            }
+        elif isinstance(node, ast.ImportFrom) and node.module in (None, "bellforge"):
+            aliases |= {a.asname or a.name for a in node.names}
+    return aliases
+
+
+def _bound(top: ast.stmt) -> set[str]:
+    """Names that a top-level statement defines or assigns."""
+    if isinstance(top, (ast.FunctionDef, ast.ClassDef)):
+        return {top.name}
+    targets = top.targets if isinstance(top, ast.Assign) else [getattr(top, "target", None)]
+    return {t.id for t in targets if isinstance(t, ast.Name)}
+
+
+def _called_names() -> set[str]:
+    """Names imported from a bellforge module, read as an attribute of one, or used in their own
+    module outside their definition, across the package and the benchmark; ``np.kron`` is none."""
+    called = set()
+    for _, tree in [*_modules(), *_modules(BENCHMARKS)]:
+        aliases = _module_aliases(tree)
+        defined = set().union(*map(_bound, tree.body))
+        for top in tree.body:
+            own = defined - _bound(top)
+            for node in ast.walk(top):
+                if isinstance(node, ast.ImportFrom) and (
+                    node.level or (node.module or "").split(".")[0] == "bellforge"
+                ):
+                    called |= {a.name for a in node.names}
+                elif isinstance(node, ast.Attribute):
+                    root = node.value
+                    while isinstance(root, ast.Attribute):
+                        root = root.value
+                    if isinstance(root, ast.Name) and root.id in aliases:
+                        called.add(node.attr)
+                elif isinstance(node, ast.Name) and node.id in own:
+                    called.add(node.id)
+    return called
+
+
+def test_public_names_have_callers():
+    """Each public name is called by the solvers, the CLI or the benchmark, or is listed, with
+    its reason, in ``UNCALLED_PUBLIC``; a listed name that gains a caller leaves the list."""
+    uncalled = set(bellforge.__all__) - _called_names()
+    assert uncalled == set(UNCALLED_PUBLIC), (
+        f"public names without a caller: {sorted(uncalled - set(UNCALLED_PUBLIC))}; "
+        f"listed but called: {sorted(set(UNCALLED_PUBLIC) - uncalled)}"
+    )

@@ -91,41 +91,6 @@ def test_operations_reject_space_mismatch():
             op()
 
 
-def test_kron_concatenates_factors():
-    rng = np.random.default_rng(12)
-    a = random_operator(rng, (2,))
-    b = random_operator(rng, (3,))
-    k = la.kron(a, b)
-    assert k.factor_dims == (2, 3)
-    np.testing.assert_allclose(k.entries, np.kron(a.entries, b.entries))
-
-
-def test_kron_pauli_example():
-    sx = la.TensorOperator(np.array([[0, 1], [1, 0]]), (2,))
-    sz = la.TensorOperator(np.array([[1, 0], [0, -1]]), (2,))
-    expected = np.array(
-        [
-            [0, 0, 1, 0],
-            [0, 0, 0, -1],
-            [1, 0, 0, 0],
-            [0, -1, 0, 0],
-        ],
-        dtype=complex,
-    )
-    np.testing.assert_array_equal(la.kron(sx, sz).entries, expected)
-
-
-def test_mixed_product_law():
-    rng = np.random.default_rng(13)
-    for _ in range(5):
-        a, c = (random_operator(rng, (3,)) for _ in range(2))
-        b, dd = (random_operator(rng, (2,)) for _ in range(2))
-        left = la.kron(a, b) @ la.kron(c, dd)
-        right = la.kron(a @ c, b @ dd)
-        scale = np.linalg.norm(left.entries)
-        assert la.frobenius_distance(left, right) <= 1e-12 * scale
-
-
 def test_trace_is_the_complex_matrix_trace():
     rng = np.random.default_rng(14)
     a = random_operator(rng, (2, 2))
@@ -184,7 +149,7 @@ def test_partial_trace_of_product_factorizes():
     rng = np.random.default_rng(17)
     a = random_operator(rng, (2,))
     b = random_operator(rng, (3,))
-    prod = la.kron(a, b)
+    prod = la.TensorOperator(np.kron(a.entries, b.entries), (2, 3))
     keep_a = la.partial_trace(prod, 2)
     keep_b = la.partial_trace(prod, 1)
     np.testing.assert_allclose(keep_a.entries, complex(np.trace(b.entries)) * a.entries, atol=1e-12)
@@ -202,29 +167,23 @@ def test_partial_trace_validates_index():
         la.partial_trace(la.identity((4,)), 1)
 
 
-def test_reorder_factors_swaps_product():
-    rng = np.random.default_rng(18)
-    a = random_operator(rng, (2,))
-    b = random_operator(rng, (3,))
-    swapped = la.reorder_factors(la.kron(a, b), (2, 1))
-    assert swapped.factor_dims == (3, 2)
-    assert la.frobenius_distance(swapped, la.kron(b, a)) <= 1e-13
-
-
-def test_reorder_factors_identity_and_validation():
-    t = la.identity((2, 3))
-    assert la.frobenius_distance(la.reorder_factors(t, (1, 2)), t) == 0.0
-    with pytest.raises(ValueError, match="not a permutation"):
-        la.reorder_factors(t, (1, 1))
-
-
 @pytest.mark.parametrize("order", list(itertools.permutations((1, 2, 3))))
 def test_permutation_matrix_conjugates_to_reorder(order):
+    """``order`` holds the images of slots 1, 2, 3: U is orthogonal, moves the content of slot i
+    of a product vector to slot ``order[i - 1]``, and so conjugates a product operator alike."""
     dims = (2, 3, 4)
-    m = random_operator(np.random.default_rng(19), dims).entries
+    rng = np.random.default_rng(19)
     u = la._permutation(dims, order)
     np.testing.assert_array_equal(u @ u.T, np.eye(24))
-    np.testing.assert_allclose(u @ m @ u.T, la._reorder(m, dims, order), atol=1e-14)
+    moved = [order.index(slot) for slot in (1, 2, 3)]
+    vecs = [rng.integers(-9, 10, n).astype(float) for n in dims]  # exact products
+    ops = [random_operator(rng, (n,)).entries for n in dims]
+    v = np.kron(np.kron(vecs[0], vecs[1]), vecs[2])
+    expected = np.kron(np.kron(vecs[moved[0]], vecs[moved[1]]), vecs[moved[2]])
+    np.testing.assert_array_equal(u @ v, expected)
+    m = np.kron(np.kron(ops[0], ops[1]), ops[2])
+    reordered = np.kron(np.kron(ops[moved[0]], ops[moved[1]]), ops[moved[2]])
+    np.testing.assert_allclose(u @ m @ u.T, reordered, atol=1e-14)
 
 
 # ------------------------------------------------------------------- spectral
@@ -404,7 +363,7 @@ def test_is_psd_thresholds():
 # ---------------------------------------------------------------- text format
 
 
-def test_text_round_trip_is_exact():
+def test_text_round_trip_is_exact(tmp_path):
     rng = np.random.default_rng(25)
     t = random_operator(rng, (2, 3))
     m = np.array(t.entries)
@@ -413,6 +372,13 @@ def test_text_round_trip_is_exact():
     t = la.TensorOperator(m, (2, 3))
     back = la.operator_from_text(la.operator_to_text(t))
     assert back.factor_dims == t.factor_dims
+    np.testing.assert_array_equal(back.entries, t.entries)
+    # Through a file, as ``dso-find --dump`` writes and a ``file:`` state is read.
+    t = random_operator(np.random.default_rng(26), (3,))
+    path = tmp_path / "op.mat"
+    path.write_text(la.operator_to_text(t), encoding="ascii")
+    back = la.operator_from_text(path.read_text(encoding="ascii"))
+    assert back.factor_dims == (3,)
     np.testing.assert_array_equal(back.entries, t.entries)
 
 
@@ -446,16 +412,6 @@ def test_text_parser_rejects_malformed_input():
 def test_text_parser_rejects_repeated_entry():
     with pytest.raises(ValueError, match="listed twice"):
         la.operator_from_text("dims: 2\n0 0 0.5 0\n0 0 1 0\n")
-
-
-def test_save_and_load_operator(tmp_path):
-    rng = np.random.default_rng(26)
-    t = random_operator(rng, (3,))
-    path = tmp_path / "op.mat"
-    la.save_operator(t, path)
-    back = la.load_operator(path)
-    assert back.factor_dims == (3,)
-    np.testing.assert_array_equal(back.entries, t.entries)
 
 
 # ------------------------------------------------------------ spectral kernel

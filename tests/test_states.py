@@ -109,10 +109,10 @@ def test_permutation_operator_is_unitary():
 @pytest.mark.parametrize("d", [2, 3])
 def test_transpositions_match_flip_constructions(d):
     """The three transposition operators factor through the bipartite flip."""
-    v = bf.flip(d)
-    one = bf.identity((d,))
-    v12 = bf.kron(v, one)
-    v23 = bf.kron(one, v)
+    v = bf.flip(d).entries
+    one = np.eye(d)
+    v12 = bf.TensorOperator(np.kron(v, one), (d, d, d))
+    v23 = bf.TensorOperator(np.kron(one, v), (d, d, d))
     v13 = v23 @ v12 @ v23
     assert bf.frobenius_distance(bf.permutation_operator(Permutation3((2, 1, 3)), d), v12) <= 1e-13
     assert bf.frobenius_distance(bf.permutation_operator(Permutation3((1, 3, 2)), d), v23) <= 1e-13
