@@ -363,7 +363,7 @@ def test_is_psd_thresholds():
 # ---------------------------------------------------------------- text format
 
 
-def test_text_round_trip_is_exact(tmp_path):
+def test_text_round_trip_is_exact():
     rng = np.random.default_rng(25)
     t = random_operator(rng, (2, 3))
     m = np.array(t.entries)
@@ -373,6 +373,9 @@ def test_text_round_trip_is_exact(tmp_path):
     back = la.operator_from_text(la.operator_to_text(t))
     assert back.factor_dims == t.factor_dims
     np.testing.assert_array_equal(back.entries, t.entries)
+
+
+def test_save_and_load_operator(tmp_path):
     # Through a file, as ``dso-find --dump`` writes and a ``file:`` state is read.
     t = random_operator(np.random.default_rng(26), (3,))
     path = tmp_path / "op.mat"
