@@ -18,11 +18,13 @@ field but ``wall_time_ms``) and a short human summary to stderr unless
 except ``--quiet``, in parser order; ``d`` is the state's local dimension.
 Exit codes: 0 all checks passed, 1 a check failed or a violation was
 found, 2 usage error, 3 structurally valid but non-density input data.
+Repeated ``main(argv)`` calls share one parser, built on the first call.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -289,7 +291,10 @@ def cmd_dso_find(args: argparse.Namespace) -> _Outcome:
     )
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """Built once, on first use; its ``func`` defaults bind the ``cmd_*`` functions then, so a
+    later rebinding of ``cli.cmd_*`` does not reach ``main``."""
     parser = argparse.ArgumentParser(
         prog="bellforge",
         description="Werner-state identities, Bell-functional maximization, extension search.",
@@ -337,9 +342,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         code = exc.code
         return code if isinstance(code, int) else 0 if code is None else 2

@@ -3,12 +3,16 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import bellforge as bf
-from bellforge.cli import main, render_json
+from bellforge.cli import build_parser, main, render_json
 
 REPORT_KEYS = ["command", "parameters", "results", "wall_time_ms", "artifact_version"]
 
@@ -430,3 +434,27 @@ def test_version_flag(capsys):
     out = capsys.readouterr().out
     assert code == 0
     assert bf.__version__ in out
+
+
+# --------------------------------------------------------------- shared parser
+
+
+def test_parser_is_built_once():
+    assert build_parser() is build_parser()
+
+
+def test_import_builds_no_parser():
+    """Importing the CLI builds nothing: the parser's cost falls on the first ``main`` call."""
+    probe = "import bellforge.cli as cli; print(cli.build_parser.cache_info().currsize)"
+    env = {**os.environ, "PYTHONPATH": str(Path(bf.__file__).parents[1])}
+    done = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+    )
+    assert done.stdout == "0\n"
+
+
+def test_options_do_not_carry_over_to_a_later_call(capsys):
+    bell = ["bell", "--d", "2", "--functional", "chsh", "--quiet"]
+    run_cli(capsys, [*bell, "--restarts", "3", "--seed", "5"])
+    _, report, _ = run_cli(capsys, bell)
+    assert [report["parameters"][k] for k in ("restarts", "seed")] == [50, 0]

@@ -1,7 +1,7 @@
 """Source-layout guards: one spectral kernel, one owner of the weight-sector block layout and of
 the dimension range, no thread pools, the see-saw's state layouts multiplied only by its two
-effective-operator functions, and a public surface trimmed to what the solvers, the CLI and the
-benchmark call."""
+effective-operator functions, one command-line parser, and a public surface trimmed to what the
+solvers, the CLI and the benchmark call."""
 
 from __future__ import annotations
 
@@ -166,6 +166,25 @@ def test_no_thread_pools():
                 imports.append((name, node.module))
     pools = [(name, module) for name, module in imports if module.startswith("concurrent")]
     assert not pools, f"concurrent.futures imported: {pools}"
+
+
+def _call_owners(name: str) -> list[str]:
+    """``module:top-level name`` of every call to ``name`` or to an attribute ``name``."""
+    return sorted(
+        f"{module}:{getattr(top, 'name', '<module>')}"
+        for module, tree in _modules()
+        for top in tree.body
+        for node in ast.walk(top)
+        if isinstance(node, ast.Call)
+        and name in (getattr(node.func, "id", None), getattr(node.func, "attr", None))
+    )
+
+
+def test_one_parser_serves_every_main_call():
+    """``cli.build_parser``, built once per process, is the only place a parser is constructed,
+    and ``cli.main`` the only caller, so no second parser path bypasses the shared one."""
+    assert _call_owners("ArgumentParser") == ["cli.py:build_parser"]
+    assert _call_owners("build_parser") == ["cli.py:main"]
 
 
 PUBLIC_NAMES = {
