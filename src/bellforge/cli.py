@@ -39,6 +39,7 @@ from .bell import SeeSawConfig, seesaw_chsh, seesaw_original_bell
 from .extensions import dykstra_find_extension, pattern_right2, pattern_sym3, verify_marginals
 from .linalg import (
     TensorOperator,
+    _idempotence,
     _split_text,
     eigenvalues,
     frobenius_distance,
@@ -52,9 +53,9 @@ from .states import (
     DensityOperator,
     _bipartite_dim,
     _check_local_dim,
+    _dso_from,
     antisym_projector,
     antisymmetrizer3,
-    dso_general,
     dso_two_qubit,
     flip,
     singlet,
@@ -186,7 +187,7 @@ def cmd_verify(args: argparse.Namespace) -> _Outcome:
     pm = antisym_projector(d)
     if d == 2:
         checks["antisymmetrizer_vanishes"] = _check(float(np.linalg.norm(q.entries)), tol)
-    checks["antisymmetrizer_idempotent"] = _check(frobenius_distance(q @ q, q), tol)
+    checks["antisymmetrizer_idempotent"] = _check(_idempotence(q), tol)
     checks["antisymmetrizer_trace"] = _check(
         abs(trace(q) - d * (d - 1) * (d - 2) / 6.0), tol
     )
@@ -196,7 +197,7 @@ def cmd_verify(args: argparse.Namespace) -> _Outcome:
             frobenius_distance(partial_trace(q, j), target), tol
         )
 
-    source = dso_two_qubit() if d == 2 else dso_general(d)
+    source = dso_two_qubit() if d == 2 else _dso_from(q)
     checks["source_trace"] = _check(abs(trace(source.op) - 1.0), tol)
     source_vals = eigenvalues(source.op)
     checks["source_negativity"] = _check(max(0.0, -source_vals[-1]), tol)

@@ -16,10 +16,12 @@ Gatermann & Parrilo, JPAA 192, 95 (2004)).  ``_layout`` lays such matrices
 out as one flat vector of block entries, once per dimension and read-only.
 On that vector the kernel takes partial traces, embeds, projects onto the
 density set and solves the spectrum, one stacked solve per block size.
-``eigenvalues`` and density validation share one exact kernel, ``_spectrum``:
-real arithmetic for a zero imaginary part, and the blocks of a three-factor
-operator that conserves weight or else one dense solve.  Dykstra's search
-stores its iterates in the same layout.
+``eigenvalues``, density validation and ``verify``'s idempotence check read an
+operator through ``_blocks``: the Hermiticity, spectrum and idempotence of a
+three-factor operator that conserves weight are taken exactly on its blocks,
+and those of any other operator on its one dense matrix, in real arithmetic
+for a zero imaginary part.  Dykstra's search stores its iterates in the same
+layout.
 """
 
 from __future__ import annotations
@@ -169,21 +171,6 @@ def partial_trace(t: TensorOperator, j: int) -> TensorOperator:
     return TensorOperator(_ptrace(t.entries, dims, j), dims[: j - 1] + dims[j:])
 
 
-def _asymmetry(m: np.ndarray) -> float:
-    """Frobenius norm of ``m - m^H`` relative to that of ``m`` (at least 1)."""
-    return float(np.linalg.norm(m - m.conj().T)) / max(1.0, float(np.linalg.norm(m)))
-
-
-def _hermitian_entries(t: TensorOperator) -> np.ndarray:
-    """Entries of ``t``, rejected if their asymmetry exceeds ``HERMITICITY_TOL``."""
-    asym = _asymmetry(t.entries)
-    if asym > HERMITICITY_TOL:
-        raise ValueError(
-            f"matrix is not Hermitian: relative asymmetry {asym:.3e} exceeds {HERMITICITY_TOL:.1e}"
-        )
-    return t.entries
-
-
 def _hermitian_part(m: np.ndarray) -> np.ndarray:
     """``(m + m^H) / 2`` of a matrix or a stack; real input stays real, with no extra copy."""
     return (m + m.conj().swapaxes(-1, -2)) / 2.0
@@ -298,9 +285,8 @@ def _chunks(v: np.ndarray, layout: _Layout) -> list[np.ndarray]:
 
 
 def _block_eigenvalues(v: np.ndarray, layout: _Layout) -> np.ndarray:
-    """Ascending eigenvalues of the Hermitian part of the matrix whose block entries are ``v``;
-    exact, as the matrix has no entry outside its blocks, with one stacked solve per size."""
-    return np.sort(np.concatenate([_eigenvalues(c).ravel() for c in _chunks(v, layout)]))
+    """Ascending eigenvalues of the Hermitian part of the matrix whose block entries are ``v``."""
+    return _spectrum(_chunks(v, layout))
 
 
 def _block_ptrace(v: np.ndarray, layout: _Layout, j: int) -> np.ndarray:
@@ -335,24 +321,51 @@ def _project_density(v: np.ndarray, layout: _Layout) -> np.ndarray:
     return out
 
 
-def _spectrum(m: np.ndarray, dims: tuple[int, ...]) -> np.ndarray:
-    """Ascending eigenvalues of the Hermitian part of ``m`` on ``dims``, reduced as above."""
+def _blocks(m: np.ndarray, dims: tuple[int, ...]) -> list[np.ndarray]:
+    """``m`` on ``dims`` as the stacks of its weight-sector blocks if it is on three factors C^d
+    and conserves weight (tested first), else as ``[m]``; real for a zero imaginary part."""
     m = m if m.imag.any() else m.real
-    if len(dims) == 3 and len(set(dims)) == 1 and _conserves(m, dims[0], 3):
-        layout = _layout(dims[0], True)
-        return _block_eigenvalues(m[layout.rows, layout.cols], layout)
-    return _eigenvalues(m)
+    if len(dims) != 3 or len(set(dims)) != 1 or not _conserves(m, dims[0], 3):
+        return [m]
+    layout = _layout(dims[0], True)
+    return _chunks(m[layout.rows, layout.cols], layout)
+
+
+def _norm(blocks: list[np.ndarray]) -> float:
+    """Frobenius norm of the block-diagonal matrix whose blocks, or stacks of them, are listed."""
+    return math.hypot(*(float(np.linalg.norm(b)) for b in blocks))
+
+
+def _asymmetry(blocks: list[np.ndarray]) -> float:
+    """Frobenius norm of ``m - m^H`` relative to that of ``m`` (at least 1), from ``_blocks(m)``."""
+    return _norm([b - b.conj().swapaxes(-1, -2) for b in blocks]) / max(1.0, _norm(blocks))
+
+
+def _idempotence(t: TensorOperator) -> float:
+    """Frobenius norm of ``t @ t - t``, a product of the ``_blocks`` of ``t``."""
+    return _norm([b @ b - b for b in _blocks(t.entries, t.factor_dims)])
+
+
+def _spectrum(blocks: list[np.ndarray]) -> np.ndarray:
+    """Ascending eigenvalues of the Hermitian part of the matrix with these blocks, one solve per
+    stack; exact, as the matrix has no other entry."""
+    return np.sort(np.concatenate([_eigenvalues(b).ravel() for b in blocks]))
 
 
 def eigenvalues(t: TensorOperator) -> np.ndarray:
     """Real eigenvalues of a Hermitian operator, descending."""
-    return _spectrum(_hermitian_entries(t), t.factor_dims)[::-1]
+    blocks = _blocks(t.entries, t.factor_dims)
+    asym = _asymmetry(blocks)
+    if asym > HERMITICITY_TOL:
+        raise ValueError(
+            f"matrix is not Hermitian: relative asymmetry {asym:.3e} exceeds {HERMITICITY_TOL:.1e}"
+        )
+    return _spectrum(blocks)[::-1]
 
 
 def operator_norm(t: TensorOperator) -> float:
     """Largest absolute eigenvalue of a Hermitian operator."""
-    vals = _eigenvalues(_hermitian_entries(t))
-    return float(np.max(np.abs(vals))) if vals.size else 0.0
+    return float(np.max(np.abs(eigenvalues(t))))
 
 
 def operator_to_text(t: TensorOperator) -> str:

@@ -5,8 +5,8 @@ antisymmetric projector, and the Werner state built from it.  The
 tripartite objects live on C^d (x) C^d (x) C^d: signed permutation
 operators, the three-factor antisymmetrizer, and the two source-operator
 families whose partial traces reproduce Werner states.  Density operators
-are validated by ``density_deficits``, whose spectral check runs, exactly, in
-real arithmetic for real operators and by weight sector for three-factor ones.
+are validated by ``density_deficits``, exactly: on the weight-sector blocks of a
+three-factor operator that conserves weight, and in real arithmetic if real.
 """
 
 from __future__ import annotations
@@ -22,6 +22,7 @@ from .linalg import (
     PSD_TOL,
     TensorOperator,
     _asymmetry,
+    _blocks,
     _permutation,
     _spectrum,
     identity,
@@ -78,9 +79,9 @@ def density_deficits(t: TensorOperator) -> tuple[float, float, float]:
     Frobenius asymmetry, ``|tr t - 1|``, and the magnitude of the most
     negative eigenvalue of the symmetrized matrix (0 when PSD).
     """
-    m = t.entries
-    lowest = float(_spectrum(m, t.factor_dims)[0])
-    return _asymmetry(m), abs(complex(np.trace(m)) - 1.0), max(0.0, -lowest)
+    blocks = _blocks(t.entries, t.factor_dims)
+    lowest = float(_spectrum(blocks)[0])
+    return _asymmetry(blocks), abs(complex(np.trace(t.entries)) - 1.0), max(0.0, -lowest)
 
 
 @dataclass(frozen=True, eq=False)
@@ -206,5 +207,10 @@ def dso_general(d: int) -> DensityOperator:
     """
     if d <= 2:
         raise ValueError(f"symmetric source operator needs local dimension >= 3, got {d}")
-    op = (1.0 / d**4) * identity((d, d, d)) + (6.0 / (d * d * (d - 2))) * antisymmetrizer3(d)
-    return DensityOperator(op)
+    return _dso_from(antisymmetrizer3(d))
+
+
+def _dso_from(q: TensorOperator) -> DensityOperator:
+    """``dso_general(d)`` built from ``q = antisymmetrizer3(d)``, for a caller that holds it."""
+    d = q.factor_dims[0]
+    return DensityOperator((1.0 / d**4) * identity(q.factor_dims) + (6.0 / (d * d * (d - 2))) * q)

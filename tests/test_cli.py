@@ -401,6 +401,29 @@ def test_verify_solves_three_factor_operators_by_weight_sector(monkeypatch, caps
     assert sorted(set(sides)) == [3, 6, 36]
 
 
+@pytest.mark.parametrize("d", [4, 5, 6])
+def test_verify_does_no_dense_three_factor_work(monkeypatch, capsys, d):
+    """``verify`` multiplies no three-factor operator densely and takes no norm of more than
+    d**4 entries, so it calls no BLAS kernel large enough to start worker threads."""
+    products, sizes = [], []
+    matmul, norm = bf.TensorOperator.__matmul__, np.linalg.norm
+
+    def matmul_spy(a, b):
+        products.append(a.nfactors)
+        return matmul(a, b)
+
+    def norm_spy(x, *args, **kwargs):
+        sizes.append(np.size(x))
+        return norm(x, *args, **kwargs)
+
+    monkeypatch.setattr(bf.TensorOperator, "__matmul__", matmul_spy)
+    monkeypatch.setattr(np.linalg, "norm", norm_spy)
+    code, _, _ = run_cli(capsys, ["verify", "--d", str(d), "--quiet"])
+    assert code == 0
+    assert products and 3 not in products
+    assert sizes and max(sizes) <= d**4
+
+
 def test_verify_solves_each_spectrum_once(monkeypatch, capsys):
     """``verify --d 2`` solves the 4-sided Werner state and the source operator's 3-sided weight
     sectors twice each: once to validate the state, once for its negativity and spectrum."""

@@ -233,6 +233,7 @@ UNCALLED_PUBLIC = {
     "correlation": "the paper's E(a, b), which both Bell functionals compose",
     "original_bell_gap": "re-evaluates a see-saw optimum in the exact model",
     "chsh_value": "re-evaluates a see-saw optimum in the exact model",
+    "dso_general": "the paper's source operator; verify builds it from the Q it holds (_dso_from)",
 }
 
 

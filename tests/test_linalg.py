@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import tracemalloc
@@ -506,9 +507,9 @@ def test_spectrum_gathers_blocks_only_for_conserving_operators(monkeypatch):
     original = la._sectors
     monkeypatch.setattr(la, "_sectors", lambda d: grouped.append(d) or original(d))
     la._layout.cache_clear()
-    la._spectrum(mixed.entries, (3, 3, 3))
+    la._spectrum(la._blocks(mixed.entries, (3, 3, 3)))
     assert grouped == []
-    la._spectrum(conserving.op.entries, (3, 3, 3))
+    la._spectrum(la._blocks(conserving.op.entries, (3, 3, 3)))
     assert grouped == [3]
 
 
@@ -536,3 +537,87 @@ def test_one_sector_grouping_serves_validation_and_dykstra(monkeypatch, d):
     bf.density_deficits(dso.op)
     bf.dykstra_find_extension(bf.pattern_sym3(bf.werner(d)), max_iters=3)
     assert grouped == [d]
+
+
+def dense_asymmetry(m: np.ndarray) -> float:
+    return float(np.linalg.norm(m - m.conj().T)) / max(1.0, float(np.linalg.norm(m)))
+
+
+def dense_deficits(m: np.ndarray) -> tuple[float, float, float]:
+    lowest = float(np.linalg.eigvalsh((m + m.conj().T) / 2.0)[0])
+    return dense_asymmetry(m), abs(complex(np.trace(m)) - 1.0), max(0.0, -lowest)
+
+
+@functools.cache
+def conserving_cases() -> dict[str, np.ndarray]:
+    """Operators that conserve weight: the source operators, and random ones, real and complex,
+    Hermitian of norm 1, and that plus an anti-Hermitian part of norm 1e-3 inside the blocks."""
+    cases = {f"dso_general{d}": bf.dso_general(d).op.entries for d in range(3, 7)}
+    for d, real in itertools.product((3, 5), (True, False)):
+        rng = np.random.default_rng(200 + 2 * d + real)
+        h = sector_hermitian(rng, d, real)
+        g = rng.standard_normal(h.shape) * (h != 0)
+        skew = g - g.T
+        kind = "real" if real else "complex"
+        cases[f"hermitian-{kind}{d}"] = h / np.linalg.norm(h)
+        cases[f"skewed-{kind}{d}"] = h / np.linalg.norm(h) + 1e-3 * skew / np.linalg.norm(skew)
+    return cases
+
+
+@pytest.mark.parametrize("case", sorted(conserving_cases()))
+def test_block_hermiticity_and_deficits_match_the_dense_formulas(case):
+    """On a conserving operator, the blockwise asymmetry and density deficits are the dense
+    values: the entries outside the blocks are zero and add nothing to either norm."""
+    m = conserving_cases()[case]
+    d = round(m.shape[0] ** (1 / 3))
+    blocks = la._blocks(m, (d, d, d))
+    assert max(b.shape[-1] for b in blocks) == 6
+    assert abs(la._asymmetry(blocks) - dense_asymmetry(m)) <= 1e-15
+    got = bf.density_deficits(la.TensorOperator(m, (d, d, d)))
+    np.testing.assert_allclose(got, dense_deficits(m), rtol=0.0, atol=1e-15)
+    if case.startswith("skewed"):
+        assert la._asymmetry(blocks) == pytest.approx(2e-3, rel=1e-6)
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 5, 6])
+def test_block_idempotence_matches_the_dense_product(d):
+    """``verify``'s idempotence check, a product of blocks, is the dense ``||Q Q - Q||``, for the
+    antisymmetrizer Q and for 2Q, whose defect is ``2 ||Q||``."""
+    q = bf.antisymmetrizer3(d)
+    assert abs(la._idempotence(q) - la.frobenius_distance(q @ q, q)) <= 1e-15
+    twice = 2.0 * q
+    exact = 2.0 * math.sqrt(d * (d - 1) * (d - 2) / 6.0)
+    assert la._idempotence(twice) == pytest.approx(exact, rel=1e-14, abs=1e-15)
+
+
+def test_one_asymmetric_entry_inside_a_block_is_rejected():
+    """A conserving operator that is not Hermitian in a single entry, inside one block, is
+    rejected both as a density operator and by ``eigenvalues``."""
+    m = bf.dso_general(3).op.entries.copy()
+    code = la._multisets(3, 3)
+    row, col = next((r, c) for r in range(27) for c in range(27) if r != c and code[r] == code[c])
+    m[row, col] += 1e-6
+    assert la._conserves(m, 3, 3)
+    t = la.TensorOperator(m, (3, 3, 3))
+    with pytest.raises(ValueError, match="not Hermitian"):
+        bf.DensityOperator(t)
+    with pytest.raises(ValueError, match="not Hermitian"):
+        la.eigenvalues(t)
+
+
+def test_non_conserving_operators_stay_dense(monkeypatch):
+    """A three-factor operator with entries between sectors is checked as one dense matrix,
+    by ``density_deficits``, ``eigenvalues`` and the idempotence check alike, and the sector
+    indices are never formed."""
+    t = random_hermitian(np.random.default_rng(36), (3, 3, 3))
+    grouped = []
+    original = la._sectors
+    monkeypatch.setattr(la, "_sectors", lambda d: grouped.append(d) or original(d))
+    la._layout.cache_clear()
+    [whole] = la._blocks(t.entries, (3, 3, 3))
+    np.testing.assert_array_equal(whole, t.entries)
+    m = t.entries
+    assert bf.density_deficits(t) == pytest.approx(dense_deficits(m), abs=1e-13)
+    np.testing.assert_allclose(la.eigenvalues(t), np.linalg.eigvalsh(m)[::-1], atol=1e-12)
+    assert la._idempotence(t) == pytest.approx(float(np.linalg.norm(m @ m - m)), rel=1e-14)
+    assert grouped == []
