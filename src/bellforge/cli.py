@@ -53,9 +53,9 @@ from .states import (
     DensityOperator,
     _bipartite_dim,
     _check_local_dim,
-    _dso_from,
     antisym_projector,
     antisymmetrizer3,
+    dso_general,
     dso_two_qubit,
     flip,
     singlet,
@@ -197,7 +197,7 @@ def cmd_verify(args: argparse.Namespace) -> _Outcome:
             frobenius_distance(partial_trace(q, j), target), tol
         )
 
-    source = dso_two_qubit() if d == 2 else _dso_from(q)
+    source = dso_two_qubit() if d == 2 else dso_general(d)
     checks["source_trace"] = _check(abs(trace(source.op) - 1.0), tol)
     source_vals = eigenvalues(source.op)
     checks["source_negativity"] = _check(max(0.0, -source_vals[-1]), tol)

@@ -56,8 +56,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import (
-    PSD_TOL, TensorOperator, _add_embedded, _block_eigenvalues, _block_ptrace, _conserves,
-    _hermitian_part, _Layout, _layout, _project_density, _ptrace,
+    PSD_TOL, TensorOperator, _add_embedded, _block_ptrace, _chunks, _conserves, _hermitian_part,
+    _Layout, _layout, _project_density, _ptrace, _spectrum,
 )
 from .states import DensityOperator, _bipartite_dim, _check_local_dim
 
@@ -197,7 +197,7 @@ def _cheap_residual(
 
 def _residual(v: np.ndarray, layout: _Layout, targets: tuple[tuple[int, np.ndarray], ...]) -> float:
     """Total infeasibility: worst marginal deviation + trace deficit + PSD deficit."""
-    return _cheap_residual(v, layout, targets) + max(0.0, -float(_block_eigenvalues(v, layout)[0]))
+    return _cheap_residual(v, layout, targets) + max(0.0, -float(_spectrum(_chunks(v, layout))[0]))
 
 
 def _certificate(
@@ -218,7 +218,7 @@ def _certificate(
     for y, (j, _) in zip(duals, targets):
         combined = _add_embedded(combined, y, layout, j)
     paired = sum(float(np.vdot(y, target).real) for y, (_, target) in zip(duals, targets))
-    value = (paired - float(_block_eigenvalues(combined, layout)[0])) / scale
+    value = (paired - float(_spectrum(_chunks(combined, layout))[0])) / scale
     if not value < -PSD_TOL:
         return None
     d = layout.d

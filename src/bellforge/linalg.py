@@ -284,11 +284,6 @@ def _chunks(v: np.ndarray, layout: _Layout) -> list[np.ndarray]:
     return [v[start:stop].reshape(shape) for start, stop, shape in layout.chunks]
 
 
-def _block_eigenvalues(v: np.ndarray, layout: _Layout) -> np.ndarray:
-    """Ascending eigenvalues of the Hermitian part of the matrix whose block entries are ``v``."""
-    return _spectrum(_chunks(v, layout))
-
-
 def _block_ptrace(v: np.ndarray, layout: _Layout, j: int) -> np.ndarray:
     """Trace the 1-based factor ``j`` out of the matrix whose block entries are ``v``."""
     entries, key = layout.traced[j - 1]

@@ -4,8 +4,10 @@ The bipartite objects live on C^d (x) C^d: the flip (swap) operator, the
 antisymmetric projector, and the Werner state built from it.  The
 tripartite objects live on C^d (x) C^d (x) C^d: signed permutation
 operators, the three-factor antisymmetrizer, and the two source-operator
-families whose partial traces reproduce Werner states.  Density operators
-are validated by ``density_deficits``, exactly: on the weight-sector blocks of a
+families whose partial traces reproduce Werner states.  Each named
+operator is one ordered sum of factor-permutation operators, built by
+``_permutation_sum``.  Density operators are validated by
+``density_deficits``, exactly: on the weight-sector blocks of a
 three-factor operator that conserves weight, and in real arithmetic if real.
 """
 
@@ -25,7 +27,6 @@ from .linalg import (
     _blocks,
     _permutation,
     _spectrum,
-    identity,
 )
 
 __all__ = [
@@ -63,13 +64,6 @@ def _bipartite_dim(dims: tuple[int, ...]) -> int:
     if len(dims) != 2 or dims[0] != dims[1]:
         raise ValueError(f"space {dims} is not bipartite with equal local dimensions")
     return dims[0]
-
-
-def _space(d: int, n: int) -> tuple[int, ...]:
-    """Factor dimensions of ``n`` copies of C^d; ``d`` must be at least 2."""
-    if d < 2:
-        raise ValueError(f"local dimension must be at least 2, got {d}")
-    return (d,) * n
 
 
 def density_deficits(t: TensorOperator) -> tuple[float, float, float]:
@@ -131,30 +125,47 @@ ALL_PERMUTATIONS_3: tuple[Permutation3, ...] = tuple(
 )
 
 
+# Terms ``(images, c)`` of P_minus = (I - flip)/2 and of Q = sum of sgn(pi) U_pi / 6, the
+# ordered tables from which the named operators are summed.
+_P_MINUS = (((1, 2), 0.5), ((2, 1), -0.5))
+_Q = tuple((p.images, p.parity / 6.0) for p in ALL_PERMUTATIONS_3)
+
+
+def _permutation_sum(d: int, terms: tuple[tuple[tuple[int, ...], float], ...]) -> TensorOperator:
+    """``sum c U_images`` over the ``(images, c)`` pairs on copies of C^d, d >= 2, as one operator;
+    the terms are added in the order given, which fixes the rounding of every entry."""
+    if d < 2:
+        raise ValueError(f"local dimension must be at least 2, got {d}")
+    dims = (d,) * len(terms[0][0])
+    return TensorOperator(sum(c * _permutation(dims, images) for images, c in terms), dims)
+
+
 def flip(d: int) -> TensorOperator:
     """Flip (swap) operator on C^d (x) C^d, exchanging the two factors.
 
     In the product basis it is the sum of |e_n e_m><e_m e_n| over all n, m;
     it squares to the identity and has trace d.
     """
-    dims = _space(d, 2)
-    return TensorOperator(_permutation(dims, (2, 1)), dims)
+    return _permutation_sum(d, (((2, 1), 1.0),))
 
 
 def antisym_projector(d: int) -> TensorOperator:
     """Projector onto the antisymmetric subspace of C^d (x) C^d: (I - flip)/2."""
-    return 0.5 * (identity((d, d)) - flip(d))
+    return _permutation_sum(d, _P_MINUS)
 
 
 def werner(d: int) -> DensityOperator:
     """Werner state on C^d (x) C^d.
 
-    Built as (1/d^3) I + (2/d^2) P_minus with P_minus the antisymmetric
-    projector; equivalently ((d+1)/d^3) I - (1/d^2) flip.
+    Built as (2/d^2) P_minus + (1/d^3) I with P_minus the antisymmetric
+    projector; equivalently ((d+1)/d^3) I - (1/d^2) flip.  The terms of
+    P_minus come first, so that on a symmetric state such as |aa> they
+    cancel exactly to 0 before 1/d^3 is added.
     """
-    dims = _space(d, 2)
-    op = (1.0 / d**3) * identity(dims) + (2.0 / d**2) * antisym_projector(d)
-    return DensityOperator(op)
+    if d < 2:  # before the coefficients, which divide by d
+        raise ValueError(f"local dimension must be at least 2, got {d}")
+    scaled = ((pi, 2.0 / d**2 * c) for pi, c in _P_MINUS)
+    return DensityOperator(_permutation_sum(d, (*scaled, ((1, 2), 1.0 / d**3))))
 
 
 def singlet() -> DensityOperator:
@@ -168,8 +179,7 @@ def permutation_operator(p: Permutation3, d: int) -> TensorOperator:
     The content of slot ``i`` is moved to slot ``p(i)``, so the operators
     compose covariantly: U_p @ U_q is the operator of ``p`` after ``q``.
     """
-    dims = _space(d, 3)
-    return TensorOperator(_permutation(dims, p.images), dims)
+    return _permutation_sum(d, ((p.images, 1.0),))
 
 
 def antisymmetrizer3(d: int) -> TensorOperator:
@@ -178,9 +188,7 @@ def antisymmetrizer3(d: int) -> TensorOperator:
     Average of the six signed permutation operators; its trace is
     d(d-1)(d-2)/6, and for d = 2 it is the zero operator.
     """
-    dims = _space(d, 3)
-    total = sum(p.parity * _permutation(dims, p.images) for p in ALL_PERMUTATIONS_3)
-    return TensorOperator((1.0 / 6.0) * total, dims)
+    return _permutation_sum(d, _Q)
 
 
 def dso_two_qubit() -> DensityOperator:
@@ -191,26 +199,20 @@ def dso_two_qubit() -> DensityOperator:
     Tracing out factor 2 or factor 3 yields the d = 2 Werner state;
     tracing out factor 1 yields the maximally mixed two-qubit state.
     """
-    dims = (2, 2, 2)
-    v12 = _permutation(dims, (2, 1, 3))
-    v13 = _permutation(dims, (3, 2, 1))
-    return DensityOperator(TensorOperator(0.25 * np.eye(8) - 0.125 * v12 - 0.125 * v13, dims))
+    v12, v13 = ((2, 1, 3), -0.125), ((3, 2, 1), -0.125)
+    return DensityOperator(_permutation_sum(2, (((1, 2, 3), 0.25), v12, v13)))
 
 
 def dso_general(d: int) -> DensityOperator:
     """Symmetric tripartite source operator for the Werner state, d >= 3.
 
-    Equals (1/d^4) I + (6 / (d^2 (d - 2))) Q with Q the three-factor
+    Equals (6 / (d^2 (d - 2))) Q + (1/d^4) I with Q the three-factor
     antisymmetrizer.  All three bipartite partial traces equal the
-    Werner state.  Undefined at d = 2, where Q vanishes and the formula
-    divides by zero.
+    Werner state.  The terms of Q come first, so that where they cancel
+    (on |aaa> and |aab>) they sum to exactly 0 before 1/d^4 is added.
+    Undefined at d = 2, where Q vanishes and the formula divides by zero.
     """
     if d <= 2:
         raise ValueError(f"symmetric source operator needs local dimension >= 3, got {d}")
-    return _dso_from(antisymmetrizer3(d))
-
-
-def _dso_from(q: TensorOperator) -> DensityOperator:
-    """``dso_general(d)`` built from ``q = antisymmetrizer3(d)``, for a caller that holds it."""
-    d = q.factor_dims[0]
-    return DensityOperator((1.0 / d**4) * identity(q.factor_dims) + (6.0 / (d * d * (d - 2))) * q)
+    scaled = ((pi, 6.0 / (d * d * (d - 2)) * q) for pi, q in _Q)
+    return DensityOperator(_permutation_sum(d, (*scaled, ((1, 2, 3), 1.0 / d**4))))

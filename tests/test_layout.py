@@ -1,7 +1,7 @@
 """Source-layout guards: one spectral kernel, one owner of the weight-sector block layout and of
 the dimension range, no thread pools, the see-saw's state layouts multiplied only by its two
-effective-operator functions, one command-line parser, and a public surface trimmed to what the
-solvers, the CLI and the benchmark call."""
+effective-operator functions, one command-line parser, one permutation-sum builder, and a public
+surface trimmed to what the solvers, the CLI and the benchmark call."""
 
 from __future__ import annotations
 
@@ -187,6 +187,14 @@ def test_one_parser_serves_every_main_call():
     assert _call_owners("build_parser") == ["cli.py:main"]
 
 
+def test_one_permutation_sum_builds_every_named_operator():
+    """``states._permutation_sum`` is the only caller of the factor-permutation primitive, so
+    each operator the paper names is one ordered sum of permutation operators, and ``states``
+    adds no identity of its own."""
+    assert _call_owners("_permutation") == ["states.py:_permutation_sum"]
+    assert not [owner for owner in _call_owners("identity") if owner.startswith("states.py:")]
+
+
 PUBLIC_NAMES = {
     "__version__",
     # linalg
@@ -229,11 +237,10 @@ def test_package_exports_exactly_the_module_lists():
 
 # Public names that nothing in the package or the benchmark calls yet, each with its reason.
 UNCALLED_PUBLIC = {
-    "permutation_operator": "the paper's U_pi, from which the exact model builds its operators",
+    "permutation_operator": "the paper's U_pi as a public operator; the builder reads _permutation",
     "correlation": "the paper's E(a, b), which both Bell functionals compose",
     "original_bell_gap": "re-evaluates a see-saw optimum in the exact model",
     "chsh_value": "re-evaluates a see-saw optimum in the exact model",
-    "dso_general": "the paper's source operator; verify builds it from the Q it holds (_dso_from)",
 }
 
 

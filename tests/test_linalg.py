@@ -12,7 +12,7 @@ import pytest
 
 import bellforge as bf
 from bellforge import linalg as la
-from bellforge.linalg import _block_eigenvalues, _layout, _project_density, _project_simplex
+from bellforge.linalg import _chunks, _layout, _project_density, _project_simplex, _spectrum
 
 
 def random_operator(rng: np.random.Generator, dims: tuple[int, ...]) -> la.TensorOperator:
@@ -291,12 +291,12 @@ def test_sector_partition_matches_one_block_kernel(d, real):
         projected = _project_density(v, layout)
         assert projected.dtype == m.dtype
         assert np.max(np.abs(dense(projected, layout) - dense_projection)) <= 1e-12
-        assert abs(_block_eigenvalues(v, layout)[0] - dense_lowest) <= 1e-12
+        assert abs(_spectrum(_chunks(v, layout))[0] - dense_lowest) <= 1e-12
     # Moved below every other eigenvalue, the 1x1 block of |000> must set lambda_min.
     low = m.copy()
     low[0, 0] = dense_lowest - 1.0
     for layout in layouts:
-        lowest = _block_eigenvalues(low[layout.rows, layout.cols], layout)[0]
+        lowest = _spectrum(_chunks(low[layout.rows, layout.cols], layout))[0]
         assert abs(lowest - float(np.linalg.eigvalsh(low)[0])) <= 1e-12
 
 

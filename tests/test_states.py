@@ -7,6 +7,7 @@ import pytest
 
 import bellforge as bf
 from bellforge import ALL_PERMUTATIONS_3, Permutation3
+from bellforge.linalg import _permutation
 
 
 # ----------------------------------------------------------------------- flip
@@ -220,8 +221,9 @@ def test_werner_marginals_are_maximally_mixed(d):
 
 
 def test_werner_rejects_small_dimension():
-    with pytest.raises(ValueError, match="at least 2"):
-        bf.werner(1)
+    for d in (0, 1):
+        with pytest.raises(ValueError, match="at least 2"):
+            bf.werner(d)
 
 
 def test_singlet_is_rank_one_antisymmetric_vector():
@@ -344,3 +346,78 @@ def test_dso_general_three_dim_spectrum_frozen():
     vals = bf.eigenvalues(bf.dso_general(3).op)
     expected = np.concatenate([[55.0 / 81.0], np.full(26, 1.0 / 81.0)])
     np.testing.assert_allclose(vals, expected, atol=1e-13)
+
+
+# ------------------------------------------------- one ordered permutation sum
+#
+# Each named operator is one ordered sum of permutation operators.  The references below are the
+# formulas written out in numpy and ``TensorOperator`` arithmetic; the sums must reproduce their
+# entries bit for bit, signed zeros included.
+
+
+def _perm(d: int, images: tuple[int, ...]) -> np.ndarray:
+    return _permutation((d,) * len(images), images)
+
+
+def _flip_ref(d: int) -> bf.TensorOperator:
+    return bf.TensorOperator(_perm(d, (2, 1)), (d, d))
+
+
+def _antisym_ref(d: int) -> bf.TensorOperator:
+    return 0.5 * (bf.identity((d, d)) - _flip_ref(d))
+
+
+def _antisymmetrizer_ref(d: int) -> bf.TensorOperator:
+    total = sum(p.parity * _perm(d, p.images) for p in ALL_PERMUTATIONS_3)
+    return bf.TensorOperator((1.0 / 6.0) * total, (d, d, d))
+
+
+def _same_bits(a: bf.TensorOperator, b: bf.TensorOperator) -> bool:
+    return a.factor_dims == b.factor_dims and a.entries.tobytes() == b.entries.tobytes()
+
+
+@pytest.mark.parametrize("d", range(2, 9))
+def test_bipartite_sums_match_their_formulas_bit_for_bit(d):
+    werner_ref = (1.0 / d**3) * bf.identity((d, d)) + (2.0 / d**2) * _antisym_ref(d)
+    assert _same_bits(bf.flip(d), _flip_ref(d))
+    assert _same_bits(bf.antisym_projector(d), _antisym_ref(d))
+    assert _same_bits(bf.werner(d).op, werner_ref)
+
+
+@pytest.mark.parametrize("d", range(2, 7))
+def test_tripartite_sums_match_their_formulas_bit_for_bit(d):
+    for p in ALL_PERMUTATIONS_3:
+        reference = bf.TensorOperator(_perm(d, p.images), (d, d, d))
+        assert _same_bits(bf.permutation_operator(p, d), reference)
+    assert _same_bits(bf.antisymmetrizer3(d), _antisymmetrizer_ref(d))
+
+
+@pytest.mark.parametrize("d", range(3, 9))
+def test_dso_general_matches_its_formula_bit_for_bit(d):
+    reference = (1.0 / d**4) * bf.identity((d, d, d)) + (6.0 / (d * d * (d - 2))) * (
+        _antisymmetrizer_ref(d)
+    )
+    assert _same_bits(bf.dso_general(d).op, reference)
+
+
+def test_qubit_sources_match_their_formulas_bit_for_bit():
+    v12, v13 = _perm(2, (2, 1, 3)), _perm(2, (3, 2, 1))
+    reference = bf.TensorOperator(0.25 * np.eye(8) - 0.125 * v12 - 0.125 * v13, (2, 2, 2))
+    assert _same_bits(bf.dso_two_qubit().op, reference)
+    assert _same_bits(bf.singlet().op, _antisym_ref(2))
+
+
+@pytest.mark.parametrize("d", [3, 6])
+def test_each_sum_constructs_one_operator(monkeypatch, d):
+    """The terms are summed as raw arrays, so a named operator is one ``TensorOperator``."""
+    calls = []
+
+    def spy(self, _original=bf.TensorOperator.__post_init__):
+        calls.append(self.factor_dims)
+        _original(self)
+
+    monkeypatch.setattr(bf.TensorOperator, "__post_init__", spy)
+    for build in (bf.werner, bf.antisymmetrizer3, bf.dso_general):
+        calls.clear()
+        build(d)
+        assert len(calls) == 1, build.__name__
