@@ -6,7 +6,7 @@ Subcommands:
   source-operator identities for one local dimension.
 * ``bell``     -- see-saw maximization of the perfect-correlation Bell
   gap or the CHSH combination on a chosen state.
-* ``dso-find`` -- alternating-projection search for a tripartite
+* ``dso-find`` -- Douglas–Rachford projection search for a tripartite
   extension with prescribed marginals; reports why it stopped
   (``converged``, ``infeasible`` with a checked certificate, or
   ``max_iters``).
@@ -334,7 +334,12 @@ def build_parser() -> argparse.ArgumentParser:
         required=True,
         help="marginal pattern: all three factors, or factors 2 and 3",
     )
-    p_find.add_argument("--iters", type=int, default=5000, help="projection cycles to run")
+    p_find.add_argument(
+        "--iters",
+        type=int,
+        default=5000,
+        help="Douglas-Rachford cycles to run, each one marginal sweep and one density projection",
+    )
     p_find.add_argument("--tol", type=float, default=1e-6, help="residual convergence threshold")
     p_find.add_argument("--dump", default=None, help="write the candidate to this path")
     p_find.add_argument("--quiet", action="store_true", help="suppress the stderr summary")

@@ -1,26 +1,25 @@
-"""Marginal-constraint checking and alternating-projection extension search.
+"""Marginal-constraint checking and Douglas–Rachford extension search.
 
-Given a pattern of marginal constraints (bipartite target states for
-chosen partial traces), this module verifies whether a tripartite
-operator has the required partial traces, and searches for such an
-operator with Dykstra's alternating-projection algorithm over the
-intersection of
+Given a pattern of marginal constraints (bipartite target states for chosen
+partial traces), this module verifies whether a tripartite operator has the
+required partial traces, and searches for one with Douglas–Rachford (DR)
+splitting (Lions & Mercier, SIAM J. Numer. Anal. 16, 964 (1979)) between
+the density operators (Hermitian, PSD, trace one) and the marginal set: the
+operators whose j-th partial trace is the j-th target for every constraint.
 
-* the set of density operators (Hermitian, PSD, trace one), and
-* one affine set per constraint: operators whose j-th partial trace
-  equals the target.
-
-Dykstra's method (projections with per-set correction terms) converges
-to the projection onto the intersection when it is nonempty.  Only the
-density set keeps a full correction: a marginal set's, ``Y_j`` tensored
-with the identity at slot j, is orthogonal to the set and never moves its
-projection (Bauschke & Borwein, J. Approx. Theory 79, 418 (1994)), so
-the search keeps just ``Y_j``.  When the intersection is empty, these
-duals grow along a Farkas witness, which one eigenvalue computation
-checks.  A search stops for one of three reasons:
+The maps ``ptr_j(X)`` tensored with ``I/d`` at slot j are orthogonal
+projections that commute.  So when the targets agree on the one-party
+marginal of each factor that two constraints keep, one ordered sweep of the
+per-constraint projections is the exact projection onto the marginal set;
+when they disagree, the difference certifies that the set is empty.  When
+the two sets do not meet, DR's displacement ``c - a`` converges to the gap
+vector between them (Bauschke & Moursi, Math. Program. 164 (2017)), which is
+normal to the marginal set: a sum of ``Y_j`` tensored with the identity at
+slot j, peeled off slot by slot and checked as a Farkas witness by one
+eigenvalue computation.  A search stops for one of three reasons:
 ``converged`` (an operator meets every constraint to the tolerance),
-``infeasible`` (a checked certificate proves that no extension exists)
-or ``max_iters`` (neither, within the cycle budget; this proves nothing).
+``infeasible`` (a checked certificate proves that no extension exists) or
+``max_iters`` (neither, within the iteration budget; this proves nothing).
 
 The marginal maps and the density set commute with complex conjugation.
 With real targets (every state this package names is real in the product
@@ -30,25 +29,18 @@ The search therefore runs in real arithmetic when every target is real and
 loses nothing, as in the symmetric-extension SDP of Doherty, Parrilo &
 Spedalieri, PRA 69, 022308 (2004).
 
-The same argument holds for diagonal phases.  Let D be a diagonal unitary.
-A target with exact zeros at every entry ``(ab, cd)`` with
-``sorted(ab) != sorted(cd)`` satisfies ``(D x D) rho (D x D)^H = rho`` for
-every D.  Then each marginal set, and the density set, is invariant under
-``D x D x D``, and so are Dykstra's iterates and correction terms.  They lie
-in the commutant of those phases, which is block-diagonal over the weight
-sectors that ``linalg`` defines (blocks of 1, 3 or 6 states at every d).
-Every state this package names has that structure.
-
-The search therefore stores only the block entries (996 of 46 656 at d = 6)
-in the flat layout that ``linalg._layout`` builds once per dimension, or the
-whole basis as one block if a target does not conserve weight.  ``linalg``
-owns that layout and every map on it: partial trace, embedding, density
-projection and the exact ``lambda_min``.  This module keeps the patterns,
-the results, the certificate, the residuals and the loop.
+The same holds for diagonal phases D.  A target with exact zeros at every
+entry ``(ab, cd)`` with ``sorted(ab) != sorted(cd)`` is invariant under
+``D x D``, so both sets and the iterates are under ``D x D x D``: the
+iterates are block-diagonal over the weight sectors of ``linalg``.  The
+search stores only their block entries (996 of 46 656 at d = 6) in the
+layout ``linalg._layout`` builds, or the whole basis as one block if a
+target does not conserve weight.  ``linalg`` owns every map on that layout.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import operator
 from dataclasses import dataclass
@@ -70,6 +62,8 @@ __all__ = [
     "pattern_right2",
     "dykstra_find_extension",
 ]
+
+_Targets = tuple[tuple[int, np.ndarray], ...]
 
 @dataclass(frozen=True, eq=False)
 class MarginalPattern:
@@ -121,21 +115,16 @@ class InfeasibilityCertificate:
 
 @dataclass(frozen=True, eq=False)
 class FeasibilityResult:
-    """Outcome of the extension search.
+    """Outcome of the DR search ``dykstra_find_extension`` (named for the benchmark layer).
 
-    ``candidate`` is the best iterate found and ``residual`` its total
-    infeasibility (largest marginal deviation plus PSD deficit plus
-    trace deficit), ``iterations`` the number of projection cycles run,
-    and ``converged`` whether that residual reached the tolerance.
-    ``certificate`` is ``None`` unless infeasibility was proved.
-    ``residual_trace`` records each cycle's marginal deviation plus trace
-    deficit; the iterate is positive semidefinite by construction, so the
-    PSD deficit enters only ``residual``.
-
-    ``stop_reason`` says what the result proves: ``"converged"`` (the
-    candidate is an extension up to the tolerance), ``"infeasible"`` (the
-    certificate proves that no extension exists) or ``"max_iters"``
-    (nothing either way).
+    ``candidate`` is the best density point found and ``residual`` its total
+    infeasibility (largest marginal deviation plus PSD and trace deficits),
+    ``iterations`` the number of DR iterations run (0 when the targets'
+    shared one-party marginals proved infeasibility first; the candidate is
+    then the start), and ``converged`` whether that residual reached the
+    tolerance.  ``certificate`` is ``None`` unless infeasibility was proved.
+    ``residual_trace`` records each iteration's marginal deviation plus
+    trace deficit.  ``stop_reason`` says what the result proves.
     """
 
     candidate: TensorOperator
@@ -187,28 +176,35 @@ def _project_marginal(
     return _add_embedded(v, deficit, layout, j), deficit
 
 
-def _cheap_residual(
-    v: np.ndarray, layout: _Layout, targets: tuple[tuple[int, np.ndarray], ...]
-) -> float:
+def _sweep(v: np.ndarray, layout: _Layout, targets: _Targets) -> tuple[np.ndarray, list]:
+    """The marginal projections in constraint order, and their deficits; the projection onto the
+    marginal set when the targets agree on the one-party marginals that they share."""
+    deficits = []
+    for j, target in targets:
+        v, deficit = _project_marginal(v, layout, j, target)
+        deficits.append(deficit)
+    return v, deficits
+
+
+def _cheap_residual(v: np.ndarray, layout: _Layout, targets: _Targets) -> float:
     """Worst Frobenius deviation of a constrained partial trace from its target + trace deficit."""
     marginal = max(float(np.linalg.norm(_block_ptrace(v, layout, j) - t)) for j, t in targets)
     return marginal + abs(complex(v[layout.diagonal].sum()) - 1.0)
 
 
-def _residual(v: np.ndarray, layout: _Layout, targets: tuple[tuple[int, np.ndarray], ...]) -> float:
+def _residual(v: np.ndarray, layout: _Layout, targets: _Targets) -> float:
     """Total infeasibility: worst marginal deviation + trace deficit + PSD deficit."""
     return _cheap_residual(v, layout, targets) + max(0.0, -float(_spectrum(_chunks(v, layout))[0]))
 
 
 def _certificate(
-    raw_duals: list[np.ndarray], layout: _Layout, targets: tuple[tuple[int, np.ndarray], ...]
+    raw_duals: list[np.ndarray], layout: _Layout, targets: _Targets
 ) -> InfeasibilityCertificate | None:
     """Check the marginal duals ``Y_j`` as a Farkas witness; keep it only if it holds.
 
-    Only the density set keeps a full correction, as marginal set j's (``Y_j`` tensored with
-    the identity at slot j) never moves its projection.  The duals are sums of deficits, which
-    are exactly zero between pairs of different digit multisets when the targets are, so the
-    combined operator has no entry outside the blocks and its ``lambda_min`` is exact.
+    The duals are partial traces of block entries or targets' one-party marginals tensored
+    with the identity, exactly zero between pairs of different digit multisets when the targets
+    are, so the combined operator has no entry outside the blocks and its ``lambda_min`` is exact.
     """
     duals = [_hermitian_part(y) for y in raw_duals]
     scale = sum(float(np.linalg.norm(y)) for y in duals)
@@ -229,42 +225,54 @@ def _certificate(
     )
 
 
+def _disagreement(layout: _Layout, targets: _Targets) -> InfeasibilityCertificate | None:
+    """A certificate from two targets whose one-party marginals of their shared factor differ.
+
+    With ``delta`` that difference, ``-delta`` and ``delta`` at the shared factor, tensored with
+    the identity on the other, embed to opposite operators and pair to ``-||delta||_F^2``.
+    """
+    d, eye = layout.d, np.eye(layout.d)
+    for a, b in itertools.combinations(range(len(targets)), 2):
+        (j, rho_j), (k, rho_k) = targets[a], targets[b]
+        # The shared factor 6 - j - k is the first that constraint j keeps iff it is below k.
+        first = (6 - j - k < k, 6 - j - k < j)
+        delta = _ptrace(rho_j, (d, d), 1 + first[0]) - _ptrace(rho_k, (d, d), 1 + first[1])
+        if delta.any():
+            duals = [np.zeros_like(rho_j, dtype=delta.dtype) for _ in targets]
+            for i, sign, f in ((a, -1.0, first[0]), (b, 1.0, first[1])):
+                duals[i] = sign * (np.kron(delta, eye) if f else np.kron(eye, delta))
+            certificate = _certificate(duals, layout, targets)
+            if certificate is not None:
+                return certificate
+    return None
+
+
 def dykstra_find_extension(
-    pattern: MarginalPattern,
-    max_iters: int = 5000,
-    tol: float = 1e-6,
+    pattern: MarginalPattern, max_iters: int = 5000, tol: float = 1e-6
 ) -> FeasibilityResult:
     """Search for a tripartite density operator with the pattern's marginals.
 
-    Runs Dykstra's alternating projections between the affine marginal
-    sets (in constraint order) and the density set.  Only the density set
-    keeps a full correction term; a marginal set's never moves its
-    projection, so each constraint keeps its dual ``Y_j`` instead.  Each
-    constraint matches its own target; the start is the first target with
-    the maximally mixed state on its traced factor.  Each cycle ends on a
-    density operator, assessed by its marginal deviation plus trace
-    deficit alone; the iterate with the least such value is kept.
+    Runs DR between the marginal set and the density set; the name is kept
+    for the benchmark's ``extensions.dykstra`` layer.  ``z`` starts as the
+    marginal sweep of the first target with the maximally mixed state on
+    its traced factor.  Each iteration takes the sweep ``a`` of ``z`` and
+    the density projection ``c`` of ``2a - z``, then adds ``c - a`` to
+    ``z``.  The ``c`` of least marginal deviation plus trace deficit is kept.
 
     The search stops for one of three reasons, given by ``stop_reason``:
 
-    * ``"converged"``: an iterate passed ``tol`` both on that cheap
-      residual and on the full one, which adds the PSD deficit from an
-      eigenvalue computation; it is an extension up to ``tol``.
-    * ``"infeasible"``: at cycles 1, 2, 4, 8, ... the marginal duals are
-      checked as a Farkas candidate with one eigenvalue computation; a
-      check that holds proves that no extension exists, and is returned
-      as ``certificate``.
-    * ``"max_iters"``: neither happened within ``max_iters`` cycles; this
-      proves nothing either way.
+    * ``"converged"``: a ``c`` passed ``tol`` on that cheap residual and on
+      the full one, which adds the PSD deficit from an eigensolve.
+    * ``"infeasible"``: a checked Farkas certificate, returned as
+      ``certificate``, proves that no extension exists.  The targets'
+      shared one-party marginals are checked first (0 iterations if that
+      holds), then at iterations 1, 2, 4, ... the duals peeled from ``c - a``.
+    * ``"max_iters"``: neither within ``max_iters`` iterations.
 
-    ``residual`` is the full residual of the returned candidate.
-
-    When every target has an all-zero imaginary part, the iterates, the
-    correction, the duals and all eigensolves are float64, which is exact
-    by the conjugation argument in the module docstring; otherwise they are
-    complex128.  ``candidate`` is complex either way.  The iterate is stored
-    as its weight-sector block entries, by the phase argument there.  The
-    local dimension must lie in 2..6 and ``tol`` must be finite and positive.
+    ``residual`` is the full residual of the returned candidate.  With all
+    targets real, the search runs in float64, exact by the conjugation
+    argument in the module docstring; otherwise in complex128.  The local
+    dimension must lie in 2..6 and ``tol`` must be finite and positive.
     """
     d = pattern.local_dim
     _check_local_dim(d)
@@ -277,37 +285,29 @@ def dykstra_find_extension(
     if not any(target.imag.any() for _, target in targets):
         targets = tuple((j, target.real.copy()) for j, target in targets)
     layout = _layout(d, all(_conserves(target, d, 2) for _, target in targets))
-    first_slot, first_target = targets[0]
-    correction = np.zeros(layout.rows.size, dtype=first_target.dtype)
-    x = _add_embedded(correction, first_target / d, layout, first_slot)
-    duals = [np.zeros_like(first_target) for _ in targets]
+    slot, first = targets[0]
+    best = _add_embedded(np.zeros(layout.rows.size, first.dtype), first / d, layout, slot)
+    z, best_cheap, trace_log, converged = _sweep(best, layout, targets)[0], math.inf, [], False
+    # ``Y_j = ptr_j(r) / d`` peeled off ``r = c - a`` is the deficit of ``a - c`` at target 0.
+    zeros = tuple((j, np.zeros_like(target)) for j, target in targets)
+    certificate, iterations = _disagreement(layout, targets), 0
 
-    best, best_cheap = x, math.inf
-    trace_log: list[float] = []
-    converged = False
-    certificate = None
-
-    for iterations in range(1, max_iters + 1):
-        for y, (j, target) in zip(duals, targets):
-            x, deficit = _project_marginal(x, layout, j, target)
-            y -= deficit
-        shifted = x + correction
-        x = _project_density(shifted, layout)
-        correction = shifted - x
-
-        current = _cheap_residual(x, layout, targets)
+    while certificate is None and iterations < max_iters:
+        iterations += 1
+        a = _sweep(z, layout, targets)[0]
+        c = _project_density(2.0 * a - z, layout)
+        current = _cheap_residual(c, layout, targets)
         trace_log.append(current)
         if current < best_cheap:
-            best, best_cheap = x, current
+            best, best_cheap = c, current
         if current <= tol:
-            full = _residual(x, layout, targets)
+            full = _residual(c, layout, targets)
             if full <= tol:
-                best, converged = x, True
+                best, converged = c, True
                 break
         if iterations & (iterations - 1) == 0:
-            certificate = _certificate(duals, layout, targets)
-            if certificate is not None:
-                break
+            certificate = _certificate(_sweep(a - c, layout, zeros)[1], layout, targets)
+        z += c - a
 
     candidate = np.zeros((d**3, d**3), dtype=best.dtype)
     candidate[layout.rows, layout.cols] = best

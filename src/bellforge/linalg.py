@@ -20,8 +20,8 @@ density set and solves the spectrum, one stacked solve per block size.
 operator through ``_blocks``: the Hermiticity, spectrum and idempotence of a
 three-factor operator that conserves weight are taken exactly on its blocks,
 and those of any other operator on its one dense matrix, in real arithmetic
-for a zero imaginary part.  Dykstra's search stores its iterates in the same
-layout.
+for a zero imaginary part.  The extension search stores its iterates in the
+same layout.
 """
 
 from __future__ import annotations
@@ -253,7 +253,8 @@ class _Layout:
     @functools.cached_property
     def traced(self) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
         """Per slot j, the entries whose slot-j digits agree, which partial trace j sums, and the
-        index ``row_pair * d**2 + col_pair`` each adds to; built on first use, by Dykstra only."""
+        index ``row_pair * d**2 + col_pair`` each adds to; built on first use, by the extension
+        search only."""
         d, rows, cols = self.d, self.rows, self.cols
         # Row r of ``place`` is the place value of slot r + 1 in a basis index; dropping
         # that digit from the index leaves the bipartite index ``pair[r]``.

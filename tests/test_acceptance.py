@@ -141,7 +141,8 @@ def test_criterion_4_chsh_satisfaction(capsys):
 
 
 def test_criterion_5_feasibility_solver(capsys):
-    """Dykstra finds the symmetric werner(3) extension and stalls on monogamy."""
+    """The Douglas–Rachford search finds the symmetric werner(3) extension and certifies that the
+    singlet has no two-party extension (monogamy)."""
     w = bf.werner(3)
     found = bf.dykstra_find_extension(bf.pattern_sym3(w), max_iters=5000, tol=1e-5)
     s = bf.singlet()

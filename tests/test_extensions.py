@@ -1,4 +1,4 @@
-"""Tests for marginal verification and the Dykstra extension search."""
+"""Tests for marginal verification and the Douglas–Rachford extension search."""
 
 from __future__ import annotations
 
@@ -341,6 +341,84 @@ def test_dykstra_matches_analytic_extension_thresholds(name, p, reason):
         assert certificate_value(result.certificate, pattern) < 0
 
 
+@pytest.mark.parametrize(
+    "name, p, reason, iterations",
+    [
+        # at or below the threshold 1/3, the density projection of the swept start is feasible
+        *[("sym3", p, "converged", 1) for p in (0.3, 0.33, 0.3333, 1.0 / 3.0)],
+        # just above it, the displacement of the first two iterations certifies
+        *[("sym3", p, "infeasible", 2) for p in (0.3335, 0.34, 0.4)],
+        *[("right2", p, "infeasible", 2) for p in (0.67, 0.7)],
+    ],
+)
+def test_dykstra_decides_near_threshold_qubit_patterns_at_once(name, p, reason, iterations):
+    pattern = getattr(bf, f"pattern_{name}")(singlet_mixture(p))
+    result = bf.dykstra_find_extension(pattern, max_iters=5000, tol=1e-6)
+    assert result.stop_reason == reason
+    assert result.iterations <= iterations
+    if reason == "converged":
+        assert result.certificate is None and result.residual <= 1e-6
+    else:
+        assert certificate_value(result.certificate, pattern) < -PSD_TOL
+        assert certificate_value(result.certificate, pattern) == pytest.approx(
+            result.certificate.value, abs=1e-12
+        )
+
+
+def low_rank_real_state(rng: np.random.Generator, d: int, rank: int) -> bf.TensorOperator:
+    """A random complex state of the given rank averaged with its conjugate: real, rank <= 2 rank."""
+    g = rng.standard_normal((d**3, rank)) + 1j * rng.standard_normal((d**3, rank))
+    m = (g @ g.conj().T).real
+    return bf.TensorOperator(m / np.trace(m), (d, d, d))
+
+
+@pytest.mark.parametrize("d, rank", [(2, 2), (3, 2), (3, 4)])
+def test_dykstra_converges_on_low_rank_feasible_marginals(d, rank):
+    """Slot-1 and slot-3 marginals of low-rank real states: extensions on the PSD boundary."""
+    rng = np.random.default_rng(10 * d + rank)
+    for _ in range(10):
+        t = low_rank_real_state(rng, d, rank)
+        pattern = bf.MarginalPattern(
+            tuple((j, bf.DensityOperator(bf.partial_trace(t, j))) for j in (1, 3))
+        )
+        result = bf.dykstra_find_extension(pattern, max_iters=200, tol=1e-6)
+        assert result.stop_reason == "converged"
+        assert result.certificate is None and result.residual <= 1e-6
+
+
+def product_with_zero(d: int) -> bf.DensityOperator:
+    """``|0><0| (x) I/d``, whose two one-party marginals differ."""
+    zero = np.zeros((d, d))
+    zero[0, 0] = 1.0
+    return bf.DensityOperator(bf.TensorOperator(np.kron(zero, np.eye(d) / d), (d, d)))
+
+
+@pytest.mark.parametrize("d", [2, 3])
+@pytest.mark.parametrize(
+    "make_pattern",
+    [
+        lambda d: bf.pattern_sym3(product_with_zero(d)),
+        lambda d: bf.MarginalPattern(((2, bf.werner(d)), (3, product_with_zero(d)))),
+    ],
+    ids=["sym3", "right2"],
+)
+def test_dykstra_certifies_disagreeing_targets_before_iterating(make_pattern, d):
+    """Two targets that disagree on the factor they share leave the marginal set empty."""
+    pattern = make_pattern(d)
+    result = bf.dykstra_find_extension(pattern, max_iters=5000, tol=1e-6)
+    assert result.stop_reason == "infeasible"
+    assert result.iterations == 0 and result.residual_trace == ()
+    cert = result.certificate
+    assert cert.slots == tuple(j for j, _ in pattern.constraints)
+    assert cert.value < -PSD_TOL
+    assert certificate_value(cert, pattern) == pytest.approx(cert.value, abs=1e-12)
+    # the candidate is the start: the first target with I/d on its traced factor
+    first_slot, first = pattern.constraints[0]
+    start = embed_identity(first.op.entries / d, d, first_slot)
+    assert np.max(np.abs(result.candidate.entries - start)) <= 1e-15
+    assert result.residual == pytest.approx(max(bf.verify_marginals(result.candidate, pattern)))
+
+
 @pytest.mark.parametrize("d", [2, 3])
 @pytest.mark.parametrize("slots", [(1, 2, 3), (2, 3)], ids=["sym3", "right2"])
 def test_dykstra_never_certifies_feasible_marginals(d, slots):
@@ -365,7 +443,8 @@ def test_dykstra_stops_at_max_iters_without_proof():
 
 
 def test_dykstra_eigensolver_calls_stay_logarithmic(monkeypatch):
-    """One ``eigh`` per cycle and block size (the density projection), ``eigvalsh`` on a log schedule.
+    """One ``eigh`` per iteration and block size (the density projection), ``eigvalsh`` on a log
+    schedule after at most one check per pair of constraints.
 
     ``werner(3)`` conserves weight, so its sectors come in sizes 1, 3 and 6 and each
     eigensolve is one call per size above 1; the rotated pattern runs as one block.
@@ -572,19 +651,26 @@ def nearest_density(m: np.ndarray) -> np.ndarray:
     return (p + p.conj().T) / 2.0
 
 
-def textbook_dykstra(
+def textbook_douglas_rachford(
     pattern: bf.MarginalPattern, max_iters: int, tol: float
 ) -> bf.FeasibilityResult:
-    """The search on dense matrices with a full correction per set, as Dykstra's method is stated.
+    """The search on dense matrices, as Douglas–Rachford splitting is stated.
 
     It calls no helper of the search: embeddings come from ``embed_identity``, the density
     projection from one full-matrix ``eigh``, and ``lambda_min`` from a dense ``eigvalsh``.
-    The dual of marginal set j is read back from its correction as ``ptr_j(c_j) / d``.
+    The duals are peeled off the displacement ``r = c - a`` as ``Y_j = ptr_j(r) / d``, then
+    ``r -= Y_j (x) I`` at j.  It has no check of the targets' one-party marginals, so it
+    stands for the search only on targets that agree on them.
     """
     d = pattern.local_dim
     targets = raw_targets(pattern)
     if not any(target.imag.any() for _, target in targets):
         targets = tuple((j, target.real.copy()) for j, target in targets)
+
+    def sweep(x):
+        for j, target in targets:
+            x = x + embed_identity((target - dense_ptrace(x, d, j)) / d, d, j)
+        return x
 
     def cheap(x):
         errors = [np.linalg.norm(dense_ptrace(x, d, j) - target) for j, target in targets]
@@ -593,9 +679,12 @@ def textbook_dykstra(
     def residual(x):
         return cheap(x) + max(0.0, -lowest_eigenvalue(x))
 
-    def certificate(corrections):
-        duals = [dense_ptrace(c, d, j) / d for c, (j, _) in zip(corrections, targets)]
-        duals = [(y + y.conj().T) / 2.0 for y in duals]
+    def certificate(r):
+        duals = []
+        for j, _ in targets:
+            y = dense_ptrace(r, d, j) / d
+            r = r - embed_identity(y, d, j)
+            duals.append((y + y.conj().T) / 2.0)
         scale = sum(float(np.linalg.norm(y)) for y in duals)
         if scale == 0.0:
             return None
@@ -610,27 +699,22 @@ def textbook_dykstra(
             value=value,
         )
 
-    x = embed_identity(targets[0][1] / d, d, targets[0][0])
-    corrections = [np.zeros_like(x) for _ in range(len(targets) + 1)]
-    best, best_cheap, converged, found = x, math.inf, False, None
+    best = embed_identity(targets[0][1] / d, d, targets[0][0])
+    z, best_cheap, converged, found = sweep(best), math.inf, False, None
     for iterations in range(1, max_iters + 1):
-        for i, (j, target) in enumerate(targets):
-            shifted = x + corrections[i]
-            x = shifted + embed_identity((target - dense_ptrace(shifted, d, j)) / d, d, j)
-            corrections[i] = shifted - x
-        shifted = x + corrections[-1]
-        x = nearest_density(shifted)
-        corrections[-1] = shifted - x
-        current = cheap(x)
+        a = sweep(z)
+        c = nearest_density(2.0 * a - z)
+        current = cheap(c)
         if current < best_cheap:
-            best, best_cheap = x, current
-        if current <= tol and residual(x) <= tol:
-            best, converged = x, True
+            best, best_cheap = c, current
+        if current <= tol and residual(c) <= tol:
+            best, converged = c, True
             break
         if iterations & (iterations - 1) == 0:
-            found = certificate(corrections)
+            found = certificate(c - a)
             if found is not None:
                 break
+        z = z + c - a
     return bf.FeasibilityResult(
         candidate=bf.TensorOperator(best, (d, d, d)),
         residual=residual(best),
@@ -653,24 +737,24 @@ DUAL_CASES = {
 
 
 # The seven searches of the benchmark's ``extend-converge`` and ``extend-stall``
-# workloads, at the CLI defaults, with the stop reason and cycle count of each.
+# workloads, at the CLI defaults, with the stop reason and iteration count of each.
 BENCHMARK_SEARCHES = {
     **{
-        f"werner{d}-sym3": (lambda d=d: bf.pattern_sym3(bf.werner(d)), "converged", cycles)
-        for d, cycles in ((3, 96), (4, 59), (5, 47), (6, 40))
+        f"werner{d}-sym3": (lambda d=d: bf.pattern_sym3(bf.werner(d)), "converged", iterations)
+        for d, iterations in ((3, 10), (4, 12), (5, 11), (6, 3))
     },
-    "werner4-right2": (lambda: bf.pattern_right2(bf.werner(4)), "converged", 352),
-    "singlet-right2": (lambda: bf.pattern_right2(bf.singlet()), "infeasible", 2),
-    "werner2-sym3": (lambda: bf.pattern_sym3(bf.werner(2)), "infeasible", 4),
+    "werner4-right2": (lambda: bf.pattern_right2(bf.werner(4)), "converged", 19),
+    "singlet-right2": (lambda: bf.pattern_right2(bf.singlet()), "infeasible", 1),
+    "werner2-sym3": (lambda: bf.pattern_sym3(bf.werner(2)), "infeasible", 1),
 }
 
 
 @pytest.mark.parametrize("case", sorted(BENCHMARK_SEARCHES))
 def test_benchmark_searches_keep_their_outcomes(case):
-    """A faster search must take the same path: same stop reason after the same cycles."""
-    make_pattern, reason, cycles = BENCHMARK_SEARCHES[case]
+    """A faster search must take the same path: same stop reason after the same iterations."""
+    make_pattern, reason, iterations = BENCHMARK_SEARCHES[case]
     result = bf.dykstra_find_extension(make_pattern(), max_iters=5000, tol=1e-6)
-    assert (result.stop_reason, result.iterations) == (reason, cycles)
+    assert (result.stop_reason, result.iterations) == (reason, iterations)
 
 
 def reference_weight_sectors(d: int, targets) -> tuple[np.ndarray, ...]:
@@ -732,10 +816,11 @@ def test_benchmark_searches_match_reference_sectors_bit_for_bit(monkeypatch, cas
 
 @pytest.mark.parametrize("case", sorted(DUAL_CASES))
 def test_bipartite_duals_match_full_corrections(case):
-    """The block-entry search with duals ``Y_j`` runs the same search as dense textbook Dykstra."""
+    """The block-entry search, with bipartite duals peeled off its displacement, runs the same
+    search as dense textbook Douglas–Rachford, which peels them off the full matrix."""
     pattern = DUAL_CASES[case]()
     ours = bf.dykstra_find_extension(pattern, max_iters=5000, tol=1e-6)
-    reference = textbook_dykstra(pattern, max_iters=5000, tol=1e-6)
+    reference = textbook_douglas_rachford(pattern, max_iters=5000, tol=1e-6)
     assert ours.stop_reason == reference.stop_reason
     assert ours.iterations == reference.iterations
     assert abs(ours.residual - reference.residual) <= 1e-12
@@ -749,8 +834,11 @@ def test_bipartite_duals_match_full_corrections(case):
 
 
 @pytest.mark.parametrize("case", ["werner3-sym3", "werner4-right2", "singlet-right2"])
-def test_certificate_checks_take_no_partial_traces(monkeypatch, case):
-    """Each cycle traces once per constraint to project and once to assess; nothing else does."""
+def test_partial_trace_count_is_exact(monkeypatch, case):
+    """Per constraint, the search traces once to sweep the start, twice per iteration (to
+    project and to assess), once per certificate check (to peel) and once per full residual:
+    at each iteration whose cheap residual passes ``tol`` and, unless converged, at the end.
+    The check of the targets' one-party marginals takes none."""
     calls = 0
 
     def counted(*args, _original=extensions._block_ptrace):
@@ -761,6 +849,9 @@ def test_certificate_checks_take_no_partial_traces(monkeypatch, case):
     monkeypatch.setattr(extensions, "_block_ptrace", counted)
     pattern = DUAL_CASES[case]()
     result = bf.dykstra_find_extension(pattern, max_iters=5000, tol=1e-6)
-    k = len(pattern.constraints)
-    assert calls == 2 * k * result.iterations + k
+    k, n = len(pattern.constraints), result.iterations
+    # Certificates are checked at iterations 1, 2, 4, ..., but not at the one that converged.
+    checks = n.bit_length() - (result.converged and n & (n - 1) == 0)
+    full = sum(r <= 1e-6 for r in result.residual_trace) + (not result.converged)
+    assert n >= 1 and calls == k * (1 + 2 * n + checks + full)
 
