@@ -12,17 +12,18 @@ Both are optimized by cyclic exact updates: fixing all observables but
 one leaves a linear functional ``tr(F @ w)``, whose maximizer over the
 unit ball is the spectral sign of the effective operator ``F``.  Every
 update therefore never decreases the objective, and the sweep values
-converge monotonically.  Random restarts guard against poor local
+converge monotonically.  The gap ascends ``E(a, b1) - E(a, b2)`` alone, as
+``a -> -a`` flips its sign.  Random restarts guard against poor local
 optima; each restart is an independent deterministic stream.  Restarts
-(and both sign branches of the gap) advance together as stacks of matrices,
-in blocks of up to 256 restarts, one stacked eigendecomposition per update;
-each stops at its own convergence test, so results equal running them one
-at a time.  Every contraction with the state is a batched matrix product:
-the state is reshaped once into two ``d² x d²`` matrices, and each
-observable of a stack is a ``1 x d²`` row multiplied by one of them on its
-own, so a row's bits do not depend on the height of the stack.  Each sweep
-forms each effective operator once and reads its correlations off Bob's, and
-a row's final score comes from its last sweep, with no re-evaluation pass.
+advance together as stacks of matrices, in blocks of up to 256, one stacked
+eigendecomposition per update; each stops at its own convergence test, so
+results equal running them one at a time.  Every contraction with the state
+is a batched matrix product: the state is reshaped once into two ``d² x d²``
+matrices, and each observable of a stack is a ``1 x d²`` row multiplied by
+one of them on its own, so a row's bits do not depend on the height of the
+stack.  Each sweep forms each effective operator once and reads its
+correlations off Bob's, and a row's final score comes from its last sweep,
+with no re-evaluation pass.
 """
 
 from __future__ import annotations
@@ -221,23 +222,22 @@ def chsh_value(
     return float(abs(e11 + e12 + e21 - e22))
 
 
-def _original_sweep(r: tuple, s: np.ndarray, mats: list) -> tuple:
-    """One cyclic update of the gap's sign branches ``s`` from ``jb1`` and ``jb2`` (``ja`` is
-    not read): observables, linearized values, gaps."""
+def _original_sweep(r: tuple, mats: list) -> tuple:
+    """One cyclic update of the gap's ``+1`` branch, ``E(a, b1) - E(a, b2)``, from ``jb1`` and
+    ``jb2`` (``ja`` is not read): observables, linearized values, gaps."""
     ja, jb1, jb2 = mats
     m2 = _alice_effective(r, jb2)
-    ja = _spectral_map(s * (_alice_effective(r, jb1) - m2), _signs)
+    ja = _spectral_map(_alice_effective(r, jb1) - m2, _signs)
     na = _bob_effective(r, ja)
-    jb1 = _spectral_map(s * na + m2, _signs)
+    jb1 = _spectral_map(na + m2, _signs)
     n1 = _bob_effective(r, jb1)
-    jb2 = _spectral_map(-s * na + n1, _signs)
+    jb2 = _spectral_map(n1 - na, _signs)
     e1, e2, e3 = _pair(na, jb1), _pair(na, jb2), _pair(n1, jb2)
-    value = s[:, 0, 0] * (e1 - e2) + e3 - 1.0
-    return (ja, jb1, jb2), value, abs(e1 - e2) - (1.0 - e3)
+    return (ja, jb1, jb2), e1 - e2 + e3 - 1.0, abs(e1 - e2) - (1.0 - e3)
 
 
-def _chsh_sweep(r: tuple, s: np.ndarray, mats: list) -> tuple:
-    """One cyclic CHSH update from ``b1`` and ``b2`` (``a1``, ``a2`` and ``s`` are not read):
+def _chsh_sweep(r: tuple, mats: list) -> tuple:
+    """One cyclic CHSH update from ``b1`` and ``b2`` (``a1`` and ``a2`` are not read):
     observables, signed values and absolute values."""
     a1, a2, b1, b2 = mats
     m1, m2 = _alice_effective(r, b1), _alice_effective(r, b2)
@@ -251,28 +251,27 @@ def _chsh_sweep(r: tuple, s: np.ndarray, mats: list) -> tuple:
 
 
 def _seesaw_block(
-    r: tuple, starts: np.ndarray, signs: tuple[float, ...], sweep: Callable
+    r: tuple, starts: np.ndarray, sweep: Callable
 ) -> tuple[float, int, list[np.ndarray], list[float]]:
-    """The restarts from ``starts`` and their sign branches, advanced together as stacks.
+    """The restarts from ``starts``, advanced together as stacks.
 
-    Row ``i`` runs branch ``signs[i % len(signs)]`` from the start observables
-    ``starts[i // len(signs)]``, on the state's layouts ``r``.
-    ``sweep(r, s, mats)`` updates the given rows, forming each effective operator
-    once, and returns their observables, values and scores, all read off those
-    operators.  A row freezes after ``_MAX_SWEEPS`` sweeps or a gain below
-    ``_CONVERGENCE_EPS``, so it ends as it would alone; its score is its last
-    sweep's, with no re-evaluation pass.  Returns the largest score (ties go to
-    the lowest row), its row, its observables and its value trace.
+    Row ``i`` runs from the start observables ``starts[i]``, on the state's
+    layouts ``r``.  ``sweep(r, mats)`` updates the given rows, forming each
+    effective operator once, and returns their observables, values and scores,
+    all read off those operators.  A row freezes after ``_MAX_SWEEPS`` sweeps
+    or a gain below ``_CONVERGENCE_EPS``, so it ends as it would alone; its
+    score is its last sweep's, with no re-evaluation pass.  Returns the largest
+    score (ties go to the lowest row), its row, its observables and its value
+    trace.
     """
-    mats = [np.repeat(starts[:, k], len(signs), axis=0) for k in range(starts.shape[1])]
-    s = np.tile(signs, len(starts))[:, None, None]
+    mats = list(starts.swapaxes(0, 1))  # views: updates write into this block's own draw
 
-    last = np.full(len(s), -math.inf)
-    scores = np.empty(len(s))
+    last = np.full(len(starts), -math.inf)
+    scores = np.empty(len(starts))
     history = []  # (active rows, their values) of every sweep
-    rows = np.arange(len(s))
+    rows = np.arange(len(starts))
     for _ in range(_MAX_SWEEPS):
-        updated, values, scores[rows] = sweep(r, s[rows], [m[rows] for m in mats])
+        updated, values, scores[rows] = sweep(r, [m[rows] for m in mats])
         for m, new in zip(mats, updated):
             m[rows] = new
         history.append((rows, values))
@@ -288,16 +287,12 @@ def _seesaw_block(
 
 
 def _seesaw(
-    rho: DensityOperator,
-    cfg: SeeSawConfig,
-    labels: tuple[str, ...],
-    signs: tuple[float, ...],
-    sweep: Callable,
+    rho: DensityOperator, cfg: SeeSawConfig, labels: tuple[str, ...], sweep: Callable
 ) -> OptimizationResult:
     """Every restart of a see-saw, run in consecutive blocks of ``_RESTART_BLOCK``.
 
     A later block wins only with a strictly larger score, so ties go to the
-    lowest restart and then to the earlier sign branch, as in one stack.
+    lowest restart, as in one stack.
     """
     rho_mat, d = _check_state(rho)
     _check_local_dim(d)
@@ -307,9 +302,9 @@ def _seesaw(
     for first in range(cfg.base_seed, end, _RESTART_BLOCK):
         seeds = range(first, min(first + _RESTART_BLOCK, end))
         starts = _draw_observables(d, seeds, len(labels))
-        score, row, mats, trace = _seesaw_block(r, starts, signs, sweep)
+        score, row, mats, trace = _seesaw_block(r, starts, sweep)
         if best is None or score > best[0]:
-            best = (score, first - cfg.base_seed + row // len(signs), mats, trace)
+            best = (score, first - cfg.base_seed + row, mats, trace)
     score, restart, mats, trace = best
     return OptimizationResult(
         best_value=score,
@@ -327,14 +322,15 @@ def seesaw_original_bell(
 ) -> OptimizationResult:
     """Maximize the perfect-correlation Bell gap by cyclic exact updates.
 
-    The absolute value in the gap splits the search into two sign
-    branches; each restart runs both branches from the same random
-    initial triple and keeps the better final gap, branch ``+1`` on a tie.
-    Restart ``r`` uses the deterministic stream seeded by
-    ``base_seed + r``, and ties across restarts resolve to the lowest
-    restart index, so results are reproducible.
+    The observables are closed under ``a -> -a``, which flips the sign of
+    ``E(a, b1) - E(a, b2)`` and leaves ``E(b1, b2)`` alone, so the maximum of
+    ``|E(a, b1) - E(a, b2)|`` equals that of ``E(a, b1) - E(a, b2)``; each
+    restart ascends that linear form, and its score keeps the absolute value.
+    Restart ``r`` uses the deterministic stream seeded by ``base_seed + r``,
+    and ties across restarts resolve to the lowest restart index, so results
+    are reproducible.
     """
-    return _seesaw(rho, cfg, ("a", "b1", "b2"), (1.0, -1.0), _original_sweep)
+    return _seesaw(rho, cfg, ("a", "b1", "b2"), _original_sweep)
 
 
 def seesaw_chsh(rho: DensityOperator, cfg: SeeSawConfig = SeeSawConfig()) -> OptimizationResult:
@@ -345,7 +341,7 @@ def seesaw_chsh(rho: DensityOperator, cfg: SeeSawConfig = SeeSawConfig()) -> Opt
     monotonically.  Restart seeding and tie-breaking match
     :func:`seesaw_original_bell`.
     """
-    return _seesaw(rho, cfg, ("a1", "a2", "b1", "b2"), (1.0,), _chsh_sweep)
+    return _seesaw(rho, cfg, ("a1", "a2", "b1", "b2"), _chsh_sweep)
 
 
 def horodecki_chsh_oracle(rho: DensityOperator) -> float:

@@ -151,13 +151,13 @@ def _ptrace(m: np.ndarray, dims: tuple[int, ...], j: int) -> np.ndarray:
     return reduced.reshape(side, side)
 
 
+@functools.cache
 def _permutation(dims: tuple[int, ...], images: tuple[int, ...]) -> np.ndarray:
-    """Real 0/1 unitary that moves the content of 1-based factor ``i`` of a product on ``dims``
-    to factor ``images[i - 1]``; ``U m U^T`` permutes the factors of a matrix ``m`` alike."""
-    n = len(dims)
+    """Column of the one entry 1 in each row of the real 0/1 unitary ``U`` that moves the content
+    of 1-based factor ``i`` of a product on ``dims`` to factor ``images[i - 1]``, built once and
+    read-only; ``U m U^T`` permutes the factors of a matrix ``m`` alike."""
     side = math.prod(dims)
-    eye = np.eye(side).reshape(dims + dims)
-    return eye.transpose([*np.argsort(images), *range(n, 2 * n)]).reshape(side, side)
+    return _frozen(np.arange(side).reshape(dims).transpose(np.argsort(images)).reshape(-1))
 
 
 def partial_trace(t: TensorOperator, j: int) -> TensorOperator:

@@ -133,11 +133,15 @@ _Q = tuple((p.images, p.parity / 6.0) for p in ALL_PERMUTATIONS_3)
 
 def _permutation_sum(d: int, terms: tuple[tuple[tuple[int, ...], float], ...]) -> TensorOperator:
     """``sum c U_images`` over the ``(images, c)`` pairs on copies of C^d, d >= 2, as one operator;
-    the terms are added in the order given, which fixes the rounding of every entry."""
+    each ``c`` is added at its unitary's ones in the order given, which fixes every rounding."""
     if d < 2:
         raise ValueError(f"local dimension must be at least 2, got {d}")
     dims = (d,) * len(terms[0][0])
-    return TensorOperator(sum(c * _permutation(dims, images) for images, c in terms), dims)
+    m = np.zeros((d ** len(dims),) * 2)
+    rows = np.arange(len(m))
+    for images, c in terms:
+        m[rows, _permutation(dims, images)] += c
+    return TensorOperator(m, dims)
 
 
 def flip(d: int) -> TensorOperator:

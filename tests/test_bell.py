@@ -505,9 +505,8 @@ def test_seesaw_eigensolver_calls_do_not_grow_with_restarts(monkeypatch, functio
     singles = []
     for r in range(40):
         n, result = count(1, base_seed + r)
-        # the longest row (a branch of the gap may outlast the winner) sets the count
-        assert (n - 1) % updates == 0
-        assert result.sweeps_used <= (n - 1) // updates
+        # a single restart's sweeps set the count
+        assert n == 1 + updates * result.sweeps_used
         singles.append(n)
     stacked = {restarts: count(restarts, base_seed)[0] for restarts in (5, 40)}
     assert stacked == {restarts: max(singles[:restarts]) for restarts in (5, 40)}
@@ -516,7 +515,7 @@ def test_seesaw_eigensolver_calls_do_not_grow_with_restarts(monkeypatch, functio
 
 # Seeds at which the winner of 7 restarts on ``werner(3)`` ties a restart in another block of two.
 BLOCK_TIES = {
-    "original": SeeSawConfig(restarts=7, base_seed=32),
+    "original": SeeSawConfig(restarts=7, base_seed=35),
     "chsh": SeeSawConfig(restarts=7, base_seed=3),
 }
 
@@ -530,7 +529,6 @@ def test_restart_blocks_match_one_stack(monkeypatch, functional):
     exercised; the single-restart scores check that premise.
     """
     search, _ = SEARCHES[functional]
-    signs = 2 if functional == "original" else 1
     cfg = BLOCK_TIES[functional]
     scores = [
         search(bf.werner(3), SeeSawConfig(restarts=1, base_seed=cfg.base_seed + r)).best_value
@@ -547,11 +545,11 @@ def test_restart_blocks_match_one_stack(monkeypatch, functional):
 
     monkeypatch.setattr(bell, "_spectral_map", recorded)
     whole = search(bf.werner(3), cfg)
-    assert max(rows) > 2 * signs
+    assert max(rows) > 2
     rows.clear()
     monkeypatch.setattr(bell, "_RESTART_BLOCK", 2)
     blocked = search(bf.werner(3), cfg)
-    assert max(rows) <= 2 * signs
+    assert max(rows) <= 2
     assert blocked.restart_index == whole.restart_index == winner
     assert blocked.best_value == whole.best_value
     assert blocked.sweeps_used == whole.sweeps_used
@@ -587,19 +585,18 @@ def reference_chsh(r: tuple, a1, a2, b1, b2) -> np.ndarray:
     return corr(r, a1, b1) + corr(r, a1, b2) + corr(r, a2, b1) - corr(r, a2, b2)
 
 
-def reference_original_sweep(r: tuple, s: np.ndarray, mats) -> tuple:
+def reference_original_sweep(r: tuple, mats) -> tuple:
     alice, bob, sign = bell._alice_effective, bell._bob_effective, bell._signs
     ja, jb1, jb2 = mats
-    ja = bell._spectral_map(s * (alice(r, jb1) - alice(r, jb2)), sign)
-    jb1 = bell._spectral_map(s * bob(r, ja) + alice(r, jb2), sign)
-    jb2 = bell._spectral_map(-s * bob(r, ja) + bob(r, jb1), sign)
-    s = s[:, 0, 0]
+    ja = bell._spectral_map(alice(r, jb1) - alice(r, jb2), sign)
+    jb1 = bell._spectral_map(bob(r, ja) + alice(r, jb2), sign)
+    jb2 = bell._spectral_map(-bob(r, ja) + bob(r, jb1), sign)
     corr = reference_corr
-    value = s * (corr(r, ja, jb1) - corr(r, ja, jb2)) + corr(r, jb1, jb2) - 1.0
+    value = (corr(r, ja, jb1) - corr(r, ja, jb2)) + corr(r, jb1, jb2) - 1.0
     return (ja, jb1, jb2), value
 
 
-def reference_chsh_sweep(r: tuple, s: np.ndarray, mats) -> tuple:
+def reference_chsh_sweep(r: tuple, mats) -> tuple:
     alice, bob, sign = bell._alice_effective, bell._bob_effective, bell._signs
     a1, a2, b1, b2 = mats
     a1 = bell._spectral_map(alice(r, b1) + alice(r, b2), sign)
@@ -610,19 +607,18 @@ def reference_chsh_sweep(r: tuple, s: np.ndarray, mats) -> tuple:
     return mats, reference_chsh(r, *mats)
 
 
-# functional: (reference sweep, reference score, sweep, sign branches)
+# functional: (reference sweep, reference score, sweep)
 REFERENCE = {
-    "original": (reference_original_sweep, reference_gap, bell._original_sweep, (1.0, -1.0)),
-    "chsh": (reference_chsh_sweep, lambda *m: abs(reference_chsh(*m)), bell._chsh_sweep, (1.0,)),
+    "original": (reference_original_sweep, reference_gap, bell._original_sweep),
+    "chsh": (reference_chsh_sweep, lambda *m: abs(reference_chsh(*m)), bell._chsh_sweep),
 }
 LABELS = {"original": ("a", "b1", "b2"), "chsh": ("a1", "a2", "b1", "b2")}
 
 
-def sweep_inputs(d: int, signs: tuple[float, ...], count: int) -> tuple[np.ndarray, list]:
-    """Six rows alternating over the sign branches, with the see-saw's start observables."""
-    starts = bell._draw_observables(d, range(6), count)
-    s = np.tile(signs, 6 // len(signs))[:, None, None]
-    return s, [starts[:, k].copy() for k in range(count)]
+def sweep_inputs(d: int, count: int, rows: int = 6) -> list:
+    """The see-saw's start observables of ``rows`` rows."""
+    starts = bell._draw_observables(d, range(rows), count)
+    return [starts[:, k].copy() for k in range(count)]
 
 
 def state_matrix(kind: str, d: int) -> np.ndarray:
@@ -634,14 +630,14 @@ def state_matrix(kind: str, d: int) -> np.ndarray:
 @pytest.mark.parametrize("functional", sorted(REFERENCE))
 def test_sweeps_match_reference_bit_for_bit(functional, d, kind):
     """Three sweeps from the same starts give the reference's observables, values and scores,
-    on the real ``werner(d)`` and on a random complex state, both gap branches included."""
-    reference_sweep, reference_score, sweep, signs = REFERENCE[functional]
+    on the real ``werner(d)`` and on a random complex state."""
+    reference_sweep, reference_score, sweep = REFERENCE[functional]
     r = bell._layouts(state_matrix(kind, d), d)
-    s, mats = sweep_inputs(d, signs, len(LABELS[functional]))
+    mats = sweep_inputs(d, len(LABELS[functional]))
     expected = mats
     for _ in range(3):
-        mats, values, scores = sweep(r, s, mats)
-        expected, expected_values = reference_sweep(r, s, expected)
+        mats, values, scores = sweep(r, mats)
+        expected, expected_values = reference_sweep(r, expected)
         for m, e in zip(mats, expected, strict=True):
             np.testing.assert_array_equal(m, e)
         np.testing.assert_array_equal(values, expected_values)
@@ -653,16 +649,16 @@ def test_sweeps_match_reference_bit_for_bit(functional, d, kind):
 def test_seesaw_results_match_reference(functional, kind):
     """Whole searches on the reference sweeps, each row scored by a pass over its final
     observables, give the same result bit for bit."""
-    reference_sweep, reference_score, _, signs = REFERENCE[functional]
+    reference_sweep, reference_score, _ = REFERENCE[functional]
     d = 4
     rho = bf.DensityOperator(TensorOperator(state_matrix(kind, d), (d, d)))
     cfg = SeeSawConfig(restarts=12, base_seed=3)
 
-    def scored(r, s, mats):
-        updated, values = reference_sweep(r, s, mats)
+    def scored(r, mats):
+        updated, values = reference_sweep(r, mats)
         return updated, values, reference_score(r, *updated)
 
-    expected = bell._seesaw(rho, cfg, LABELS[functional], signs, scored)
+    expected = bell._seesaw(rho, cfg, LABELS[functional], scored)
     result = SEARCHES[functional][0](rho, cfg)
     assert result.best_value == expected.best_value
     assert result.restart_index == expected.restart_index
@@ -676,7 +672,7 @@ def test_seesaw_results_match_reference(functional, kind):
 @pytest.mark.parametrize("functional", sorted(REFERENCE))
 def test_sweep_forms_each_effective_operator_once(monkeypatch, functional):
     """A sweep of either functional forms two effective operators for each side."""
-    _, _, sweep, signs = REFERENCE[functional]
+    _, _, sweep = REFERENCE[functional]
     calls = []
     for name in ("_alice_effective", "_bob_effective"):
 
@@ -685,9 +681,112 @@ def test_sweep_forms_each_effective_operator_once(monkeypatch, functional):
             return _original(r, m)
 
         monkeypatch.setattr(bell, name, counted)
-    s, mats = sweep_inputs(3, signs, len(LABELS[functional]))
-    sweep(bell._layouts(bf.werner(3).op.entries, 3), s, mats)
+    sweep(bell._layouts(bf.werner(3).op.entries, 3), sweep_inputs(3, len(LABELS[functional])))
     assert sorted(calls) == ["_alice_effective"] * 2 + ["_bob_effective"] * 2
+
+
+# ----------------------------------------------------------- one sign branch
+# The gap search once ran every restart twice, as the branches ``s = +1`` and ``s = -1`` of
+# ``|E(a, b1) - E(a, b2)|``.  ``two_branch_sweep`` is that sweep; its ``+1`` rows are the sweep
+# the search runs now, and its ``-1`` rows the branch it no longer runs.
+
+
+def two_branch_sweep(r: tuple, s: np.ndarray, mats, sign=bell._signs) -> tuple:
+    """One cyclic gap update of the rows' branches ``s``, an ``(n, 1, 1)`` array of ``+1`` and
+    ``-1``, with the eigenvalue map ``sign``: observables, linearized values, gaps."""
+    ja, jb1, jb2 = mats
+    m2 = bell._alice_effective(r, jb2)
+    ja = bell._spectral_map(s * (bell._alice_effective(r, jb1) - m2), sign)
+    na = bell._bob_effective(r, ja)
+    jb1 = bell._spectral_map(s * na + m2, sign)
+    n1 = bell._bob_effective(r, jb1)
+    jb2 = bell._spectral_map(-s * na + n1, sign)
+    e1, e2, e3 = bell._pair(na, jb1), bell._pair(na, jb2), bell._pair(n1, jb2)
+    value = s[:, 0, 0] * (e1 - e2) + e3 - 1.0
+    return (ja, jb1, jb2), value, abs(e1 - e2) - (1.0 - e3)
+
+
+def branch_search(rho: bf.DensityOperator, cfg: SeeSawConfig, s: float) -> bf.OptimizationResult:
+    """The gap search over the rows of branch ``s`` of the two-branch sweep.  A row's bits do
+    not depend on the stack it runs in, so these are the rows of ``s`` in a two-branch stack."""
+
+    def sweep(r, mats):
+        return two_branch_sweep(r, np.full((len(mats[0]), 1, 1), s), mats)
+
+    return bell._seesaw(rho, cfg, LABELS["original"], sweep)
+
+
+@pytest.mark.parametrize("kind", ["werner", "random"])
+@pytest.mark.parametrize("d", [2, 3, 4, 5, 6])
+def test_minus_branch_mirrors_plus_branch_off_zero_eigenvalues(d, kind):
+    """From the same starts, the ``-1`` branch runs the ``+1`` branch with ``ja`` negated and
+    ``jb1``, ``jb2``, values and scores alike, over three sweeps, until an update meets an
+    effective operator with an eigenvalue at zero: ``_signs`` maps it to ``+1`` on both branches,
+    so there they part, each on an ascent of its own.  Every case checks some rows' sweeps."""
+    r = bell._layouts(state_matrix(kind, d), d)
+    plus = minus = sweep_inputs(d, 3, rows=24)
+    s = np.ones((24, 1, 1))
+    mirrored = np.ones(24, dtype=bool)
+    checked = 0
+    for _ in range(3):
+        smallest = []
+
+        def sign(vals):
+            smallest.append(np.abs(vals).min(axis=-1))
+            return bell._signs(vals)
+
+        plus, plus_values, plus_scores = two_branch_sweep(r, s, plus, sign)
+        minus, minus_values, minus_scores = two_branch_sweep(r, -s, minus, sign)
+        mirrored &= np.min(smallest, axis=0) > 1e-6
+        pairs = (
+            (minus[0], -plus[0]),
+            (minus[1], plus[1]),
+            (minus[2], plus[2]),
+            (minus_values, plus_values),
+            (minus_scores, plus_scores),
+        )
+        for got, expected in pairs:
+            np.testing.assert_allclose(got[mirrored], expected[mirrored], rtol=0.0, atol=1e-12)
+        checked += int(mirrored.sum())
+    assert checked >= 4
+
+
+@pytest.mark.parametrize("state", ["werner2", "werner3", "werner4", "werner6", "singlet", "random"])
+def test_gap_search_keeps_the_plus_rows_of_two_branches(state):
+    """The one-branch search is, bit for bit, the best of the two-branch search's ``+1`` rows,
+    and falls short of the best of both branches by at most 1e-15."""
+    rho = {
+        "werner2": bf.werner(2),
+        "werner3": bf.werner(3),
+        "werner4": bf.werner(4),
+        "werner6": bf.werner(6),
+        "singlet": bf.singlet(),
+        "random": bf.DensityOperator(TensorOperator(random_density_matrix(5, seed=85), (5, 5))),
+    }[state]
+    cfg = SeeSawConfig(restarts=50, base_seed=0)
+    result = bf.seesaw_original_bell(rho, cfg)
+    plus, minus = branch_search(rho, cfg, 1.0), branch_search(rho, cfg, -1.0)
+    assert result.best_value == plus.best_value
+    assert result.restart_index == plus.restart_index
+    assert result.value_trace == plus.value_trace
+    for a, b in zip(result.observables, plus.observables, strict=True):
+        assert a.label == b.label
+        np.testing.assert_array_equal(a.op.entries, b.op.entries)
+    both = max(plus.best_value, minus.best_value)
+    assert both - 1e-15 <= result.best_value <= both
+
+
+def test_gap_search_passes_one_row_per_restart(monkeypatch):
+    """A 50-restart gap search hands at most 50 rows to each spectral map."""
+    rows = []
+
+    def recorded(m, f, _original=bell._spectral_map):
+        rows.append(m.shape[0])
+        return _original(m, f)
+
+    monkeypatch.setattr(bell, "_spectral_map", recorded)
+    bf.seesaw_original_bell(bf.werner(3), SeeSawConfig(restarts=50))
+    assert max(rows) == 50
 
 
 # ------------------------------------------------------- oracle cross-check

@@ -75,7 +75,8 @@ def certificate_value(cert: bf.InfeasibilityCertificate, pattern: bf.MarginalPat
 def embed_identity(b: np.ndarray, d: int, slot: int) -> np.ndarray:
     """``b`` tensored with the identity at 1-based ``slot``: ``kron(b, I)`` conjugated by the
     factor permutation that the named operators are built from, in the dtype of ``b``."""
-    u = _permutation((d, d, d), SLOT_IMAGES[slot])
+    u = np.zeros((d**3, d**3))
+    u[np.arange(d**3), _permutation((d, d, d), SLOT_IMAGES[slot])] = 1.0
     return u @ np.kron(b, np.eye(d)) @ u.T
 
 

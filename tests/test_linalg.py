@@ -174,7 +174,8 @@ def test_permutation_matrix_conjugates_to_reorder(order):
     of a product vector to slot ``order[i - 1]``, and so conjugates a product operator alike."""
     dims = (2, 3, 4)
     rng = np.random.default_rng(19)
-    u = la._permutation(dims, order)
+    u = np.zeros((24, 24))
+    u[np.arange(24), la._permutation(dims, order)] = 1.0
     np.testing.assert_array_equal(u @ u.T, np.eye(24))
     moved = [order.index(slot) for slot in (1, 2, 3)]
     vecs = [rng.integers(-9, 10, n).astype(float) for n in dims]  # exact products

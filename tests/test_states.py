@@ -356,7 +356,11 @@ def test_dso_general_three_dim_spectrum_frozen():
 
 
 def _perm(d: int, images: tuple[int, ...]) -> np.ndarray:
-    return _permutation((d,) * len(images), images)
+    """The permutation unitary as a dense matrix, its ones scattered from the index map."""
+    side = d ** len(images)
+    u = np.zeros((side, side))
+    u[np.arange(side), _permutation((d,) * len(images), images)] = 1.0
+    return u
 
 
 def _flip_ref(d: int) -> bf.TensorOperator:
