@@ -728,13 +728,14 @@ def test_minus_branch_mirrors_plus_branch_off_zero_eigenvalues(d, kind):
     s = np.ones((24, 1, 1))
     mirrored = np.ones(24, dtype=bool)
     checked = 0
+    smallest = []
+
+    def sign(vals):
+        smallest.append(np.abs(vals).min(axis=-1))
+        return bell._signs(vals)
+
     for _ in range(3):
-        smallest = []
-
-        def sign(vals):
-            smallest.append(np.abs(vals).min(axis=-1))
-            return bell._signs(vals)
-
+        smallest.clear()
         plus, plus_values, plus_scores = two_branch_sweep(r, s, plus, sign)
         minus, minus_values, minus_scores = two_branch_sweep(r, -s, minus, sign)
         mirrored &= np.min(smallest, axis=0) > 1e-6
