@@ -11,11 +11,12 @@ Subcommands:
   (``converged``, ``infeasible`` with a checked certificate, or
   ``max_iters``).
 
-Every run writes a single JSON report to stdout (floats carry 17
-significant digits, so identical inputs give identical bytes in every
-field but ``wall_time_ms``) and a short human summary to stderr unless
-``--quiet`` is passed.  The report's ``parameters`` echo every option
-except ``--quiet``, in parser order; ``d`` is the state's local dimension.
+Every run writes one JSON report, ``json.dumps(report, indent=2)``, to
+stdout: floats take their shortest round-trip spelling, so identical inputs
+give identical bytes in every field but ``wall_time_ms``.  A short summary
+goes to stderr unless ``--quiet`` is passed.  The report's ``parameters``
+echo every option but ``--quiet``, in parser order; ``d`` is the state's
+local dimension.
 Exit codes: 0 all checks passed, 1 a check failed or a violation was
 found, 2 usage error, 3 structurally valid but non-density input data.
 Repeated ``main(argv)`` calls share one parser, built on the first call.
@@ -62,7 +63,7 @@ from .states import (
     werner,
 )
 
-__all__ = ["main", "entrypoint", "render_json"]
+__all__ = ["main", "entrypoint"]
 
 
 class _UsageError(Exception):
@@ -79,36 +80,6 @@ class _Outcome:
     results: dict
     passed: bool
     notes: list[str] = field(default_factory=list)
-
-
-def render_json(value, level: int = 0) -> str:
-    """Serialize a report deterministically; floats get 17 significant digits."""
-    pad = "  " * level
-    inner_pad = "  " * (level + 1)
-    if isinstance(value, dict):
-        if not value:
-            return "{}"
-        rows = ",\n".join(
-            f"{inner_pad}{json.dumps(str(k))}: {render_json(v, level + 1)}"
-            for k, v in value.items()
-        )
-        return "{\n" + rows + "\n" + pad + "}"
-    if isinstance(value, (list, tuple)):
-        if not value:
-            return "[]"
-        rows = ",\n".join(f"{inner_pad}{render_json(v, level + 1)}" for v in value)
-        return "[\n" + rows + "\n" + pad + "]"
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    if isinstance(value, (float, np.floating)):
-        return format(float(value), ".17g")
-    if isinstance(value, str):
-        return json.dumps(value)
-    if value is None:
-        return "null"
-    raise TypeError(f"cannot serialize {type(value).__name__}")
 
 
 def _check_d(d: int) -> None:
@@ -270,16 +241,16 @@ def cmd_dso_find(args: argparse.Namespace) -> _Outcome:
     if result.converged:
         notes = [
             f"extension found: residual {result.residual:.3e} after "
-            f"{result.iterations} cycles"
+            f"{result.iterations} iterations"
         ]
     elif result.certificate is not None:
         notes = [
             f"no extension found: infeasibility certificate "
-            f"(value {result.certificate.value:.3e}) after {result.iterations} cycles"
+            f"(value {result.certificate.value:.3e}) after {result.iterations} iterations"
         ]
     else:
         notes = [
-            f"no extension found within {result.iterations} cycles "
+            f"no extension found within {result.iterations} iterations "
             f"(best residual {result.residual:.3e})"
         ]
     if args.dump:
@@ -338,7 +309,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--iters",
         type=int,
         default=5000,
-        help="Douglas-Rachford cycles to run, each one marginal sweep and one density projection",
+        help="Douglas-Rachford iterations, each one marginal sweep and one density projection",
     )
     p_find.add_argument("--tol", type=float, default=1e-6, help="residual convergence threshold")
     p_find.add_argument("--dump", default=None, help="write the candidate to this path")
@@ -377,7 +348,7 @@ def main(argv: list[str] | None = None) -> int:
         "wall_time_ms": wall_ms,
         "artifact_version": __version__,
     }
-    sys.stdout.write(render_json(report) + "\n")
+    sys.stdout.write(json.dumps(report, indent=2) + "\n")
     if not args.quiet:
         for note in outcome.notes:
             print(note, file=sys.stderr)

@@ -165,24 +165,17 @@ def verify_marginals(t: TensorOperator, pattern: MarginalPattern) -> list[float]
     ]
 
 
-def _project_marginal(
-    v: np.ndarray, layout: _Layout, j: int, target: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Orthogonal projection onto operators whose j-th partial trace is ``target``, and its deficit.
-
-    It adds the deficit (target - partial_trace) / d tensored with the identity at slot j.
-    """
-    deficit = (target - _block_ptrace(v, layout, j)) / layout.d
-    return _add_embedded(v, deficit, layout, j), deficit
-
-
 def _sweep(v: np.ndarray, layout: _Layout, targets: _Targets) -> tuple[np.ndarray, list]:
     """The marginal projections in constraint order, and their deficits; the projection onto the
-    marginal set when the targets agree on the one-party marginals that they share."""
+    marginal set when the targets agree on the one-party marginals that they share.
+
+    The projection onto the operators whose j-th partial trace is ``target`` adds the deficit
+    ``(target - partial_trace_j) / d`` tensored with the identity at slot j.
+    """
     deficits = []
     for j, target in targets:
-        v, deficit = _project_marginal(v, layout, j, target)
-        deficits.append(deficit)
+        deficits.append((target - _block_ptrace(v, layout, j)) / layout.d)
+        v = _add_embedded(v, deficits[-1], layout, j)
     return v, deficits
 
 

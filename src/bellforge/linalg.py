@@ -286,13 +286,11 @@ def _chunks(v: np.ndarray, layout: _Layout) -> list[np.ndarray]:
 
 
 def _block_ptrace(v: np.ndarray, layout: _Layout, j: int) -> np.ndarray:
-    """Trace the 1-based factor ``j`` out of the matrix whose block entries are ``v``."""
+    """Trace the 1-based factor ``j`` out of the matrix whose block entries are ``v``, summing in
+    ``v``'s own dtype: exactly for ``Fraction`` entries."""
     entries, key = layout.traced[j - 1]
-    picked, n = v[entries], layout.d**4
-    if np.iscomplexobj(picked):
-        summed = np.bincount(key, picked.real, n) + 1j * np.bincount(key, picked.imag, n)
-    else:
-        summed = np.bincount(key, picked, n)
+    summed = np.zeros(layout.d**4, v.dtype)
+    np.add.at(summed, key, v[entries])
     return summed.reshape(layout.d**2, layout.d**2)
 
 

@@ -17,7 +17,7 @@ import pytest
 
 import bellforge as bf
 from bellforge import SeeSawConfig
-from bellforge.cli import main, render_json
+from bellforge.cli import main
 
 IDENTITY_TOL = 1e-10
 
@@ -151,7 +151,7 @@ def test_criterion_5_feasibility_solver(capsys):
     stuck_ok = (not stuck.converged) and stuck.residual >= 1e-2
     ok = found_ok and stuck_ok
     detail = (
-        f"werner3 residual {found.residual:.2e} in {found.iterations} cycles; "
+        f"werner3 residual {found.residual:.2e} in {found.iterations} iterations; "
         f"singlet residual {stuck.residual:.2e} after {stuck.iterations}"
     )
     report(capsys, "5 extension feasibility solver", ok, detail)
@@ -210,7 +210,7 @@ def _property_battery(round_index: int, capsys) -> list[str]:
     first = json.loads(capsys.readouterr().out)
     main(argv)
     second = json.loads(capsys.readouterr().out)
-    if render_json(first["results"]) != render_json(second["results"]):
+    if first["results"] != second["results"]:
         failures.append("CLI determinism")
     return failures
 

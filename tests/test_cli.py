@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import bellforge as bf
-from bellforge.cli import build_parser, main, render_json
+from bellforge.cli import build_parser, main
 
 REPORT_KEYS = ["command", "parameters", "results", "wall_time_ms", "artifact_version"]
 
@@ -24,23 +24,28 @@ def run_cli(capsys, argv: list[str]) -> tuple[int, dict, str]:
     return code, report, captured.err
 
 
-# -------------------------------------------------------------------- renderer
+# ---------------------------------------------------------------------- report
+
+REPORT_RUNS = [
+    ["verify", "--d", "3", "--quiet"],
+    ["bell", "--d", "2", "--functional", "chsh", "--restarts", "2", "--quiet"],
+    ["dso-find", "--state", "singlet", "--pattern", "right2", "--tol", "1e-6", "--quiet"],
+]
 
 
-def test_render_json_floats_carry_17_significant_digits():
-    assert render_json(0.1) == "0.10000000000000001"
-    assert render_json(1e-10) == "1e-10"
-    assert render_json(2.0) == "2"
+def test_report_is_standard_json(capsys):
+    """Every report is the standard library's two-space JSON of its own values."""
+    for argv in REPORT_RUNS:
+        main(argv)
+        out = capsys.readouterr().out
+        assert out == json.dumps(json.loads(out), indent=2) + "\n"
 
 
-def test_render_json_structures():
-    text = render_json({"a": [1, True, None, "x"], "b": {}})
-    parsed = json.loads(text)
-    assert parsed == {"a": [1, True, None, "x"], "b": {}}
-    assert render_json(np.float64(0.5)) == "0.5"
-    assert render_json(np.int64(3)) == "3"
-    with pytest.raises(TypeError):
-        render_json(object())
+def test_report_floats_take_the_shortest_round_trip_spelling(capsys):
+    main(REPORT_RUNS[2])
+    assert '"tol": 1e-06,' in capsys.readouterr().out
+    main(REPORT_RUNS[1])
+    assert '"threshold": 2.0000001,' in capsys.readouterr().out
 
 
 # ---------------------------------------------------------------------- verify
@@ -213,8 +218,8 @@ def test_bell_reports_are_deterministic(capsys):
     ]
     _, first, _ = run_cli(capsys, argv)
     _, second, _ = run_cli(capsys, argv)
-    assert render_json(first["results"]) == render_json(second["results"])
-    assert render_json(first["parameters"]) == render_json(second["parameters"])
+    assert first["results"] == second["results"]
+    assert first["parameters"] == second["parameters"]
 
 
 # -------------------------------------------------------------------- dso-find
@@ -250,15 +255,15 @@ def test_dso_find_reports_exhausted_budget(capsys):
     )
     assert code == 1
     assert report["results"]["stop_reason"] == "max_iters"
-    assert "no extension found within 5 cycles" in err
+    assert "no extension found within 5 iterations" in err
 
 
 def test_dso_find_reports_are_deterministic(capsys):
     argv = ["dso-find", "--state", "singlet", "--pattern", "right2", "--quiet"]
     _, first, _ = run_cli(capsys, argv)
     _, second, _ = run_cli(capsys, argv)
-    assert render_json(first["results"]) == render_json(second["results"])
-    assert render_json(first["parameters"]) == render_json(second["parameters"])
+    assert first["results"] == second["results"]
+    assert first["parameters"] == second["parameters"]
 
 
 def test_dso_find_dump_round_trips(capsys, tmp_path):

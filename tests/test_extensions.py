@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -11,7 +12,7 @@ import pytest
 import bellforge as bf
 from bellforge import extensions
 from bellforge import linalg as la
-from bellforge.extensions import _project_marginal
+from bellforge.extensions import _sweep
 from bellforge.linalg import (
     PSD_TOL, _add_embedded, _block_ptrace, _layout, _permutation, _project_density, _ptrace
 )
@@ -193,7 +194,7 @@ def test_verify_marginals_rejects_wrong_space():
 
 
 def test_embed_identity_matches_reordered_kron():
-    """The gather-add is ``b (x) I`` at each slot and the ``bincount`` trace is ``_ptrace``."""
+    """The gather-add is ``b (x) I`` at each slot and the block trace is ``_ptrace``."""
     rng = np.random.default_rng(41)
     for d, real in itertools.product(range(2, 7), (True, False)):
         for kind, layout in layouts(d).items():
@@ -217,12 +218,12 @@ def test_marginal_projection_is_exact_and_idempotent():
             target = random_pair(rng, d, real, kind)
             for j in (1, 2, 3):
                 x = random_entries(rng, layout, real)
-                proj, deficit = _project_marginal(x, layout, j, target)
+                proj, (deficit,) = _sweep(x, layout, ((j, target),))
                 full = dense(proj, layout)
                 assert np.max(np.abs(_ptrace(full, (d, d, d), j) - target)) <= 1e-12
                 step = full - dense(x, layout)
                 assert np.max(np.abs(step - embed_identity(deficit, d, j))) <= 1e-12
-                again, no_deficit = _project_marginal(proj, layout, j, target)
+                again, (no_deficit,) = _sweep(proj, layout, ((j, target),))
                 assert np.max(np.abs(again - proj)) <= 1e-12
                 assert np.max(np.abs(no_deficit)) <= 1e-12
 
@@ -235,7 +236,7 @@ def test_marginal_projection_is_orthogonal():
             target = random_pair(rng, d, real, kind)
 
             def project(x, j):
-                return dense(_project_marginal(x, layout, j, target)[0], layout)
+                return dense(_sweep(x, layout, ((j, target),))[0], layout)
 
             def draw():
                 return random_entries(rng, layout, real)
@@ -246,6 +247,26 @@ def test_marginal_projection_is_orthogonal():
                 for _ in range(2):
                     inner = np.vdot(residual, project(draw(), j) - project(draw(), j))
                     assert abs(inner) <= 1e-10
+
+
+def test_sweep_is_exact_on_rational_entries():
+    """The float search's sweep runs unchanged on ``Fraction`` entries: from the converged
+    ``werner(3)`` ``sym3`` candidate, one sweep against the rational Werner state meets every
+    marginal and the unit trace exactly."""
+    d = 3
+    pattern = bf.pattern_sym3(bf.werner(d))
+    found = bf.dykstra_find_extension(pattern)
+    layout = _layout(d, True)
+    v = np.array([Fraction(x) for x in found.candidate.entries[layout.rows, layout.cols].real])
+    eye = np.eye(d * d, dtype=int).astype(object)
+    swap = bf.flip(d).entries.real.astype(int).astype(object)
+    target = Fraction(d + 1, d**3) * eye - Fraction(1, d**2) * swap
+    swept, deficits = _sweep(v, layout, tuple((j, target) for j in (1, 2, 3)))
+    assert any(deficit.any() for deficit in deficits)
+    assert all(type(x) is Fraction for x in swept)
+    for j in (1, 2, 3):
+        assert (_block_ptrace(swept, layout, j) == target).all()
+    assert sum(swept[layout.diagonal]) == 1
 
 
 def test_density_projection_returns_density_and_is_idempotent():

@@ -1,7 +1,7 @@
 """Source-layout guards: one spectral kernel, one owner of the weight-sector block layout and of
 the dimension range, no thread pools, the see-saw's state layouts multiplied only by its two
-effective-operator functions, one command-line parser, one permutation-sum builder, and a public
-surface trimmed to what the solvers, the CLI and the benchmark call."""
+effective-operator functions, one command-line parser, one report writer, one permutation-sum
+builder, and a public surface trimmed to what the solvers, the CLI and the benchmark call."""
 
 from __future__ import annotations
 
@@ -9,6 +9,7 @@ import ast
 from pathlib import Path
 
 import bellforge
+import bellforge.cli
 
 PACKAGE = Path(bellforge.__file__).parent
 BENCHMARKS = Path(__file__).resolve().parents[1] / "benchmarks"
@@ -185,6 +186,13 @@ def test_one_parser_serves_every_main_call():
     and ``cli.main`` the only caller, so no second parser path bypasses the shared one."""
     assert _call_owners("ArgumentParser") == ["cli.py:build_parser"]
     assert _call_owners("build_parser") == ["cli.py:main"]
+
+
+def test_one_writer_serves_every_report():
+    """``cli.main`` writes each report with ``json.dumps`` and is its only caller; no renderer of
+    the package's own sits beside it."""
+    assert _call_owners("dumps") == ["cli.py:main"]
+    assert not hasattr(bellforge.cli, "render_json")
 
 
 def test_one_permutation_sum_builds_every_named_operator():
