@@ -16,14 +16,14 @@ converge monotonically.  The gap ascends ``E(a, b1) - E(a, b2)`` alone, as
 ``a -> -a`` flips its sign.  Random restarts guard against poor local
 optima; each restart is an independent deterministic stream.  Restarts
 advance together as stacks of matrices, in blocks of up to 256, one stacked
-eigendecomposition per update; each stops at its own convergence test, so
-results equal running them one at a time.  Every contraction with the state
-is a batched matrix product: the state is reshaped once into two ``d² x d²``
-matrices, and each observable of a stack is a ``1 x d²`` row multiplied by
-one of them on its own, so a row's bits do not depend on the height of the
-stack.  Each sweep forms each effective operator once and reads its
-correlations off Bob's, and a row's final score comes from its last sweep,
-with no re-evaluation pass.
+spectral sign per update (closed-form on qubits, one stacked eigendecomposition
+above); each stops at its own convergence test, so results equal running them
+one at a time.  Every contraction with the state is a batched matrix product:
+the state is reshaped once into two ``d² x d²`` matrices, and each observable
+of a stack is a ``1 x d²`` row multiplied by one of them on its own, so a row's
+bits do not depend on the height of the stack.  Each sweep forms each effective
+operator once and reads its correlations off Bob's, and a row's final score
+comes from its last sweep, with no re-evaluation pass.
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .linalg import TensorOperator, _signs, _spectral_map, operator_norm
+from .linalg import TensorOperator, _hermitian_part, _signs, _spectral_map, operator_norm
 from .states import DensityOperator, _bipartite_dim, _check_local_dim
 
 __all__ = [
@@ -182,14 +182,16 @@ def _bob_effective(r: tuple[np.ndarray, np.ndarray], a: np.ndarray) -> np.ndarra
 
 
 def _draw_observables(d: int, seeds: Sequence[int], count: int) -> np.ndarray:
-    """``count`` observables per seed's stream, as a ``(len(seeds), count, d, d)`` array.
+    """``count >= 2`` starts per seed's stream, as a ``(len(seeds), count, d, d)`` array.
 
-    One draw per stream yields, matrix by matrix, the real and then the imaginary Gaussian
-    parts; one stacked spectral map clamps the last two of each stream to [-1, 1].  Those are
-    the starts a sweep reads; it overwrites any others before it reads them."""
-    g = np.array([np.random.default_rng(seed).standard_normal((count, 2, d, d)) for seed in seeds])
-    z = g[:, :, 0] + 1.0j * g[:, :, 1]
-    z[:, -2:] = _spectral_map(z[:, -2:], lambda vals: np.clip(vals, -1.0, 1.0))
+    A sweep reads only the last two and overwrites the others before it reads them, so those
+    are zero.  One ``standard_normal((2, 2, d, d))`` per stream yields, matrix by matrix, the
+    real and then the imaginary Gaussian parts of the two; each is the Hermitian part of its
+    complex Gaussian scaled to unit Frobenius norm, so its operator norm is at most one."""
+    g = np.array([np.random.default_rng(seed).standard_normal((2, 2, d, d)) for seed in seeds])
+    h = _hermitian_part(g[:, :, 0] + 1.0j * g[:, :, 1])
+    z = np.zeros((len(seeds), count, d, d), dtype=np.complex128)
+    z[:, -2:] = h / np.linalg.norm(h, axis=(-2, -1), keepdims=True)
     return z
 
 

@@ -196,10 +196,25 @@ def _recompose(vals: np.ndarray, vecs: np.ndarray) -> np.ndarray:
 def _spectral_map(m: np.ndarray, f: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
     """``V f(L) V^H`` for the eigendecomposition of the Hermitian part of ``m``, symmetrized.
 
-    One ``eigh`` call maps every matrix of an ``(..., n, n)`` stack as it would map it alone.
+    Maps every matrix of an ``(..., n, n)`` stack as it would map it alone, by one stacked
+    ``eigh``, or at ``n = 2`` in closed form: ``c I + K``, ``K = [[z, conj(o)], [o, -z]]``, has
+    eigenvalues ``c -+ r``, ``r = hypot(z, |o|)``, and maps to ``(f(c-r) + f(c+r)) / 2 I +
+    (f(c+r) - f(c-r)) / 2 K / r``, exactly Hermitian, or ``f(c) I`` where ``r = 0 = K``.
     """
-    vals, vecs = _eigh(m)
-    return _recompose(f(vals), vecs)
+    if m.shape[-1] != 2:
+        vals, vecs = _eigh(m)
+        return _recompose(f(vals), vecs)
+    c = (m[..., 0, 0].real + m[..., 1, 1].real) / 2.0
+    z = (m[..., 0, 0].real - m[..., 1, 1].real) / 2.0
+    o = (m[..., 1, 0] + m[..., 0, 1].conj()) / 2.0
+    r = np.hypot(z, np.abs(o))
+    lo, hi = np.moveaxis(f(np.stack([c - r, c + r], axis=-1)), -1, 0)
+    s, half, unit = (hi + lo) / 2.0, (hi - lo) / 2.0, np.where(r > 0.0, r, 1.0)
+    out = np.empty_like(m)
+    out[..., 0, 0], out[..., 1, 1] = s + half * (z / unit), s - half * (z / unit)
+    out[..., 1, 0] = half * (o / unit)
+    out[..., 0, 1] = out[..., 1, 0].conj()
+    return out
 
 
 def _eigenvalues(m: np.ndarray) -> np.ndarray:

@@ -258,6 +258,48 @@ def test_spectral_kernel_maps_stacks_like_single_matrices():
             np.testing.assert_array_equal(mapped, [la._spectral_map(m, f) for m in stack])
 
 
+TWO_BY_TWO_MAPS = {
+    "sign": la._signs,
+    "clip": lambda vals: np.clip(vals, -1.0, 1.0),
+    "identity": lambda vals: vals,
+}
+
+
+def two_by_two_stacks() -> dict[str, np.ndarray]:
+    """Random complex and real 2x2 stacks, the complex one at entries near 1e-200 and 1e200,
+    and scalar multiples of I, the zero matrix among them."""
+    rng = np.random.default_rng(25)
+    cplx = rng.standard_normal((200, 2, 2)) + 1j * rng.standard_normal((200, 2, 2))
+    scalars = np.array([-2.5, -1e-300, 0.0, 1e-300, 0.5, 3.0])[:, None, None] * np.eye(2)
+    return {
+        "complex": cplx,
+        "real": rng.standard_normal((200, 2, 2)),
+        "tiny": 1e-200 * cplx,
+        "huge": 1e200 * cplx,
+        "scalar": scalars,
+        "scalar complex": scalars.astype(complex),
+    }
+
+
+@pytest.mark.parametrize("name", sorted(TWO_BY_TWO_MAPS))
+@pytest.mark.parametrize("stack", sorted(two_by_two_stacks()))
+def test_spectral_kernel_maps_2x2_in_closed_form(monkeypatch, stack, name):
+    """At size 2 the map needs no solve, equals ``V f(L) V^H`` from ``eigh`` of the Hermitian part
+    within 1e-14 of its largest mapped eigenvalue, is exactly Hermitian and keeps real input real;
+    ``hypot`` keeps entries near 1e-200 and 1e200 from underflowing or overflowing."""
+    m, f = two_by_two_stacks()[stack], TWO_BY_TWO_MAPS[name]
+    vals, vecs = np.linalg.eigh(la._hermitian_part(m))
+    mapped_vals = f(vals)
+    expected = (vecs * mapped_vals[..., None, :]) @ vecs.conj().swapaxes(-1, -2)
+    solved = eig_spy(monkeypatch)
+    mapped = la._spectral_map(m, f)
+    assert not solved
+    assert mapped.dtype == m.dtype
+    np.testing.assert_array_equal(mapped, mapped.conj().swapaxes(-1, -2))
+    scale = np.abs(mapped_vals).max(axis=-1)[:, None, None]
+    assert np.all(np.abs(mapped - expected) <= 1e-14 * scale)
+
+
 def dense(v: np.ndarray, layout) -> np.ndarray:
     """The full matrix whose block entries, in ``layout``, are ``v``."""
     m = np.zeros((layout.d**3, layout.d**3), dtype=v.dtype)
