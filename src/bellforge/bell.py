@@ -14,16 +14,18 @@ unit ball is the spectral sign of the effective operator ``F``.  Every
 update therefore never decreases the objective, and the sweep values
 converge monotonically.  The gap ascends ``E(a, b1) - E(a, b2)`` alone, as
 ``a -> -a`` flips its sign.  Random restarts guard against poor local
-optima; each restart is an independent deterministic stream.  Restarts
-advance together as stacks of matrices, in blocks of up to 256, one stacked
-spectral sign per update (closed-form on qubits, one stacked eigendecomposition
-above); each stops at its own convergence test, so results equal running them
-one at a time.  Every contraction with the state is a batched matrix product:
-the state is reshaped once into two ``d² x d²`` matrices, and each observable
-of a stack is a ``1 x d²`` row multiplied by one of them on its own, so a row's
-bits do not depend on the height of the stack.  Each sweep forms each effective
-operator once and reads its correlations off Bob's, and a row's final score
-comes from its last sweep, with no re-evaluation pass.
+optima; each restart reads its starts from its own fixed slice of one
+counter-based (Philox) stream, so a block of restarts draws them at once.
+Restarts advance together as stacks of matrices, in blocks of up to 256, one
+stacked spectral sign per update (closed-form on qubits, one stacked
+eigendecomposition above); each stops at its own convergence test, so results
+equal running them one at a time.  Every contraction with the state is a
+batched matrix product: the state is reshaped once into two ``d² x d²``
+matrices, and each observable of a stack is a ``1 x d²`` row multiplied by one
+of them on its own, so a row's bits do not depend on the height of the stack.
+Each sweep forms each effective operator once and reads its correlations off
+Bob's, and a row's final score comes from its last sweep, with no
+re-evaluation pass.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -63,6 +65,9 @@ _CONVERGENCE_EPS = 1e-12
 # default of 50 restarts runs as one block.
 _RESTART_BLOCK = 256
 
+# The key of the one counter-based stream that every see-saw start is read from.
+_START_KEY = 0xBE11_F0E6E
+
 _PAULIS = (
     np.array([[0.0, 1.0], [1.0, 0.0]], dtype=np.complex128),
     np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=np.complex128),
@@ -93,8 +98,9 @@ class Observable:
 class SeeSawConfig:
     """Random restarts of a see-saw optimizer.
 
-    ``restarts`` independent starts are run; restart ``r`` draws its start
-    observables from the generator seeded with ``base_seed + r``.
+    ``restarts`` independent starts are run; restart ``r`` reads its start
+    observables from the fixed slice of one Philox stream that seed
+    ``base_seed + r`` owns, and ``base_seed + restarts`` is at most ``2**64``.
     """
 
     restarts: int = 20
@@ -105,6 +111,9 @@ class SeeSawConfig:
             raise ValueError(f"restarts must be positive, got {self.restarts}")
         if operator.index(self.base_seed) < 0:
             raise ValueError(f"base_seed must be nonnegative, got {self.base_seed}")
+        end = operator.index(self.base_seed) + operator.index(self.restarts)
+        if end > 2**64:
+            raise ValueError(f"base_seed + restarts must be at most 2**64, got {end}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -181,16 +190,24 @@ def _bob_effective(r: tuple[np.ndarray, np.ndarray], a: np.ndarray) -> np.ndarra
     return (_rows(a) @ r[1]).reshape(a.shape)
 
 
-def _draw_observables(d: int, seeds: Sequence[int], count: int) -> np.ndarray:
-    """``count >= 2`` starts per seed's stream, as a ``(len(seeds), count, d, d)`` array.
-
-    A sweep reads only the last two and overwrites the others before it reads them, so those
-    are zero.  One ``standard_normal((2, 2, d, d))`` per stream yields, matrix by matrix, the
-    real and then the imaginary Gaussian parts of the two; each is the Hermitian part of its
-    complex Gaussian scaled to unit Frobenius norm, so its operator norm is at most one."""
-    g = np.array([np.random.default_rng(seed).standard_normal((2, 2, d, d)) for seed in seeds])
+def _draw_observables(d: int, seeds: range, count: int) -> np.ndarray:
+    """``count >= 2`` starts per seed of consecutive ``seeds``, as a ``(len(seeds), count, d, d)``
+    array.  A sweep reads only the last two and overwrites the others before it reads them, so
+    those are zero.  Seed ``s`` owns words ``[4d²·s, 4d²·(s+1))`` of the one ``Philox`` stream,
+    so one ``random_raw`` call draws a block and a row depends on its seed alone.  Box–Muller
+    takes radii from the first ``2d²`` words and angles from the last; the cosines, then the
+    sines, are the real and imaginary Gaussian parts of the two starts.  Each start is the
+    Hermitian part of its complex Gaussian scaled to unit Frobenius norm, so its operator norm
+    is at most one."""
+    n, size = len(seeds), d * d
+    words = np.random.Philox(key=_START_KEY, counter=seeds[0] * size).random_raw(4 * size * n)
+    # in (0, 1], never 0, so every radius is finite
+    u = ((words.reshape(n, 2, 2 * size) >> 11) + 0.5) * 2.0**-53
+    radius = np.sqrt(-2.0 * np.log(u[:, 0]))
+    angle = (2.0 * math.pi) * u[:, 1]
+    g = np.stack((radius * np.cos(angle), radius * np.sin(angle)), axis=1).reshape(n, 2, 2, d, d)
     h = _hermitian_part(g[:, :, 0] + 1.0j * g[:, :, 1])
-    z = np.zeros((len(seeds), count, d, d), dtype=np.complex128)
+    z = np.zeros((n, count, d, d), dtype=np.complex128)
     z[:, -2:] = h / np.linalg.norm(h, axis=(-2, -1), keepdims=True)
     return z
 
@@ -328,9 +345,9 @@ def seesaw_original_bell(
     ``E(a, b1) - E(a, b2)`` and leaves ``E(b1, b2)`` alone, so the maximum of
     ``|E(a, b1) - E(a, b2)|`` equals that of ``E(a, b1) - E(a, b2)``; each
     restart ascends that linear form, and its score keeps the absolute value.
-    Restart ``r`` uses the deterministic stream seeded by ``base_seed + r``,
-    and ties across restarts resolve to the lowest restart index, so results
-    are reproducible.
+    Restart ``r`` reads its starts from the slice of one Philox stream that
+    seed ``base_seed + r`` owns, whatever block it runs in, and ties across
+    restarts resolve to the lowest restart index, so results are reproducible.
     """
     return _seesaw(rho, cfg, ("a", "b1", "b2"), _original_sweep)
 

@@ -289,7 +289,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--state", default="werner", help="werner, singlet, or file:PATH (matrix text format)"
     )
     p_bell.add_argument("--restarts", type=int, default=50, help="random restarts")
-    p_bell.add_argument("--seed", type=int, default=0, help="base seed; restart r uses seed+r")
+    p_bell.add_argument(
+        "--seed", type=int, default=0, help="base seed <= 2**64-restarts; restart r uses seed+r"
+    )
     p_bell.add_argument("--tol", type=float, default=1e-7, help="violation threshold slack")
     p_bell.add_argument("--quiet", action="store_true", help="suppress the stderr summary")
     p_bell.set_defaults(func=cmd_bell)

@@ -73,15 +73,21 @@ def test_random_observable_norm_bounded(d):
         assert bf.operator_norm(TensorOperator(w, (d,))) <= 1.0 + 1e-12
 
 
-def per_matrix_draw(d: int, seed: int) -> np.ndarray:
-    """The two read starts of stream ``seed`` from two ``standard_normal`` calls per observable,
-    each made Hermitian and scaled to unit Frobenius norm on its own: the reference for one call
-    per stream."""
-    rng = np.random.default_rng(seed)
+def scalar_draw(d: int, seed: int, stream: np.ndarray) -> np.ndarray:
+    """The two read starts of ``seed`` from its words ``[4d²·seed, 4d²·(seed+1))`` of the start
+    stream, by a scalar ``math`` Box–Muller per pair of words, each start made Hermitian and
+    scaled to unit Frobenius norm on its own: the reference for the stacked draw."""
+    size = d * d
+    words = stream[4 * size * seed : 4 * size * (seed + 1)].tolist()
+    u = [((w >> 11) + 0.5) * 2.0**-53 for w in words]
     starts = []
-    for _ in range(2):
-        g = rng.standard_normal((d, d)) + 1.0j * rng.standard_normal((d, d))
-        h = (g + g.conj().T) / 2.0
+    for trig in (math.cos, math.sin):
+        g = [
+            math.sqrt(-2.0 * math.log(p)) * trig(2.0 * math.pi * q)
+            for p, q in zip(u[: 2 * size], u[2 * size :])
+        ]
+        m = np.array(g[:size]).reshape(d, d) + 1.0j * np.array(g[size:]).reshape(d, d)
+        h = (m + m.conj().T) / 2.0
         starts.append(h / np.linalg.norm(h))
     return np.array(starts)
 
@@ -89,20 +95,40 @@ def per_matrix_draw(d: int, seed: int) -> np.ndarray:
 @pytest.mark.parametrize("d", [2, 3, 4, 5, 6])
 @pytest.mark.parametrize("height", [1, 3, 4])
 def test_draw_matches_per_matrix_draw(d, height):
-    """Stacks of ``height`` streams draw what two calls per observable do; each start is exactly
-    Hermitian with unit Frobenius norm, so ``Observable`` accepts it, and a stream's starts are
-    the same bits alone or in any stack."""
+    """Stacks of ``height`` seeds draw what a scalar Box–Muller over each seed's own slice of the
+    start stream does; each start is exactly Hermitian with unit Frobenius norm, so
+    ``Observable`` accepts it, and a seed's starts are the same bits alone or in any stack."""
     seeds = range(60)
     drawn = np.concatenate(
         [bell._draw_observables(d, seeds[i : i + height], 2) for i in range(0, 60, height)]
     )
-    reference = np.array([per_matrix_draw(d, seed) for seed in seeds])
+    stream = np.random.Philox(key=bell._START_KEY).random_raw(4 * d * d * len(seeds))
+    reference = np.array([scalar_draw(d, seed, stream) for seed in seeds])
     np.testing.assert_allclose(drawn, reference, rtol=0.0, atol=1e-15)
     np.testing.assert_array_equal(drawn, bell._draw_observables(d, seeds, 2))
     np.testing.assert_array_equal(drawn, drawn.conj().swapaxes(-1, -2))
     np.testing.assert_allclose(np.linalg.norm(drawn, axis=(-2, -1)), 1.0, rtol=0.0, atol=1e-15)
     for w in drawn[:5].reshape(-1, d, d):
         obs(w)
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 5, 6])
+def test_stacks_draw_the_rows_of_one_draw(d):
+    """A seed's starts do not depend on the height of its stack or its place in it: stacks of
+    1, 3, 7 and 50 seeds at every offset give one 300-seed draw's rows bit for bit."""
+    whole = bell._draw_observables(d, range(300), 2)
+    for height in (1, 3, 7, 50):
+        for first in range(300 - height + 1):
+            stack = bell._draw_observables(d, range(first, first + height), 2)
+            np.testing.assert_array_equal(stack, whole[first : first + height])
+
+
+@pytest.mark.parametrize("d", [2, 6])
+def test_draw_is_finite(d):
+    """No word maps to a zero uniform, so every entry of 10 000 seeds' starts is finite, up to
+    the last seed a configuration admits."""
+    assert np.isfinite(bell._draw_observables(d, range(10_000), 2)).all()
+    assert np.isfinite(bell._draw_observables(d, range(2**64 - 50, 2**64), 2)).all()
 
 
 def test_random_observable_mean_is_centered():
@@ -359,6 +385,18 @@ def test_seesaw_config_validation():
         SeeSawConfig(base_seed=-3)
 
 
+def test_seesaw_config_bounds_the_seed_range():
+    """Seeds run up to ``2**64``, so every counter of the start stream stays far inside Philox's
+    ``2**256``; the last admitted seed still draws and runs."""
+    top = SeeSawConfig(restarts=10, base_seed=2**64 - 10)
+    for cfg in ({"restarts": 11, "base_seed": 2**64 - 10}, {"restarts": 1, "base_seed": 2**64}):
+        with pytest.raises(ValueError, match=r"base_seed \+ restarts must be at most 2\*\*64"):
+            SeeSawConfig(**cfg)
+    result = bf.seesaw_chsh(bf.singlet(), top)
+    assert 0 <= result.restart_index < 10
+    assert abs(result.best_value - bf.horodecki_chsh_oracle(bf.singlet())) <= 1e-9
+
+
 @pytest.mark.parametrize("field", ["restarts", "base_seed"])
 def test_seesaw_config_rejects_non_integers(field):
     with pytest.raises(TypeError):
@@ -462,10 +500,10 @@ def test_stacked_restarts_match_independent_runs(functional, state):
     search, _ = SEARCHES[functional]
     rho, restarts = {
         "werner2": (bf.werner(2), 6),
-        # the first six restarts on werner(3) all stop after two sweeps
+        # the seven restarts on werner(3) stop after two or three sweeps
         "werner3": (bf.werner(3), 7),
         "werner4": (bf.werner(4), 12),
-        "singlet": (bf.singlet(), 6),
+        "singlet": (bf.singlet(), 10),
     }[state]
     base_seed = 0
     stacked = search(rho, SeeSawConfig(restarts=restarts, base_seed=base_seed))
@@ -488,7 +526,7 @@ def test_seesaw_eigensolver_calls_do_not_grow_with_restarts(monkeypatch, functio
     """One stacked ``eigh`` per update and sweep, and none for the start draw.
 
     A run of many restarts therefore makes as many calls as its longest
-    single restart.  Base seed 18 puts a longest restart among the first
+    single restart.  Base seed 34 puts a longest restart among the first
     five on ``werner(3)``, so 5 and 40 restarts make the same number.
     """
     search, updates = SEARCHES[functional]
@@ -505,7 +543,7 @@ def test_seesaw_eigensolver_calls_do_not_grow_with_restarts(monkeypatch, functio
         result = search(bf.werner(3), SeeSawConfig(restarts=restarts, base_seed=base_seed))
         return len(calls), result
 
-    base_seed = 18
+    base_seed = 34
     singles = []
     for r in range(40):
         n, result = count(1, base_seed + r)
@@ -553,8 +591,8 @@ def test_seesaw_meets_benchmark_references(seed):
 
 # Seeds at which the winner of 7 restarts on ``werner(3)`` ties a restart in another block of two.
 BLOCK_TIES = {
-    "original": SeeSawConfig(restarts=7, base_seed=6),
-    "chsh": SeeSawConfig(restarts=7, base_seed=3),
+    "original": SeeSawConfig(restarts=7, base_seed=67),
+    "chsh": SeeSawConfig(restarts=7, base_seed=10),
 }
 
 

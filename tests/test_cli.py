@@ -331,6 +331,15 @@ def test_non_positive_counts_and_negative_seed_are_usage_errors(capsys, argv, me
     assert message in captured.err
 
 
+def test_seed_past_the_start_stream_is_usage_error(capsys):
+    code = main(["bell", "--d", "2", "--functional", "chsh", "--seed", str(2**64)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "--restarts / --seed: base_seed + restarts must be at most 2**64" in captured.err
+    assert "Traceback" not in captured.err
+
+
 # ------------------------------------------------------------------ parameters
 
 

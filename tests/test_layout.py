@@ -1,7 +1,8 @@
 """Source-layout guards: one spectral kernel, one owner of the weight-sector block layout and of
 the dimension range, no thread pools, the see-saw's state layouts multiplied only by its two
 effective-operator functions, one command-line parser, one report writer, one permutation-sum
-builder, and a public surface trimmed to what the solvers, the CLI and the benchmark call."""
+builder, one random stream for the see-saw's starts, and a public surface trimmed to what the
+solvers, the CLI and the benchmark call."""
 
 from __future__ import annotations
 
@@ -201,6 +202,31 @@ def test_one_permutation_sum_builds_every_named_operator():
     adds no identity of its own."""
     assert _call_owners("_permutation") == ["states.py:_permutation_sum"]
     assert not [owner for owner in _call_owners("identity") if owner.startswith("states.py:")]
+
+
+def test_one_stream_draws_every_start():
+    """Every see-saw start is read from one ``Philox`` stream under the key ``bell._START_KEY``,
+    declared once; no module names a per-seed generator, so none can be built beside it."""
+    per_seed = {"default_rng", "Generator", "SeedSequence"}
+    named = [
+        f"{module}:{node.lineno}"
+        for module, tree in _modules()
+        for node in ast.walk(tree)
+        if getattr(node, "id", getattr(node, "attr", None)) in per_seed
+    ]
+    assert not named, f"per-seed generators named: {named}"
+    assert _call_owners("Philox") == ["bell.py:_draw_observables"]
+    assert _call_owners("random_raw") == ["bell.py:_draw_observables"]
+    keys = [
+        f"{module}:{getattr(top, 'name', '<module>')}"
+        for module, tree in _modules()
+        for top in tree.body
+        for node in ast.walk(top)
+        if isinstance(node, ast.Name)
+        and node.id == "_START_KEY"
+        and isinstance(node.ctx, ast.Store)
+    ]
+    assert keys == ["bell.py:<module>"]
 
 
 PUBLIC_NAMES = {
