@@ -67,7 +67,7 @@ _Targets = tuple[tuple[int, np.ndarray], ...]
 
 @dataclass(frozen=True, eq=False)
 class MarginalPattern:
-    """Constraints ``partial_trace(T, j) == target`` for distinct factors j.
+    """Constraints ``ptr_j(T) == target`` for distinct factors j.
 
     ``constraints`` maps 1-based factor indices in {1, 2, 3} to bipartite
     density operators with equal local dimensions; every target must live

@@ -3,11 +3,12 @@
 Every operator is stored as a row-major complex matrix tagged with the
 ordered dimensions of its tensor factors.  Values are immutable after
 construction and all functions here are pure, so they are safe to share
-across threads.  The public functions validate at this boundary and
-delegate to a private kernel on raw arrays (Hermitian part, spectral map,
-partial trace and factor permutation), which the solvers' inner loops call
-directly.  The kernel keeps the dtype of its input, so real symmetric
-arrays stay real.
+across threads.  An operator carries no arithmetic: callers combine its
+``entries`` with numpy.  The public spectrum and text functions validate at
+this boundary; the solvers' inner loops and ``verify`` call a private kernel
+on raw arrays (Hermitian part, spectral map, partial trace and factor
+permutation) directly.  The kernel keeps the dtype of its input, so real
+symmetric arrays stay real.
 
 On three factors C^d the weight sectors group the states ``|abc>`` of one
 multiset ``{a, b, c}``, in blocks of 1, 3 and 6; a matrix with no entry
@@ -28,7 +29,6 @@ from __future__ import annotations
 
 import functools
 import math
-import numbers
 import operator
 from dataclasses import dataclass
 from typing import Callable
@@ -37,10 +37,6 @@ import numpy as np
 
 __all__ = [
     "TensorOperator",
-    "identity",
-    "trace",
-    "frobenius_distance",
-    "partial_trace",
     "eigenvalues",
     "operator_norm",
     "operator_to_text",
@@ -94,53 +90,8 @@ class TensorOperator:
         """Number of tensor factors."""
         return len(self.factor_dims)
 
-    def _require_same_space(self, other: TensorOperator) -> None:
-        if self.factor_dims != other.factor_dims:
-            raise ValueError(
-                f"operators act on different spaces: {self.factor_dims} vs {other.factor_dims}"
-            )
-
-    def __add__(self, other: TensorOperator) -> TensorOperator:
-        self._require_same_space(other)
-        return TensorOperator(self.entries + other.entries, self.factor_dims)
-
-    def __sub__(self, other: TensorOperator) -> TensorOperator:
-        self._require_same_space(other)
-        return TensorOperator(self.entries - other.entries, self.factor_dims)
-
-    def __neg__(self) -> TensorOperator:
-        return TensorOperator(-self.entries, self.factor_dims)
-
-    def __mul__(self, scalar: numbers.Number) -> TensorOperator:
-        if not isinstance(scalar, numbers.Number):
-            return NotImplemented
-        return TensorOperator(self.entries * scalar, self.factor_dims)
-
-    __rmul__ = __mul__
-
-    def __matmul__(self, other: TensorOperator) -> TensorOperator:
-        self._require_same_space(other)
-        return TensorOperator(self.entries @ other.entries, self.factor_dims)
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"TensorOperator(side={self.side}, factor_dims={self.factor_dims})"
-
-
-def identity(factor_dims: tuple[int, ...]) -> TensorOperator:
-    """Identity operator on the product space with the given factor dimensions."""
-    side = math.prod(factor_dims)
-    return TensorOperator(np.eye(side, dtype=np.complex128), tuple(factor_dims))
-
-
-def trace(t: TensorOperator) -> complex:
-    """Matrix trace as a complex scalar."""
-    return complex(np.trace(t.entries))
-
-
-def frobenius_distance(a: TensorOperator, b: TensorOperator) -> float:
-    """Frobenius norm of the difference of two operators on the same space."""
-    a._require_same_space(b)
-    return float(np.linalg.norm(a.entries - b.entries))
 
 
 def _ptrace(m: np.ndarray, dims: tuple[int, ...], j: int) -> np.ndarray:
@@ -158,17 +109,6 @@ def _permutation(dims: tuple[int, ...], images: tuple[int, ...]) -> np.ndarray:
     read-only; ``U m U^T`` permutes the factors of a matrix ``m`` alike."""
     side = math.prod(dims)
     return _frozen(np.arange(side).reshape(dims).transpose(np.argsort(images)).reshape(-1))
-
-
-def partial_trace(t: TensorOperator, j: int) -> TensorOperator:
-    """Trace out the ``j``-th tensor factor (1-based); the others keep their order."""
-    n = t.nfactors
-    if n < 2:
-        raise ValueError("partial trace needs at least two tensor factors")
-    if not 1 <= j <= n:
-        raise ValueError(f"factor index {j} outside 1..{n}")
-    dims = t.factor_dims
-    return TensorOperator(_ptrace(t.entries, dims, j), dims[: j - 1] + dims[j:])
 
 
 def _hermitian_part(m: np.ndarray) -> np.ndarray:

@@ -18,6 +18,7 @@ import pytest
 import bellforge as bf
 from bellforge import SeeSawConfig
 from bellforge.cli import main
+from bellforge.linalg import _ptrace
 
 IDENTITY_TOL = 1e-10
 
@@ -38,30 +39,30 @@ def test_criterion_1_algebraic_identities(capsys):
             failures.append(f"{label}: {value:.3e} > {bound:.1e}")
 
     for d in range(2, 7):
-        eye2 = bf.identity((d, d))
-        v = bf.flip(d)
-        check(f"d={d} flip involution", bf.frobenius_distance(v @ v, eye2))
-        check(f"d={d} flip trace", abs(bf.trace(v) - d))
+        eye2 = np.eye(d * d)
+        v = bf.flip(d).entries
+        check(f"d={d} flip involution", float(np.linalg.norm(v @ v - eye2)))
+        check(f"d={d} flip trace", abs(np.trace(v) - d))
 
-        q = bf.antisymmetrizer3(d)
-        asymmetry = float(np.linalg.norm(q.entries - q.entries.conj().T))
+        q = bf.antisymmetrizer3(d).entries
+        asymmetry = float(np.linalg.norm(q - q.conj().T))
         check(f"d={d} antisymmetrizer hermitian", asymmetry)
-        check(f"d={d} antisymmetrizer idempotent", bf.frobenius_distance(q @ q, q))
-        check(f"d={d} antisymmetrizer trace", abs(bf.trace(q) - d * (d - 1) * (d - 2) / 6.0))
-        target = ((d - 2) / 3.0) * bf.antisym_projector(d)
+        check(f"d={d} antisymmetrizer idempotent", float(np.linalg.norm(q @ q - q)))
+        check(f"d={d} antisymmetrizer trace", abs(np.trace(q) - d * (d - 1) * (d - 2) / 6.0))
+        target = ((d - 2) / 3.0) * bf.antisym_projector(d).entries
         for j in (1, 2, 3):
             check(
                 f"d={d} antisymmetrizer partial trace {j}",
-                bf.frobenius_distance(bf.partial_trace(q, j), target),
+                float(np.linalg.norm(_ptrace(q, (d, d, d), j) - target)),
             )
 
         w = bf.werner(d)
         alt = ((d + 1) / d**3) * eye2 - (1.0 / d**2) * v
-        check(f"d={d} werner forms agree", bf.frobenius_distance(w.op, alt))
+        check(f"d={d} werner forms agree", float(np.linalg.norm(w.op.entries - alt)))
 
         if d >= 3:
             source = bf.dso_general(d)
-            check(f"d={d} source trace", abs(bf.trace(source.op) - 1.0))
+            check(f"d={d} source trace", abs(np.trace(source.op.entries) - 1.0))
             lowest = float(np.linalg.eigvalsh(source.op.entries)[0])
             check(f"d={d} source min eigenvalue", max(0.0, -lowest))
             for j, resid in zip((1, 2, 3), bf.verify_marginals(source.op, bf.pattern_sym3(w))):
@@ -168,14 +169,12 @@ def _property_battery(round_index: int, capsys) -> list[str]:
     side = 12
     g1 = rng.standard_normal((side, side)) + 1j * rng.standard_normal((side, side))
     g2 = rng.standard_normal((side, side)) + 1j * rng.standard_normal((side, side))
-    x = bf.TensorOperator(g1, dims)
-    y = bf.TensorOperator(g2, dims)
     for j in (1, 2, 3):
-        lin = bf.partial_trace(1.5 * x + (2.0 - 1j) * y, j)
-        sep = 1.5 * bf.partial_trace(x, j) + (2.0 - 1j) * bf.partial_trace(y, j)
-        if bf.frobenius_distance(lin, sep) > 1e-11:
+        lin = _ptrace(1.5 * g1 + (2.0 - 1j) * g2, dims, j)
+        sep = 1.5 * _ptrace(g1, dims, j) + (2.0 - 1j) * _ptrace(g2, dims, j)
+        if np.linalg.norm(lin - sep) > 1e-11:
             failures.append(f"partial trace linearity j={j}")
-        if abs(bf.trace(bf.partial_trace(x, j)) - bf.trace(x)) > 1e-11:
+        if abs(np.trace(_ptrace(g1, dims, j)) - np.trace(g1)) > 1e-11:
             failures.append(f"partial trace preservation j={j}")
 
     # spectral-sign maximizer against the sign-pattern oracle

@@ -10,6 +10,7 @@ import pytest
 import bellforge as bf
 from bellforge import Observable, SeeSawConfig, TensorOperator
 from bellforge import bell
+from bellforge.linalg import _ptrace
 
 SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 SIGMA_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
@@ -20,7 +21,7 @@ def obs(matrix: np.ndarray, label: str = "") -> Observable:
 
 
 def maximally_mixed(d: int) -> bf.DensityOperator:
-    return bf.DensityOperator((1.0 / d**2) * bf.identity((d, d)))
+    return bf.DensityOperator(TensorOperator((1.0 / d**2) * np.eye(d * d), (d, d)))
 
 
 def random_observable(d: int, seed: int, label: str = "w") -> Observable:
@@ -49,7 +50,7 @@ def test_observable_rejects_non_hermitian():
 
 def test_observable_rejects_multi_factor_operator():
     with pytest.raises(ValueError, match="one factor"):
-        Observable(bf.identity((2, 2)))
+        Observable(TensorOperator(np.eye(4), (2, 2)))
 
 
 def test_observable_allows_zero_matrix():
@@ -886,7 +887,7 @@ def test_seesaw_chsh_meets_horodecki_oracle_on_zero_marginal_states():
         m = u @ (BELL_BASIS.T * rng.dirichlet(np.ones(4))) @ BELL_BASIS @ u.conj().T
         rho = bf.DensityOperator(TensorOperator((m + m.conj().T) / 2.0, (2, 2)))
         for j in (1, 2):
-            marginal = bf.partial_trace(rho.op, j).entries
+            marginal = _ptrace(rho.op.entries, (2, 2), j)
             np.testing.assert_allclose(marginal, np.eye(2) / 2.0, rtol=0.0, atol=1e-14)
         oracles.append(bf.horodecki_chsh_oracle(rho))
         value = bf.seesaw_chsh(rho, SeeSawConfig(restarts=20, base_seed=0)).best_value

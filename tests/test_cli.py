@@ -63,6 +63,54 @@ def test_verify_passes_for_supported_dimensions(capsys, d):
     assert "identity checks passed" in err
 
 
+@pytest.mark.parametrize("d", [2, 3, 4, 5, 6])
+def test_verify_results_keep_their_dense_definitions(capsys, d):
+    """Each ``verify`` value, in report order, is the defect of its identity, written here in
+    plain numpy on the dense matrices: V the flip, W the Werner state, Q the antisymmetrizer,
+    P the antisymmetric projector and S the source operator."""
+    code, report, _ = run_cli(capsys, ["verify", "--d", str(d), "--quiet"])
+    assert code == 0
+    v, w = bf.flip(d).entries, bf.werner(d).op.entries
+    q, p = bf.antisymmetrizer3(d).entries, bf.antisym_projector(d).entries
+    s = (bf.dso_two_qubit() if d == 2 else bf.dso_general(d)).op.entries
+    eye, norm = np.eye(d * d), np.linalg.norm
+    w_vals, s_vals = np.linalg.eigvalsh(w)[::-1], np.linalg.eigvalsh(s)[::-1]
+    w_spectrum = [1 / d**3 + 2 / d**2] * (d * (d - 1) // 2) + [1 / d**3] * (d * (d + 1) // 2)
+
+    def ptr(m, j):
+        """``m`` on three factors C^d with factor j traced out."""
+        return np.trace(m.reshape((d,) * 6), axis1=j - 1, axis2=j + 2).reshape(d * d, d * d)
+
+    expected = {
+        "flip_trace": abs(np.trace(v) - d),
+        "flip_involution": norm(v @ v - eye),
+        "werner_forms_agree": norm(w - ((d + 1) / d**3 * eye - v / d**2)),
+        "werner_trace": abs(np.trace(w) - 1),
+        "werner_negativity": max(0.0, -w_vals[-1]),
+        "werner_spectrum": np.max(np.abs(w_vals - w_spectrum)),
+        **({"antisymmetrizer_vanishes": norm(q)} if d == 2 else {}),
+        "antisymmetrizer_idempotent": norm(q @ q - q),
+        "antisymmetrizer_trace": abs(np.trace(q) - d * (d - 1) * (d - 2) / 6),
+        **{
+            f"antisymmetrizer_partial_trace_{j}": norm(ptr(q, j) - (d - 2) / 3 * p)
+            for j in (1, 2, 3)
+        },
+        "source_trace": abs(np.trace(s) - 1),
+        "source_negativity": max(0.0, -s_vals[-1]),
+    }
+    if d == 2:
+        expected |= {f"source_marginal_{j}": norm(ptr(s, j) - w) for j in (2, 3)}
+        expected["source_marginal_1_mixed"] = norm(ptr(s, 1) - eye / 4)
+        s_spectrum = [3 / 8, 3 / 8, 1 / 8, 1 / 8, 0, 0, 0, 0]
+        expected["source_spectrum"] = np.max(np.abs(s_vals - s_spectrum))
+    else:
+        expected |= {f"source_marginal_{j}": norm(ptr(s, j) - w) for j in (1, 2, 3)}
+    results = report["results"]
+    assert list(results) == list(expected)
+    for key, value in expected.items():
+        assert abs(results[key]["value"] - value) <= 1e-15, key
+
+
 def test_verify_fails_with_impossible_tolerance(capsys):
     code, report, _ = run_cli(capsys, ["verify", "--d", "3", "--tol", "1e-30"])
     assert code == 1
@@ -157,7 +205,7 @@ def test_bell_rejects_state_file_with_repeated_entry(capsys, tmp_path):
 def test_bell_rejects_non_density_file(capsys, tmp_path):
     path = tmp_path / "bad.mat"
     # trace 4, not a state
-    path.write_text(bf.operator_to_text(bf.identity((2, 2))), encoding="ascii")
+    path.write_text(bf.operator_to_text(bf.TensorOperator(np.eye(4), (2, 2))), encoding="ascii")
     code, _, err = run_cli(capsys, ["bell", "--functional", "chsh", "--state", f"file:{path}"])
     assert code == 3
     assert "not a density operator" in err
@@ -165,7 +213,8 @@ def test_bell_rejects_non_density_file(capsys, tmp_path):
 
 def test_bell_rejects_non_bipartite_file(capsys, tmp_path):
     path = tmp_path / "tri.mat"
-    path.write_text(bf.operator_to_text((1.0 / 8.0) * bf.identity((2, 2, 2))), encoding="ascii")
+    tri = bf.TensorOperator((1.0 / 8.0) * np.eye(8), (2, 2, 2))
+    path.write_text(bf.operator_to_text(tri), encoding="ascii")
     code, _, err = run_cli(capsys, ["bell", "--functional", "chsh", "--state", f"file:{path}"])
     assert code == 3
     assert "bipartite" in err
@@ -286,7 +335,7 @@ def test_dso_find_dump_round_trips(capsys, tmp_path):
     assert code == 0
     candidate = bf.operator_from_text(path.read_text(encoding="ascii"))
     assert candidate.factor_dims == (2, 2, 2)
-    assert bf.trace(candidate).real == pytest.approx(1.0, abs=1e-8)
+    assert np.trace(candidate.entries).real == pytest.approx(1.0, abs=1e-8)
     residuals = bf.verify_marginals(candidate, bf.pattern_right2(bf.werner(2)))
     assert max(residuals) <= 1e-6
 
@@ -418,23 +467,26 @@ def test_verify_solves_three_factor_operators_by_weight_sector(monkeypatch, caps
 @pytest.mark.parametrize("d", [4, 5, 6])
 def test_verify_does_no_dense_three_factor_work(monkeypatch, capsys, d):
     """``verify`` multiplies no three-factor operator densely and takes no norm of more than
-    d**4 entries, so it calls no BLAS kernel large enough to start worker threads."""
-    products, sizes = [], []
-    matmul, norm = bf.TensorOperator.__matmul__, np.linalg.norm
+    d**4 entries, so it calls no BLAS kernel large enough to start worker threads: the
+    idempotence product reads the antisymmetrizer as its stacks of 1-, 3- and 6-sided blocks."""
+    reads, sizes = [], []
+    blocks, norm = bf.linalg._blocks, np.linalg.norm
 
-    def matmul_spy(a, b):
-        products.append(a.nfactors)
-        return matmul(a, b)
+    def blocks_spy(m, dims):
+        out = blocks(m, dims)
+        reads.append((sys._getframe(1).f_code.co_name, dims, [b.shape[-1] for b in out]))
+        return out
 
     def norm_spy(x, *args, **kwargs):
         sizes.append(np.size(x))
         return norm(x, *args, **kwargs)
 
-    monkeypatch.setattr(bf.TensorOperator, "__matmul__", matmul_spy)
+    monkeypatch.setattr(bf.linalg, "_blocks", blocks_spy)
     monkeypatch.setattr(np.linalg, "norm", norm_spy)
     code, _, _ = run_cli(capsys, ["verify", "--d", str(d), "--quiet"])
     assert code == 0
-    assert products and 3 not in products
+    assert ("_idempotence", (d, d, d), [1, 3, 6]) in reads
+    assert all(max(sides) <= 6 for _, dims, sides in reads if len(dims) == 3)
     assert sizes and max(sizes) <= d**4
 
 

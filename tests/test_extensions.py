@@ -43,7 +43,7 @@ def real_and_rotated(d: int, slots: tuple[int, ...]):
     u2 = np.kron(u, u)
     real, rotated = [], []
     for j in slots:
-        rho = bf.partial_trace(t, j)
+        rho = bf.TensorOperator(_ptrace(t.entries, (d, d, d), j), (d, d))
         real.append((j, bf.DensityOperator(rho)))
         turned = bf.TensorOperator(u2 @ rho.entries @ u2.conj().T, (d, d))
         rotated.append((j, bf.DensityOperator(turned)))
@@ -53,7 +53,8 @@ def real_and_rotated(d: int, slots: tuple[int, ...]):
 
 def singlet_mixture(p: float) -> bf.DensityOperator:
     """``p * singlet + (1 - p) * I/4``."""
-    return bf.DensityOperator(p * bf.singlet().op + (1.0 - p) * 0.25 * bf.identity((2, 2)))
+    mixed = (1.0 - p) * 0.25 * np.eye(4, dtype=complex)
+    return bf.DensityOperator(bf.TensorOperator(p * bf.singlet().op.entries + mixed, (2, 2)))
 
 
 # Images of the three factors of ``kron(Y, I)`` that move its identity to the traced slot.
@@ -153,7 +154,7 @@ def test_slots_and_dimensions_must_be_integers(build):
 
 
 def test_pattern_rejects_non_bipartite_targets():
-    tri = bf.DensityOperator((1.0 / 8.0) * bf.identity((2, 2, 2)))
+    tri = bf.DensityOperator(bf.TensorOperator((1.0 / 8.0) * np.eye(8), (2, 2, 2)))
     with pytest.raises(ValueError, match="bipartite"):
         bf.MarginalPattern(((1, tri),))
 
@@ -180,14 +181,14 @@ def test_verify_marginals_on_known_source_operators():
 
 
 def test_verify_marginals_detects_mismatch():
-    t = (1.0 / 27.0) * bf.identity((3, 3, 3))
+    t = bf.TensorOperator((1.0 / 27.0) * np.eye(27), (3, 3, 3))
     res = bf.verify_marginals(t, bf.pattern_sym3(bf.werner(3)))
     assert min(res) > 1e-2
 
 
 def test_verify_marginals_rejects_wrong_space():
     with pytest.raises(ValueError, match="do not match"):
-        bf.verify_marginals(bf.identity((2, 2, 2)), bf.pattern_sym3(bf.werner(3)))
+        bf.verify_marginals(bf.TensorOperator(np.eye(8), (2, 2, 2)), bf.pattern_sym3(bf.werner(3)))
 
 
 # ------------------------------------------------------------ raw projections
@@ -399,9 +400,12 @@ def test_dykstra_converges_on_low_rank_feasible_marginals(d, rank):
     """Slot-1 and slot-3 marginals of low-rank real states: extensions on the PSD boundary."""
     rng = np.random.default_rng(10 * d + rank)
     for _ in range(10):
-        t = low_rank_real_state(rng, d, rank)
+        t = low_rank_real_state(rng, d, rank).entries
         pattern = bf.MarginalPattern(
-            tuple((j, bf.DensityOperator(bf.partial_trace(t, j))) for j in (1, 3))
+            tuple(
+                (j, bf.DensityOperator(bf.TensorOperator(_ptrace(t, (d, d, d), j), (d, d))))
+                for j in (1, 3)
+            )
         )
         result = bf.dykstra_find_extension(pattern, max_iters=200, tol=1e-6)
         assert result.stop_reason == "converged"
@@ -446,9 +450,12 @@ def test_dykstra_certifies_disagreeing_targets_before_iterating(make_pattern, d)
 def test_dykstra_never_certifies_feasible_marginals(d, slots):
     rng = np.random.default_rng(60 + d + len(slots))
     for _ in range(4):
-        t = bf.TensorOperator(random_density(rng, d**3), (d, d, d))
+        t = random_density(rng, d**3)
         pattern = bf.MarginalPattern(
-            tuple((j, bf.DensityOperator(bf.partial_trace(t, j))) for j in slots)
+            tuple(
+                (j, bf.DensityOperator(bf.TensorOperator(_ptrace(t, (d, d, d), j), (d, d))))
+                for j in slots
+            )
         )
         result = bf.dykstra_find_extension(pattern, max_iters=5000, tol=1e-6)
         assert result.stop_reason == "converged"
@@ -613,7 +620,7 @@ def test_dykstra_is_deterministic():
 def test_dykstra_matches_differing_targets():
     """Each constraint keeps its own target: dso_two_qubit witnesses this pattern."""
     w = bf.werner(2)
-    mixed = bf.DensityOperator(0.25 * bf.identity((2, 2)))
+    mixed = bf.DensityOperator(bf.TensorOperator(0.25 * np.eye(4), (2, 2)))
     pattern = bf.MarginalPattern(((1, mixed), (2, w), (3, w)))
     assert max(bf.verify_marginals(bf.dso_two_qubit().op, pattern)) <= 1e-13
     tol = 1e-6

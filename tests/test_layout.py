@@ -2,7 +2,7 @@
 the dimension range, no thread pools, the see-saw's state layouts multiplied only by its two
 effective-operator functions, one command-line parser, one report writer, one permutation-sum
 builder, one random stream for the see-saw's starts, and a public surface trimmed to what the
-solvers, the CLI and the benchmark call."""
+solvers, the CLI and the benchmark call, with no operator algebra beside numpy."""
 
 from __future__ import annotations
 
@@ -232,8 +232,7 @@ def test_one_stream_draws_every_start():
 PUBLIC_NAMES = {
     "__version__",
     # linalg
-    "TensorOperator", "identity", "trace", "frobenius_distance", "partial_trace", "eigenvalues",
-    "operator_norm", "operator_to_text", "operator_from_text",
+    "TensorOperator", "eigenvalues", "operator_norm", "operator_to_text", "operator_from_text",
     # states
     "DensityOperator", "Permutation3", "ALL_PERMUTATIONS_3", "density_deficits", "flip",
     "antisym_projector", "permutation_operator", "antisymmetrizer3", "werner", "singlet",
@@ -253,6 +252,15 @@ def test_public_surface_is_pinned():
     assert len(bellforge.__all__) == len(PUBLIC_NAMES)
     assert all(hasattr(bellforge, name) for name in bellforge.__all__)
     assert not hasattr(bellforge.Permutation3, "compose")
+
+
+def test_operators_carry_no_algebra():
+    """An operator is its entries and factor dimensions: callers combine ``entries`` with numpy,
+    and ``linalg`` keeps no dense identity, trace, distance or partial trace of its own."""
+    arithmetic = ("__add__", "__sub__", "__neg__", "__mul__", "__rmul__", "__matmul__")
+    assert [name for name in arithmetic if hasattr(bellforge.TensorOperator, name)] == []
+    dense = ("identity", "trace", "frobenius_distance", "partial_trace")
+    assert [name for name in dense if hasattr(bellforge.linalg, name)] == []
 
 
 def test_package_exports_exactly_the_module_lists():

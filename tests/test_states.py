@@ -7,7 +7,7 @@ import pytest
 
 import bellforge as bf
 from bellforge import ALL_PERMUTATIONS_3, Permutation3
-from bellforge.linalg import _permutation
+from bellforge.linalg import _permutation, _ptrace
 
 
 # ----------------------------------------------------------------------- flip
@@ -21,10 +21,10 @@ def test_flip_two_qubit_matrix_is_frozen_swap():
 
 @pytest.mark.parametrize("d", [2, 3, 4, 5, 6])
 def test_flip_involution_and_trace(d):
-    v = bf.flip(d)
-    assert bf.frobenius_distance(v @ v, bf.identity((d, d))) <= 1e-12
-    assert bf.trace(v) == pytest.approx(d)
-    np.testing.assert_array_equal(v.entries, v.entries.conj().T)
+    v = bf.flip(d).entries
+    assert np.linalg.norm(v @ v - np.eye(d * d)) <= 1e-12
+    assert np.trace(v) == pytest.approx(d)
+    np.testing.assert_array_equal(v, v.conj().T)
 
 
 def test_flip_swaps_product_vectors():
@@ -43,12 +43,12 @@ def test_flip_rejects_small_dimension():
 
 @pytest.mark.parametrize("d", [2, 3, 4])
 def test_antisym_projector_properties(d):
-    p = bf.antisym_projector(d)
-    assert bf.frobenius_distance(p @ p, p) <= 1e-12
-    np.testing.assert_array_equal(p.entries, p.entries.conj().T)
-    assert bf.trace(p) == pytest.approx(d * (d - 1) / 2)
+    p = bf.antisym_projector(d).entries
+    assert np.linalg.norm(p @ p - p) <= 1e-12
+    np.testing.assert_array_equal(p, p.conj().T)
+    assert np.trace(p) == pytest.approx(d * (d - 1) / 2)
     # the flip acts as -1 on the antisymmetric subspace
-    assert bf.frobenius_distance(bf.flip(d) @ p, -1.0 * p) <= 1e-12
+    assert np.linalg.norm(bf.flip(d).entries @ p + p) <= 1e-12
 
 
 # --------------------------------------------------------------- permutations
@@ -92,13 +92,13 @@ def test_permutation_operator_moves_slot_contents(d):
 @pytest.mark.parametrize("d", [2, 3])
 def test_permutation_operators_form_a_representation(d):
     """U_p @ U_q is the operator of ``p`` after ``q``, and parity is multiplicative."""
-    ops = {p.images: bf.permutation_operator(p, d) for p in ALL_PERMUTATIONS_3}
+    ops = {p.images: bf.permutation_operator(p, d).entries for p in ALL_PERMUTATIONS_3}
     for p in ALL_PERMUTATIONS_3:
         for q in ALL_PERMUTATIONS_3:
             after = Permutation3(tuple(p.images[q.images[i] - 1] for i in range(3)))
             assert after.parity == p.parity * q.parity
             product = ops[p.images] @ ops[q.images]
-            assert bf.frobenius_distance(product, ops[after.images]) <= 1e-13
+            assert np.linalg.norm(product - ops[after.images]) <= 1e-13
 
 
 def test_permutation_operator_is_unitary():
@@ -112,12 +112,11 @@ def test_transpositions_match_flip_constructions(d):
     """The three transposition operators factor through the bipartite flip."""
     v = bf.flip(d).entries
     one = np.eye(d)
-    v12 = bf.TensorOperator(np.kron(v, one), (d, d, d))
-    v23 = bf.TensorOperator(np.kron(one, v), (d, d, d))
+    v12, v23 = np.kron(v, one), np.kron(one, v)
     v13 = v23 @ v12 @ v23
-    assert bf.frobenius_distance(bf.permutation_operator(Permutation3((2, 1, 3)), d), v12) <= 1e-13
-    assert bf.frobenius_distance(bf.permutation_operator(Permutation3((1, 3, 2)), d), v23) <= 1e-13
-    assert bf.frobenius_distance(bf.permutation_operator(Permutation3((3, 2, 1)), d), v13) <= 1e-13
+    for images, expected in [((2, 1, 3), v12), ((1, 3, 2), v23), ((3, 2, 1), v13)]:
+        u = bf.permutation_operator(Permutation3(images), d).entries
+        assert np.linalg.norm(u - expected) <= 1e-13
 
 
 # ------------------------------------------------------------- antisymmetrizer
@@ -155,28 +154,28 @@ def test_antisymmetrizer_matches_six_term_expansion(d):
 
 @pytest.mark.parametrize("d", [2, 3, 4, 5, 6])
 def test_antisymmetrizer_is_projector_with_known_trace(d):
-    q = bf.antisymmetrizer3(d)
-    np.testing.assert_array_equal(q.entries, q.entries.conj().T)
-    assert bf.frobenius_distance(q @ q, q) <= 1e-12
-    assert bf.trace(q) == pytest.approx(d * (d - 1) * (d - 2) / 6, abs=1e-12)
+    q = bf.antisymmetrizer3(d).entries
+    np.testing.assert_array_equal(q, q.conj().T)
+    assert np.linalg.norm(q @ q - q) <= 1e-12
+    assert np.trace(q) == pytest.approx(d * (d - 1) * (d - 2) / 6, abs=1e-12)
 
 
 @pytest.mark.parametrize("d", [2, 3, 4])
 def test_antisymmetrizer_commutes_with_permutations(d):
-    q = bf.antisymmetrizer3(d)
+    q = bf.antisymmetrizer3(d).entries
     for p in ALL_PERMUTATIONS_3:
-        u = bf.permutation_operator(p, d)
-        assert bf.frobenius_distance(q @ u, u @ q) <= 1e-12
+        u = bf.permutation_operator(p, d).entries
+        assert np.linalg.norm(q @ u - u @ q) <= 1e-12
         # signed action: U_p Q = parity(p) Q on the antisymmetric subspace
-        assert bf.frobenius_distance(u @ q, float(p.parity) * q) <= 1e-12
+        assert np.linalg.norm(u @ q - float(p.parity) * q) <= 1e-12
 
 
 @pytest.mark.parametrize("d", [2, 3, 4, 5, 6])
 @pytest.mark.parametrize("j", [1, 2, 3])
 def test_antisymmetrizer_partial_traces(d, j):
     q = bf.antisymmetrizer3(d)
-    target = ((d - 2) / 3.0) * bf.antisym_projector(d)
-    assert bf.frobenius_distance(bf.partial_trace(q, j), target) <= 1e-12
+    target = ((d - 2) / 3.0) * bf.antisym_projector(d).entries
+    assert np.linalg.norm(_ptrace(q.entries, q.factor_dims, j) - target) <= 1e-12
 
 
 def test_antisymmetrizer_vanishes_for_qubits():
@@ -189,9 +188,9 @@ def test_antisymmetrizer_vanishes_for_qubits():
 @pytest.mark.parametrize("d", [2, 3, 4, 5, 6])
 def test_werner_two_constructions_agree(d):
     w = bf.werner(d)
-    alt = ((d + 1) / d**3) * bf.identity((d, d)) - (1.0 / d**2) * bf.flip(d)
-    assert bf.frobenius_distance(w.op, alt) <= 1e-13
-    assert bf.trace(w.op) == pytest.approx(1.0, abs=1e-12)
+    alt = ((d + 1) / d**3) * np.eye(d * d) - (1.0 / d**2) * bf.flip(d).entries
+    assert np.linalg.norm(w.op.entries - alt) <= 1e-13
+    assert np.trace(w.op.entries) == pytest.approx(1.0, abs=1e-12)
     assert bf.eigenvalues(w.op)[-1] >= -bf.linalg.PSD_TOL
 
 
@@ -216,8 +215,8 @@ def test_werner_qubit_spectrum_frozen():
 def test_werner_marginals_are_maximally_mixed(d):
     w = bf.werner(d)
     for j in (1, 2):
-        reduced = bf.partial_trace(w.op, j)
-        assert bf.frobenius_distance(reduced, (1.0 / d) * bf.identity((d,))) <= 1e-13
+        reduced = _ptrace(w.op.entries, (d, d), j)
+        assert np.linalg.norm(reduced - (1.0 / d) * np.eye(d)) <= 1e-13
 
 
 def test_werner_rejects_small_dimension():
@@ -241,7 +240,7 @@ def test_singlet_is_rank_one_antisymmetric_vector():
 
 def test_density_operator_rejects_wrong_trace():
     with pytest.raises(ValueError, match="trace"):
-        bf.DensityOperator(bf.identity((2, 2)))
+        bf.DensityOperator(bf.TensorOperator(np.eye(4), (2, 2)))
 
 
 def test_density_operator_rejects_negative_eigenvalue():
@@ -305,9 +304,9 @@ def test_dso_two_qubit_marginals_are_frozen():
     t = bf.dso_two_qubit()
     w2 = bf.werner(2)
     for j in (2, 3):
-        assert bf.frobenius_distance(bf.partial_trace(t.op, j), w2.op) <= 1e-13
-    mixed = 0.25 * bf.identity((2, 2))
-    assert bf.frobenius_distance(bf.partial_trace(t.op, 1), mixed) <= 1e-13
+        assert np.linalg.norm(_ptrace(t.op.entries, (2, 2, 2), j) - w2.op.entries) <= 1e-13
+    mixed = 0.25 * np.eye(4)
+    assert np.linalg.norm(_ptrace(t.op.entries, (2, 2, 2), 1) - mixed) <= 1e-13
 
 
 def test_dso_two_qubit_spectrum_frozen():
@@ -318,10 +317,10 @@ def test_dso_two_qubit_spectrum_frozen():
 
 def test_dso_two_qubit_matches_permutation_route():
     """The same operator arises from signed permutation operators directly."""
-    v12 = bf.permutation_operator(Permutation3((2, 1, 3)), 2)
-    v13 = bf.permutation_operator(Permutation3((3, 2, 1)), 2)
-    direct = 0.25 * bf.identity((2, 2, 2)) - 0.125 * v12 - 0.125 * v13
-    assert bf.frobenius_distance(bf.dso_two_qubit().op, direct) <= 1e-13
+    v12 = bf.permutation_operator(Permutation3((2, 1, 3)), 2).entries
+    v13 = bf.permutation_operator(Permutation3((3, 2, 1)), 2).entries
+    direct = 0.25 * np.eye(8) - 0.125 * v12 - 0.125 * v13
+    assert np.linalg.norm(bf.dso_two_qubit().op.entries - direct) <= 1e-13
 
 
 def test_dso_general_rejects_low_dimension():
@@ -334,10 +333,10 @@ def test_dso_general_rejects_low_dimension():
 def test_dso_general_all_marginals_equal_werner(d):
     t = bf.dso_general(d)
     w = bf.werner(d)
-    assert bf.trace(t.op) == pytest.approx(1.0, abs=1e-12)
+    assert np.trace(t.op.entries) == pytest.approx(1.0, abs=1e-12)
     assert bf.eigenvalues(t.op)[-1] >= -bf.linalg.PSD_TOL
     for j in (1, 2, 3):
-        assert bf.frobenius_distance(bf.partial_trace(t.op, j), w.op) <= 1e-12
+        assert np.linalg.norm(_ptrace(t.op.entries, (d, d, d), j) - w.op.entries) <= 1e-12
 
 
 def test_dso_general_three_dim_spectrum_frozen():
@@ -351,8 +350,8 @@ def test_dso_general_three_dim_spectrum_frozen():
 # ------------------------------------------------- one ordered permutation sum
 #
 # Each named operator is one ordered sum of permutation operators.  The references below are the
-# formulas written out in numpy and ``TensorOperator`` arithmetic; the sums must reproduce their
-# entries bit for bit, signed zeros included.
+# formulas written out in complex128 numpy; the sums must reproduce their entries bit for bit,
+# signed zeros included.
 
 
 def _perm(d: int, images: tuple[int, ...]) -> np.ndarray:
@@ -368,7 +367,7 @@ def _flip_ref(d: int) -> bf.TensorOperator:
 
 
 def _antisym_ref(d: int) -> bf.TensorOperator:
-    return 0.5 * (bf.identity((d, d)) - _flip_ref(d))
+    return bf.TensorOperator(0.5 * (np.eye(d * d, dtype=complex) - _flip_ref(d).entries), (d, d))
 
 
 def _antisymmetrizer_ref(d: int) -> bf.TensorOperator:
@@ -382,7 +381,9 @@ def _same_bits(a: bf.TensorOperator, b: bf.TensorOperator) -> bool:
 
 @pytest.mark.parametrize("d", range(2, 9))
 def test_bipartite_sums_match_their_formulas_bit_for_bit(d):
-    werner_ref = (1.0 / d**3) * bf.identity((d, d)) + (2.0 / d**2) * _antisym_ref(d)
+    werner_ref = bf.TensorOperator(
+        (1.0 / d**3) * np.eye(d * d, dtype=complex) + (2.0 / d**2) * _antisym_ref(d).entries, (d, d)
+    )
     assert _same_bits(bf.flip(d), _flip_ref(d))
     assert _same_bits(bf.antisym_projector(d), _antisym_ref(d))
     assert _same_bits(bf.werner(d).op, werner_ref)
@@ -398,8 +399,10 @@ def test_tripartite_sums_match_their_formulas_bit_for_bit(d):
 
 @pytest.mark.parametrize("d", range(3, 9))
 def test_dso_general_matches_its_formula_bit_for_bit(d):
-    reference = (1.0 / d**4) * bf.identity((d, d, d)) + (6.0 / (d * d * (d - 2))) * (
-        _antisymmetrizer_ref(d)
+    reference = bf.TensorOperator(
+        (1.0 / d**4) * np.eye(d**3, dtype=complex)
+        + (6.0 / (d * d * (d - 2))) * _antisymmetrizer_ref(d).entries,
+        (d, d, d),
     )
     assert _same_bits(bf.dso_general(d).op, reference)
 
