@@ -1,21 +1,21 @@
-"""Werner states, permutation operators, and their tripartite source operators.
+"""Werner states and their tripartite source operators.
 
 The bipartite objects live on C^d (x) C^d: the flip (swap) operator, the
 antisymmetric projector, and the Werner state built from it.  The
-tripartite objects live on C^d (x) C^d (x) C^d: signed permutation
-operators, the three-factor antisymmetrizer, and the two source-operator
-families whose partial traces reproduce Werner states.  Each named
-operator is one ordered sum of factor-permutation operators, built by
-``_permutation_sum``.  Density operators are validated by
-``density_deficits``, exactly: on the weight-sector blocks of a
-three-factor operator that conserves weight, and in real arithmetic if real.
+tripartite objects live on C^d (x) C^d (x) C^d: the three-factor
+antisymmetrizer, and the two source-operator families whose partial
+traces reproduce Werner states.  Each named operator is one ordered sum
+of factor-permutation operators U_pi, built by ``_permutation_sum`` from
+``(images, c)`` terms: U_pi moves slot ``i`` to slot ``images[i - 1]``.
+Density operators are validated by ``density_deficits``, exactly: on the
+weight-sector blocks of a three-factor operator that conserves weight,
+and in real arithmetic if real.
 """
 
 from __future__ import annotations
 
 import itertools
-import operator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -31,12 +31,9 @@ from .linalg import (
 
 __all__ = [
     "DensityOperator",
-    "Permutation3",
-    "ALL_PERMUTATIONS_3",
     "density_deficits",
     "flip",
     "antisym_projector",
-    "permutation_operator",
     "antisymmetrizer3",
     "werner",
     "singlet",
@@ -98,37 +95,14 @@ class DensityOperator:
         return self.op.factor_dims
 
 
-@dataclass(frozen=True)
-class Permutation3:
-    """Permutation of three tensor slots, stored as the image tuple.
-
-    ``images[i - 1]`` is where slot ``i`` is sent, so ``(2, 3, 1)`` sends
-    slot 1 to slot 2, slot 2 to slot 3, and slot 3 to slot 1.
-    """
-
-    images: tuple[int, int, int]
-    parity: int = field(init=False)
-
-    def __post_init__(self) -> None:
-        images = tuple(operator.index(i) for i in self.images)
-        if sorted(images) != [1, 2, 3]:
-            raise ValueError(f"images {images} are not a permutation of (1, 2, 3)")
-        inversions = sum(
-            1 for a in range(3) for b in range(a + 1, 3) if images[a] > images[b]
-        )
-        object.__setattr__(self, "images", images)
-        object.__setattr__(self, "parity", -1 if inversions % 2 else 1)
-
-
-ALL_PERMUTATIONS_3: tuple[Permutation3, ...] = tuple(
-    Permutation3(images) for images in itertools.permutations((1, 2, 3))
-)
-
-
 # Terms ``(images, c)`` of P_minus = (I - flip)/2 and of Q = sum of sgn(pi) U_pi / 6, the
-# ordered tables from which the named operators are summed.
+# ordered tables from which the named operators are summed; sgn(pi) is (-1) to the number of
+# inversions in pi's images.
 _P_MINUS = (((1, 2), 0.5), ((2, 1), -0.5))
-_Q = tuple((p.images, p.parity / 6.0) for p in ALL_PERMUTATIONS_3)
+_Q = tuple(
+    (images, (-1) ** sum(a > b for a, b in itertools.combinations(images, 2)) / 6.0)
+    for images in itertools.permutations((1, 2, 3))
+)
 
 
 def _permutation_sum(d: int, terms: tuple[tuple[tuple[int, ...], float], ...]) -> TensorOperator:
@@ -175,15 +149,6 @@ def werner(d: int) -> DensityOperator:
 def singlet() -> DensityOperator:
     """Two-qubit singlet state: the rank-one projector onto (|01> - |10>)/sqrt(2)."""
     return DensityOperator(antisym_projector(2))
-
-
-def permutation_operator(p: Permutation3, d: int) -> TensorOperator:
-    """Unitary that permutes the three factors of C^d (x) C^d (x) C^d by ``p``.
-
-    The content of slot ``i`` is moved to slot ``p(i)``, so the operators
-    compose covariantly: U_p @ U_q is the operator of ``p`` after ``q``.
-    """
-    return _permutation_sum(d, ((p.images, 1.0),))
 
 
 def antisymmetrizer3(d: int) -> TensorOperator:

@@ -141,10 +141,9 @@ def test_pattern_validation():
     "build",
     [
         lambda i: bf.MarginalPattern(((i, bf.werner(2)),)).constraints[0][0],
-        lambda i: bf.Permutation3((i, 1, 3)).images[0],
         lambda i: bf.TensorOperator(np.eye(4), (i, 2)).factor_dims[0],
     ],
-    ids=["MarginalPattern", "Permutation3", "TensorOperator"],
+    ids=["MarginalPattern", "TensorOperator"],
 )
 def test_slots_and_dimensions_must_be_integers(build):
     for bad in (2.7, 2.0, 1.9):

@@ -234,9 +234,8 @@ PUBLIC_NAMES = {
     # linalg
     "TensorOperator", "eigenvalues", "operator_norm", "operator_to_text", "operator_from_text",
     # states
-    "DensityOperator", "Permutation3", "ALL_PERMUTATIONS_3", "density_deficits", "flip",
-    "antisym_projector", "permutation_operator", "antisymmetrizer3", "werner", "singlet",
-    "dso_two_qubit", "dso_general",
+    "DensityOperator", "density_deficits", "flip", "antisym_projector", "antisymmetrizer3",
+    "werner", "singlet", "dso_two_qubit", "dso_general",
     # extensions
     "MarginalPattern", "InfeasibilityCertificate", "FeasibilityResult", "verify_marginals",
     "pattern_sym3", "pattern_right2", "dykstra_find_extension",
@@ -251,7 +250,8 @@ def test_public_surface_is_pinned():
     assert set(bellforge.__all__) == PUBLIC_NAMES
     assert len(bellforge.__all__) == len(PUBLIC_NAMES)
     assert all(hasattr(bellforge, name) for name in bellforge.__all__)
-    assert not hasattr(bellforge.Permutation3, "compose")
+    retired = ("Permutation3", "ALL_PERMUTATIONS_3", "permutation_operator")
+    assert [name for name in retired if hasattr(bellforge, name)] == []
 
 
 def test_operators_carry_no_algebra():
@@ -279,7 +279,6 @@ def test_package_exports_exactly_the_module_lists():
 
 # Public names that nothing in the package or the benchmark calls yet, each with its reason.
 UNCALLED_PUBLIC = {
-    "permutation_operator": "the paper's U_pi as a public operator; the builder reads _permutation",
     "correlation": "the paper's E(a, b), which both Bell functionals compose",
     "original_bell_gap": "re-evaluates a see-saw optimum in the exact model",
     "chsh_value": "re-evaluates a see-saw optimum in the exact model",

@@ -1,13 +1,16 @@
-"""Tests for Werner states, permutation operators, and source operators."""
+"""Tests for Werner states, the permutation operators they are summed from, and source
+operators."""
 
 from __future__ import annotations
+
+import itertools
 
 import numpy as np
 import pytest
 
 import bellforge as bf
-from bellforge import ALL_PERMUTATIONS_3, Permutation3
 from bellforge.linalg import _permutation, _ptrace
+from bellforge.states import _Q, _permutation_sum
 
 
 # ----------------------------------------------------------------------- flip
@@ -54,36 +57,44 @@ def test_antisym_projector_properties(d):
 # --------------------------------------------------------------- permutations
 
 
+# The sign of each permutation of three slots, by its image tuple: slot i moves to images[i - 1].
+PARITIES = {
+    (1, 2, 3): 1,
+    (2, 1, 3): -1,
+    (1, 3, 2): -1,
+    (3, 2, 1): -1,
+    (2, 3, 1): 1,
+    (3, 1, 2): 1,
+}
+
+
+def _perm(d: int, images: tuple[int, ...]) -> np.ndarray:
+    """The permutation unitary as a dense matrix, its ones scattered from the index map."""
+    side = d ** len(images)
+    u = np.zeros((side, side))
+    u[np.arange(side), _permutation((d,) * len(images), images)] = 1.0
+    return u
+
+
 def test_permutation_parities_are_frozen():
-    expected = {
-        (1, 2, 3): 1,
-        (2, 1, 3): -1,
-        (1, 3, 2): -1,
-        (3, 2, 1): -1,
-        (2, 3, 1): 1,
-        (3, 1, 2): 1,
-    }
-    for images, parity in expected.items():
-        assert Permutation3(images).parity == parity
-    assert sum(p.parity for p in ALL_PERMUTATIONS_3) == 0
-    assert len(ALL_PERMUTATIONS_3) == 6
-
-
-def test_permutation_rejects_invalid_images():
-    for images in [(1, 1, 2), (1, 2, 4), (0, 1, 2)]:
-        with pytest.raises(ValueError, match="permutation"):
-            Permutation3(images)
+    """Q's terms are the six permutations in ``itertools.permutations`` order, each with the
+    coefficient sgn(pi)/6 of the table above."""
+    assert [images for images, _ in _Q] == list(itertools.permutations((1, 2, 3)))
+    for images, c in _Q:
+        assert c == PARITIES[images] / 6.0
+    assert sum(PARITIES[images] for images, _ in _Q) == 0
+    assert len(_Q) == 6
 
 
 @pytest.mark.parametrize("d", [2, 3])
 def test_permutation_operator_moves_slot_contents(d):
     rng = np.random.default_rng(32)
     vecs = [rng.standard_normal(d) + 1j * rng.standard_normal(d) for _ in range(3)]
-    for p in ALL_PERMUTATIONS_3:
-        u = bf.permutation_operator(p, d).entries
+    for images in PARITIES:
+        u = _perm(d, images)
         moved = [None, None, None]
         for slot in range(3):
-            moved[p.images[slot] - 1] = vecs[slot]
+            moved[images[slot] - 1] = vecs[slot]
         lhs = u @ np.kron(np.kron(vecs[0], vecs[1]), vecs[2])
         rhs = np.kron(np.kron(moved[0], moved[1]), moved[2])
         np.testing.assert_allclose(lhs, rhs, atol=1e-12)
@@ -92,19 +103,19 @@ def test_permutation_operator_moves_slot_contents(d):
 @pytest.mark.parametrize("d", [2, 3])
 def test_permutation_operators_form_a_representation(d):
     """U_p @ U_q is the operator of ``p`` after ``q``, and parity is multiplicative."""
-    ops = {p.images: bf.permutation_operator(p, d).entries for p in ALL_PERMUTATIONS_3}
-    for p in ALL_PERMUTATIONS_3:
-        for q in ALL_PERMUTATIONS_3:
-            after = Permutation3(tuple(p.images[q.images[i] - 1] for i in range(3)))
-            assert after.parity == p.parity * q.parity
-            product = ops[p.images] @ ops[q.images]
-            assert np.linalg.norm(product - ops[after.images]) <= 1e-13
+    ops = {images: _perm(d, images) for images in PARITIES}
+    for p in PARITIES:
+        for q in PARITIES:
+            after = tuple(p[q[i] - 1] for i in range(3))
+            assert PARITIES[after] == PARITIES[p] * PARITIES[q]
+            product = ops[p] @ ops[q]
+            assert np.linalg.norm(product - ops[after]) <= 1e-13
 
 
 def test_permutation_operator_is_unitary():
-    for p in ALL_PERMUTATIONS_3:
-        u = bf.permutation_operator(p, 3)
-        np.testing.assert_allclose(u.entries @ u.entries.conj().T, np.eye(27), atol=1e-13)
+    for images in PARITIES:
+        u = _perm(3, images)
+        np.testing.assert_allclose(u @ u.conj().T, np.eye(27), atol=1e-13)
 
 
 @pytest.mark.parametrize("d", [2, 3])
@@ -115,7 +126,7 @@ def test_transpositions_match_flip_constructions(d):
     v12, v23 = np.kron(v, one), np.kron(one, v)
     v13 = v23 @ v12 @ v23
     for images, expected in [((2, 1, 3), v12), ((1, 3, 2), v23), ((3, 2, 1), v13)]:
-        u = bf.permutation_operator(Permutation3(images), d).entries
+        u = _perm(d, images)
         assert np.linalg.norm(u - expected) <= 1e-13
 
 
@@ -163,11 +174,11 @@ def test_antisymmetrizer_is_projector_with_known_trace(d):
 @pytest.mark.parametrize("d", [2, 3, 4])
 def test_antisymmetrizer_commutes_with_permutations(d):
     q = bf.antisymmetrizer3(d).entries
-    for p in ALL_PERMUTATIONS_3:
-        u = bf.permutation_operator(p, d).entries
+    for images, parity in PARITIES.items():
+        u = _perm(d, images)
         assert np.linalg.norm(q @ u - u @ q) <= 1e-12
         # signed action: U_p Q = parity(p) Q on the antisymmetric subspace
-        assert np.linalg.norm(u @ q - float(p.parity) * q) <= 1e-12
+        assert np.linalg.norm(u @ q - float(parity) * q) <= 1e-12
 
 
 @pytest.mark.parametrize("d", [2, 3, 4, 5, 6])
@@ -317,8 +328,7 @@ def test_dso_two_qubit_spectrum_frozen():
 
 def test_dso_two_qubit_matches_permutation_route():
     """The same operator arises from signed permutation operators directly."""
-    v12 = bf.permutation_operator(Permutation3((2, 1, 3)), 2).entries
-    v13 = bf.permutation_operator(Permutation3((3, 2, 1)), 2).entries
+    v12, v13 = _perm(2, (2, 1, 3)), _perm(2, (3, 2, 1))
     direct = 0.25 * np.eye(8) - 0.125 * v12 - 0.125 * v13
     assert np.linalg.norm(bf.dso_two_qubit().op.entries - direct) <= 1e-13
 
@@ -354,14 +364,6 @@ def test_dso_general_three_dim_spectrum_frozen():
 # signed zeros included.
 
 
-def _perm(d: int, images: tuple[int, ...]) -> np.ndarray:
-    """The permutation unitary as a dense matrix, its ones scattered from the index map."""
-    side = d ** len(images)
-    u = np.zeros((side, side))
-    u[np.arange(side), _permutation((d,) * len(images), images)] = 1.0
-    return u
-
-
 def _flip_ref(d: int) -> bf.TensorOperator:
     return bf.TensorOperator(_perm(d, (2, 1)), (d, d))
 
@@ -371,7 +373,7 @@ def _antisym_ref(d: int) -> bf.TensorOperator:
 
 
 def _antisymmetrizer_ref(d: int) -> bf.TensorOperator:
-    total = sum(p.parity * _perm(d, p.images) for p in ALL_PERMUTATIONS_3)
+    total = sum(PARITIES[images] * _perm(d, images) for images in itertools.permutations((1, 2, 3)))
     return bf.TensorOperator((1.0 / 6.0) * total, (d, d, d))
 
 
@@ -391,9 +393,9 @@ def test_bipartite_sums_match_their_formulas_bit_for_bit(d):
 
 @pytest.mark.parametrize("d", range(2, 7))
 def test_tripartite_sums_match_their_formulas_bit_for_bit(d):
-    for p in ALL_PERMUTATIONS_3:
-        reference = bf.TensorOperator(_perm(d, p.images), (d, d, d))
-        assert _same_bits(bf.permutation_operator(p, d), reference)
+    for images in PARITIES:
+        reference = bf.TensorOperator(_perm(d, images), (d, d, d))
+        assert _same_bits(_permutation_sum(d, ((images, 1.0),)), reference)
     assert _same_bits(bf.antisymmetrizer3(d), _antisymmetrizer_ref(d))
 
 
