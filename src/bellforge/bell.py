@@ -133,7 +133,7 @@ class OptimizationResult:
 
 
 def _check_state(rho: DensityOperator) -> tuple[np.ndarray, int]:
-    return rho.op.entries, _bipartite_dim(rho.op.factor_dims)
+    return rho.entries, _bipartite_dim(rho.factor_dims)
 
 
 def _layouts(rho_mat: np.ndarray, d: int) -> tuple[np.ndarray, np.ndarray]:
@@ -149,21 +149,6 @@ def _layouts(rho_mat: np.ndarray, d: int) -> tuple[np.ndarray, np.ndarray]:
 def _rows(m: np.ndarray) -> np.ndarray:
     """The transposes of a matrix or an ``(n, d, d)`` stack, each flattened to a ``1 x d²`` row."""
     return m.swapaxes(-1, -2).reshape(*m.shape[:-2], 1, -1)
-
-
-def _raw_inputs(
-    rho: DensityOperator, observables: tuple[Observable, ...], names: tuple[str, ...]
-) -> tuple[tuple[np.ndarray, np.ndarray], list[np.ndarray]]:
-    """The state's two layouts and the observables' matrices, dimensions checked."""
-    rho_mat, d = _check_state(rho)
-    mats = []
-    for obs, name in zip(observables, names):
-        if obs.dim != d:
-            raise ValueError(
-                f"observable {obs.label or name} has dimension {obs.dim}, state needs {d}"
-            )
-        mats.append(obs.op.entries)
-    return _layouts(rho_mat, d), mats
 
 
 def _pair(n: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -214,8 +199,13 @@ def _draw_observables(d: int, seeds: range, count: int) -> np.ndarray:
 
 def correlation(rho: DensityOperator, a: Observable, b: Observable) -> float:
     """Expectation tr(rho (a x b)) with ``a`` on the first factor, ``b`` on the second."""
-    r, mats = _raw_inputs(rho, (a, b), ("a", "b"))
-    return float(_corr_raw(r, *mats))
+    rho_mat, d = _check_state(rho)
+    for obs, name in ((a, "a"), (b, "b")):
+        if obs.dim != d:
+            raise ValueError(
+                f"observable {obs.label or name} has dimension {obs.dim}, state needs {d}"
+            )
+    return float(_corr_raw(_layouts(rho_mat, d), a.op.entries, b.op.entries))
 
 
 def original_bell_gap(
@@ -227,18 +217,16 @@ def original_bell_gap(
     observable ``jb1`` appears both as a second-side setting and as the
     shared first-side setting of the third correlation.
     """
-    r, (ja, jb1, jb2) = _raw_inputs(rho, (ja, jb1, jb2), ("a", "b1", "b2"))
-    e1, e2, e3 = _corr_raw(r, ja, jb1), _corr_raw(r, ja, jb2), _corr_raw(r, jb1, jb2)
-    return float(abs(e1 - e2) - (1.0 - e3))
+    e1, e2, e3 = correlation(rho, ja, jb1), correlation(rho, ja, jb2), correlation(rho, jb1, jb2)
+    return abs(e1 - e2) - (1.0 - e3)
 
 
 def chsh_value(
     rho: DensityOperator, a1: Observable, a2: Observable, b1: Observable, b2: Observable
 ) -> float:
     """CHSH combination |E11 + E12 + E21 - E22|; values above 2 witness nonclassicality."""
-    r, (a1, a2, b1, b2) = _raw_inputs(rho, (a1, a2, b1, b2), ("a1", "a2", "b1", "b2"))
-    e11, e12, e21, e22 = (_corr_raw(r, a, b) for a in (a1, a2) for b in (b1, b2))
-    return float(abs(e11 + e12 + e21 - e22))
+    e11, e12, e21, e22 = (correlation(rho, a, b) for a in (a1, a2) for b in (b1, b2))
+    return abs(e11 + e12 + e21 - e22)
 
 
 def _original_sweep(r: tuple, mats: list) -> tuple:

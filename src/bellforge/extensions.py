@@ -160,7 +160,7 @@ def verify_marginals(t: TensorOperator, pattern: MarginalPattern) -> list[float]
             f"operator factors {t.factor_dims} do not match the pattern's space ({d}, {d}, {d})"
         )
     return [
-        float(np.linalg.norm(_ptrace(t.entries, (d, d, d), j) - target.op.entries))
+        float(np.linalg.norm(_ptrace(t.entries, (d, d, d), j) - target.entries))
         for j, target in pattern.constraints
     ]
 
@@ -274,7 +274,7 @@ def dykstra_find_extension(
     if not 0.0 < tol < math.inf:
         raise ValueError(f"tol must be finite and positive, got {tol}")
 
-    targets = tuple((j, target.op.entries) for j, target in pattern.constraints)
+    targets = tuple((j, target.entries) for j, target in pattern.constraints)
     if not any(target.imag.any() for _, target in targets):
         targets = tuple((j, target.real.copy()) for j, target in targets)
     layout = _layout(d, all(_conserves(target, d, 2) for _, target in targets))

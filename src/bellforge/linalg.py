@@ -91,7 +91,7 @@ class TensorOperator:
         return len(self.factor_dims)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"TensorOperator(side={self.side}, factor_dims={self.factor_dims})"
+        return f"{type(self).__name__}(side={self.side}, factor_dims={self.factor_dims})"
 
 
 def _ptrace(m: np.ndarray, dims: tuple[int, ...], j: int) -> np.ndarray:

@@ -7,9 +7,10 @@ antisymmetrizer, and the two source-operator families whose partial
 traces reproduce Werner states.  Each named operator is one ordered sum
 of factor-permutation operators U_pi, built by ``_permutation_sum`` from
 ``(images, c)`` terms: U_pi moves slot ``i`` to slot ``images[i - 1]``.
-Density operators are validated by ``density_deficits``, exactly: on the
-weight-sector blocks of a three-factor operator that conserves weight,
-and in real arithmetic if real.
+A ``DensityOperator`` is a ``TensorOperator`` that checks its
+``density_deficits`` when it is built: exactly, on the weight-sector blocks
+of a three-factor operator that conserves weight, and in real arithmetic if
+real.
 """
 
 from __future__ import annotations
@@ -75,24 +76,19 @@ def density_deficits(t: TensorOperator) -> tuple[float, float, float]:
     return _asymmetry(blocks), abs(complex(np.trace(t.entries)) - 1.0), max(0.0, -lowest)
 
 
-@dataclass(frozen=True, eq=False)
-class DensityOperator:
-    """A trace-one positive-semidefinite Hermitian operator."""
-
-    op: TensorOperator
+@dataclass(frozen=True, eq=False, repr=False)  # frozen against new attributes too
+class DensityOperator(TensorOperator):
+    """A trace-one positive-semidefinite Hermitian operator, checked when it is built."""
 
     def __post_init__(self) -> None:
-        asymmetry, trace_error, negativity = density_deficits(self.op)
+        super().__post_init__()
+        asymmetry, trace_error, negativity = density_deficits(self)
         if asymmetry > HERMITICITY_TOL:
             raise ValueError(f"density operator is not Hermitian (asymmetry {asymmetry:.3e})")
         if trace_error > DENSITY_TRACE_TOL:
             raise ValueError(f"density operator trace deviates from 1 by {trace_error:.3e}")
         if negativity > PSD_TOL:
             raise ValueError(f"density operator has negative eigenvalue -{negativity:.3e}")
-
-    @property
-    def factor_dims(self) -> tuple[int, ...]:
-        return self.op.factor_dims
 
 
 # Terms ``(images, c)`` of P_minus = (I - flip)/2 and of Q = sum of sgn(pi) U_pi / 6, the
@@ -105,9 +101,12 @@ _Q = tuple(
 )
 
 
-def _permutation_sum(d: int, terms: tuple[tuple[tuple[int, ...], float], ...]) -> TensorOperator:
-    """``sum c U_images`` over the ``(images, c)`` pairs on copies of C^d, d >= 2, as one operator;
-    each ``c`` is added at its unitary's ones in the order given, which fixes every rounding."""
+def _permutation_sum(
+    d: int, terms: tuple[tuple[tuple[int, ...], float], ...], kind: type = TensorOperator
+) -> TensorOperator:
+    """``sum c U_images`` over the ``(images, c)`` pairs on copies of C^d, d >= 2, as one
+    operator of class ``kind``; each ``c`` is added at its unitary's ones in the order given,
+    which fixes every rounding."""
     if d < 2:
         raise ValueError(f"local dimension must be at least 2, got {d}")
     dims = (d,) * len(terms[0][0])
@@ -115,7 +114,7 @@ def _permutation_sum(d: int, terms: tuple[tuple[tuple[int, ...], float], ...]) -
     rows = np.arange(len(m))
     for images, c in terms:
         m[rows, _permutation(dims, images)] += c
-    return TensorOperator(m, dims)
+    return kind(m, dims)
 
 
 def flip(d: int) -> TensorOperator:
@@ -143,12 +142,12 @@ def werner(d: int) -> DensityOperator:
     if d < 2:  # before the coefficients, which divide by d
         raise ValueError(f"local dimension must be at least 2, got {d}")
     scaled = ((pi, 2.0 / d**2 * c) for pi, c in _P_MINUS)
-    return DensityOperator(_permutation_sum(d, (*scaled, ((1, 2), 1.0 / d**3))))
+    return _permutation_sum(d, (*scaled, ((1, 2), 1.0 / d**3)), DensityOperator)
 
 
 def singlet() -> DensityOperator:
     """Two-qubit singlet state: the rank-one projector onto (|01> - |10>)/sqrt(2)."""
-    return DensityOperator(antisym_projector(2))
+    return _permutation_sum(2, _P_MINUS, DensityOperator)
 
 
 def antisymmetrizer3(d: int) -> TensorOperator:
@@ -169,7 +168,7 @@ def dso_two_qubit() -> DensityOperator:
     tracing out factor 1 yields the maximally mixed two-qubit state.
     """
     v12, v13 = ((2, 1, 3), -0.125), ((3, 2, 1), -0.125)
-    return DensityOperator(_permutation_sum(2, (((1, 2, 3), 0.25), v12, v13)))
+    return _permutation_sum(2, (((1, 2, 3), 0.25), v12, v13), DensityOperator)
 
 
 def dso_general(d: int) -> DensityOperator:
@@ -184,4 +183,4 @@ def dso_general(d: int) -> DensityOperator:
     if d <= 2:
         raise ValueError(f"symmetric source operator needs local dimension >= 3, got {d}")
     scaled = ((pi, 6.0 / (d * d * (d - 2)) * q) for pi, q in _Q)
-    return DensityOperator(_permutation_sum(d, (*scaled, ((1, 2, 3), 1.0 / d**4))))
+    return _permutation_sum(d, (*scaled, ((1, 2, 3), 1.0 / d**4)), DensityOperator)

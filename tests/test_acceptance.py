@@ -58,21 +58,21 @@ def test_criterion_1_algebraic_identities(capsys):
 
         w = bf.werner(d)
         alt = ((d + 1) / d**3) * eye2 - (1.0 / d**2) * v
-        check(f"d={d} werner forms agree", float(np.linalg.norm(w.op.entries - alt)))
+        check(f"d={d} werner forms agree", float(np.linalg.norm(w.entries - alt)))
 
         if d >= 3:
             source = bf.dso_general(d)
-            check(f"d={d} source trace", abs(np.trace(source.op.entries) - 1.0))
-            lowest = float(np.linalg.eigvalsh(source.op.entries)[0])
+            check(f"d={d} source trace", abs(np.trace(source.entries) - 1.0))
+            lowest = float(np.linalg.eigvalsh(source.entries)[0])
             check(f"d={d} source min eigenvalue", max(0.0, -lowest))
-            for j, resid in zip((1, 2, 3), bf.verify_marginals(source.op, bf.pattern_sym3(w))):
+            for j, resid in zip((1, 2, 3), bf.verify_marginals(source, bf.pattern_sym3(w))):
                 check(f"d={d} source marginal {j}", resid)
 
     source2 = bf.dso_two_qubit()
     w2 = bf.werner(2)
-    for j, resid in zip((2, 3), bf.verify_marginals(source2.op, bf.pattern_right2(w2))):
+    for j, resid in zip((2, 3), bf.verify_marginals(source2, bf.pattern_right2(w2))):
         check(f"d=2 source marginal {j}", resid)
-    spectrum = bf.eigenvalues(source2.op)
+    spectrum = bf.eigenvalues(source2)
     expected = np.array([0.375, 0.375, 0.125, 0.125, 0.0, 0.0, 0.0, 0.0])
     check("d=2 source spectrum", float(np.max(np.abs(spectrum - expected))))
 

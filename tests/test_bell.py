@@ -21,7 +21,7 @@ def obs(matrix: np.ndarray, label: str = "") -> Observable:
 
 
 def maximally_mixed(d: int) -> bf.DensityOperator:
-    return bf.DensityOperator(TensorOperator((1.0 / d**2) * np.eye(d * d), (d, d)))
+    return bf.DensityOperator((1.0 / d**2) * np.eye(d * d), (d, d))
 
 
 def random_observable(d: int, seed: int, label: str = "w") -> Observable:
@@ -211,7 +211,7 @@ def test_correlation_factorizes_on_product_states():
         r1 /= np.trace(r1).real
         r2 = g2 @ g2.conj().T
         r2 /= np.trace(r2).real
-        rho = bf.DensityOperator(TensorOperator(np.kron(r1, r2), (2, 2)))
+        rho = bf.DensityOperator(np.kron(r1, r2), (2, 2))
         a = random_observable(2, seed=int(rng.integers(10_000)))
         b = random_observable(2, seed=int(rng.integers(10_000)))
         expected = np.trace(r1 @ a.op.entries).real * np.trace(r2 @ b.op.entries).real
@@ -237,6 +237,13 @@ def test_correlation_bounded_by_one():
 def test_correlation_rejects_dimension_mismatch():
     with pytest.raises(ValueError, match="dimension"):
         bf.correlation(bf.werner(3), obs(SIGMA_Z), random_observable(3, 1))
+    qutrit, qubit = random_observable(3, 1, ""), obs(SIGMA_Z)
+    with pytest.raises(ValueError, match="observable b has dimension 2, state needs 3"):
+        bf.original_bell_gap(bf.werner(3), qutrit, qutrit, qubit)
+    with pytest.raises(ValueError, match="observable a has dimension 2, state needs 3"):
+        bf.chsh_value(bf.werner(3), qutrit, qubit, qutrit, qutrit)
+    with pytest.raises(ValueError, match="observable b2 has dimension 3, state needs 2"):
+        bf.chsh_value(bf.werner(2), qubit, qubit, qubit, random_observable(3, 1, "b2"))
 
 
 # ------------------------------------------------------------------- gap value
@@ -295,7 +302,7 @@ def test_gap_invariant_under_negating_first_observable(d):
 def test_chsh_classical_bound_on_product_states():
     ket0 = np.zeros((2, 2))
     ket0[0, 0] = 1.0
-    rho = bf.DensityOperator(TensorOperator(np.kron(ket0, ket0), (2, 2)))
+    rho = bf.DensityOperator(np.kron(ket0, ket0), (2, 2))
     plus, minus = obs(np.eye(2)), obs(-np.eye(2))
     for a1 in (plus, minus):
         for a2 in (plus, minus):
@@ -367,7 +374,7 @@ def test_horodecki_oracle_frozen_values():
     assert bf.horodecki_chsh_oracle(bf.werner(2)) == pytest.approx(math.sqrt(2.0), abs=1e-12)
     ket0 = np.zeros((2, 2))
     ket0[0, 0] = 1.0
-    product = bf.DensityOperator(TensorOperator(np.kron(ket0, ket0), (2, 2)))
+    product = bf.DensityOperator(np.kron(ket0, ket0), (2, 2))
     assert bf.horodecki_chsh_oracle(product) == pytest.approx(2.0, abs=1e-12)
 
 
@@ -699,7 +706,7 @@ def sweep_inputs(d: int, count: int, rows: int = 6) -> list:
 
 
 def state_matrix(kind: str, d: int) -> np.ndarray:
-    return bf.werner(d).op.entries if kind == "werner" else random_density_matrix(d, seed=80 + d)
+    return bf.werner(d).entries if kind == "werner" else random_density_matrix(d, seed=80 + d)
 
 
 @pytest.mark.parametrize("kind", ["werner", "random"])
@@ -728,7 +735,7 @@ def test_seesaw_results_match_reference(functional, kind):
     observables, give the same result bit for bit."""
     reference_sweep, reference_score, _ = REFERENCE[functional]
     d = 4
-    rho = bf.DensityOperator(TensorOperator(state_matrix(kind, d), (d, d)))
+    rho = bf.DensityOperator(state_matrix(kind, d), (d, d))
     cfg = SeeSawConfig(restarts=12, base_seed=3)
 
     def scored(r, mats):
@@ -758,7 +765,7 @@ def test_sweep_forms_each_effective_operator_once(monkeypatch, functional):
             return _original(r, m)
 
         monkeypatch.setattr(bell, name, counted)
-    sweep(bell._layouts(bf.werner(3).op.entries, 3), sweep_inputs(3, len(LABELS[functional])))
+    sweep(bell._layouts(bf.werner(3).entries, 3), sweep_inputs(3, len(LABELS[functional])))
     assert sorted(calls) == ["_alice_effective"] * 2 + ["_bob_effective"] * 2
 
 
@@ -839,7 +846,7 @@ def test_gap_search_keeps_the_plus_rows_of_two_branches(state):
         "werner4": bf.werner(4),
         "werner6": bf.werner(6),
         "singlet": bf.singlet(),
-        "random": bf.DensityOperator(TensorOperator(random_density_matrix(5, seed=85), (5, 5))),
+        "random": bf.DensityOperator(random_density_matrix(5, seed=85), (5, 5)),
     }[state]
     cfg = SeeSawConfig(restarts=50, base_seed=0)
     result = bf.seesaw_original_bell(rho, cfg)
@@ -885,9 +892,9 @@ def test_seesaw_chsh_meets_horodecki_oracle_on_zero_marginal_states():
     for _ in range(60):
         u = np.kron(random_unitary(rng), random_unitary(rng))
         m = u @ (BELL_BASIS.T * rng.dirichlet(np.ones(4))) @ BELL_BASIS @ u.conj().T
-        rho = bf.DensityOperator(TensorOperator((m + m.conj().T) / 2.0, (2, 2)))
+        rho = bf.DensityOperator((m + m.conj().T) / 2.0, (2, 2))
         for j in (1, 2):
-            marginal = _ptrace(rho.op.entries, (2, 2), j)
+            marginal = _ptrace(rho.entries, (2, 2), j)
             np.testing.assert_allclose(marginal, np.eye(2) / 2.0, rtol=0.0, atol=1e-14)
         oracles.append(bf.horodecki_chsh_oracle(rho))
         value = bf.seesaw_chsh(rho, SeeSawConfig(restarts=20, base_seed=0)).best_value

@@ -70,9 +70,9 @@ def test_verify_results_keep_their_dense_definitions(capsys, d):
     P the antisymmetric projector and S the source operator."""
     code, report, _ = run_cli(capsys, ["verify", "--d", str(d), "--quiet"])
     assert code == 0
-    v, w = bf.flip(d).entries, bf.werner(d).op.entries
+    v, w = bf.flip(d).entries, bf.werner(d).entries
     q, p = bf.antisymmetrizer3(d).entries, bf.antisym_projector(d).entries
-    s = (bf.dso_two_qubit() if d == 2 else bf.dso_general(d)).op.entries
+    s = (bf.dso_two_qubit() if d == 2 else bf.dso_general(d)).entries
     eye, norm = np.eye(d * d), np.linalg.norm
     w_vals, s_vals = np.linalg.eigvalsh(w)[::-1], np.linalg.eigvalsh(s)[::-1]
     w_spectrum = [1 / d**3 + 2 / d**2] * (d * (d - 1) // 2) + [1 / d**3] * (d * (d + 1) // 2)
@@ -177,7 +177,7 @@ def test_bell_original_singlet_flags_violation(capsys):
 
 def test_bell_accepts_state_file(capsys, tmp_path):
     path = tmp_path / "w2.mat"
-    path.write_text(bf.operator_to_text(bf.werner(2).op), encoding="ascii")
+    path.write_text(bf.operator_to_text(bf.werner(2)), encoding="ascii")
     code, report, _ = run_cli(
         capsys,
         ["bell", "--functional", "chsh", "--state", f"file:{path}", "--restarts", "5"],
@@ -411,7 +411,7 @@ def test_report_parameters_are_the_options(capsys, tmp_path, argv, options):
     """``parameters`` echoes every option but --quiet in parser order; ``d`` is resolved."""
     if argv[0] == "dso-find":
         path = tmp_path / "w2.mat"
-        path.write_text(bf.operator_to_text(bf.werner(2).op), encoding="ascii")
+        path.write_text(bf.operator_to_text(bf.werner(2)), encoding="ascii")
         argv = [*argv, "--state", f"file:{path}"]
     _, report, _ = run_cli(capsys, [*argv, "--quiet"])
     assert list(report["parameters"]) == options
@@ -441,7 +441,7 @@ def test_every_entry_point_reports_the_supported_range(capsys, tmp_path, entry):
         assert code == 2
     else:
         path = tmp_path / "w7.mat"
-        path.write_text(bf.operator_to_text(w7.op), encoding="ascii")
+        path.write_text(bf.operator_to_text(w7), encoding="ascii")
         argv = ["bell", "--functional", "chsh", "--state", f"file:{path}"]
         code, _, message = run_cli(capsys, argv)
         assert code == 3

@@ -43,18 +43,17 @@ def real_and_rotated(d: int, slots: tuple[int, ...]):
     u2 = np.kron(u, u)
     real, rotated = [], []
     for j in slots:
-        rho = bf.TensorOperator(_ptrace(t.entries, (d, d, d), j), (d, d))
-        real.append((j, bf.DensityOperator(rho)))
-        turned = bf.TensorOperator(u2 @ rho.entries @ u2.conj().T, (d, d))
-        rotated.append((j, bf.DensityOperator(turned)))
-    assert all(np.abs(rho.op.entries.imag).max() > 1e-2 for _, rho in rotated)
+        rho = bf.DensityOperator(_ptrace(t.entries, (d, d, d), j), (d, d))
+        real.append((j, rho))
+        rotated.append((j, bf.DensityOperator(u2 @ rho.entries @ u2.conj().T, (d, d))))
+    assert all(np.abs(rho.entries.imag).max() > 1e-2 for _, rho in rotated)
     return bf.MarginalPattern(tuple(real)), bf.MarginalPattern(tuple(rotated)), np.kron(u2, u)
 
 
 def singlet_mixture(p: float) -> bf.DensityOperator:
     """``p * singlet + (1 - p) * I/4``."""
     mixed = (1.0 - p) * 0.25 * np.eye(4, dtype=complex)
-    return bf.DensityOperator(bf.TensorOperator(p * bf.singlet().op.entries + mixed, (2, 2)))
+    return bf.DensityOperator(p * bf.singlet().entries + mixed, (2, 2))
 
 
 # Images of the three factors of ``kron(Y, I)`` that move its identity to the traced slot.
@@ -69,7 +68,7 @@ def certificate_value(cert: bf.InfeasibilityCertificate, pattern: bf.MarginalPat
     paired = 0.0
     for j, y in zip(cert.slots, cert.duals):
         m += embed_identity(y.entries, d, j)
-        paired += np.trace(targets[j].op.entries @ y.entries).real
+        paired += np.trace(targets[j].entries @ y.entries).real
     scale = sum(np.linalg.norm(y.entries) for y in cert.duals)
     return (paired - np.linalg.eigvalsh(m)[0]) / scale
 
@@ -153,7 +152,7 @@ def test_slots_and_dimensions_must_be_integers(build):
 
 
 def test_pattern_rejects_non_bipartite_targets():
-    tri = bf.DensityOperator(bf.TensorOperator((1.0 / 8.0) * np.eye(8), (2, 2, 2)))
+    tri = bf.DensityOperator((1.0 / 8.0) * np.eye(8), (2, 2, 2))
     with pytest.raises(ValueError, match="bipartite"):
         bf.MarginalPattern(((1, tri),))
 
@@ -172,9 +171,9 @@ def test_pattern_helpers():
 
 
 def test_verify_marginals_on_known_source_operators():
-    res2 = bf.verify_marginals(bf.dso_two_qubit().op, bf.pattern_right2(bf.werner(2)))
+    res2 = bf.verify_marginals(bf.dso_two_qubit(), bf.pattern_right2(bf.werner(2)))
     assert max(res2) <= 1e-13
-    res3 = bf.verify_marginals(bf.dso_general(3).op, bf.pattern_sym3(bf.werner(3)))
+    res3 = bf.verify_marginals(bf.dso_general(3), bf.pattern_sym3(bf.werner(3)))
     assert max(res3) <= 1e-13
     assert len(res3) == 3
 
@@ -402,7 +401,7 @@ def test_dykstra_converges_on_low_rank_feasible_marginals(d, rank):
         t = low_rank_real_state(rng, d, rank).entries
         pattern = bf.MarginalPattern(
             tuple(
-                (j, bf.DensityOperator(bf.TensorOperator(_ptrace(t, (d, d, d), j), (d, d))))
+                (j, bf.DensityOperator(_ptrace(t, (d, d, d), j), (d, d)))
                 for j in (1, 3)
             )
         )
@@ -415,7 +414,7 @@ def product_with_zero(d: int) -> bf.DensityOperator:
     """``|0><0| (x) I/d``, whose two one-party marginals differ."""
     zero = np.zeros((d, d))
     zero[0, 0] = 1.0
-    return bf.DensityOperator(bf.TensorOperator(np.kron(zero, np.eye(d) / d), (d, d)))
+    return bf.DensityOperator(np.kron(zero, np.eye(d) / d), (d, d))
 
 
 @pytest.mark.parametrize("d", [2, 3])
@@ -439,7 +438,7 @@ def test_dykstra_certifies_disagreeing_targets_before_iterating(make_pattern, d)
     assert certificate_value(cert, pattern) == pytest.approx(cert.value, abs=1e-12)
     # the candidate is the start: the first target with I/d on its traced factor
     first_slot, first = pattern.constraints[0]
-    start = embed_identity(first.op.entries / d, d, first_slot)
+    start = embed_identity(first.entries / d, d, first_slot)
     assert np.max(np.abs(result.candidate.entries - start)) <= 1e-15
     assert result.residual == pytest.approx(max(bf.verify_marginals(result.candidate, pattern)))
 
@@ -452,7 +451,7 @@ def test_dykstra_never_certifies_feasible_marginals(d, slots):
         t = random_density(rng, d**3)
         pattern = bf.MarginalPattern(
             tuple(
-                (j, bf.DensityOperator(bf.TensorOperator(_ptrace(t, (d, d, d), j), (d, d))))
+                (j, bf.DensityOperator(_ptrace(t, (d, d, d), j), (d, d)))
                 for j in slots
             )
         )
@@ -509,7 +508,7 @@ def sector_oracle(d: int) -> dict[tuple[int, ...], list[int]]:
 
 
 def raw_targets(pattern: bf.MarginalPattern) -> tuple[tuple[int, np.ndarray], ...]:
-    return tuple((j, rho.op.entries) for j, rho in pattern.constraints)
+    return tuple((j, rho.entries) for j, rho in pattern.constraints)
 
 
 def search_layout(pattern: bf.MarginalPattern):
@@ -529,7 +528,7 @@ def blocks_of(layout) -> tuple[np.ndarray, ...]:
 def factor3_pattern(m: np.ndarray) -> bf.MarginalPattern:
     """The one constraint that tracing out factor 3 leaves the density matrix ``m``."""
     d = math.isqrt(m.shape[0])
-    return bf.MarginalPattern(((3, bf.DensityOperator(bf.TensorOperator(m, (d, d)))),))
+    return bf.MarginalPattern(((3, bf.DensityOperator(m, (d, d))),))
 
 
 @pytest.mark.parametrize("d", [2, 3, 4, 5, 6])
@@ -539,7 +538,7 @@ def test_weight_sectors_group_basis_states_by_digit_multiset(d):
     assert found == sorted(sector_oracle(d).values())
     assert [idx.shape[1] for idx in sectors] == sorted({len(v) for v in sector_oracle(d).values()})
     rng = np.random.default_rng(d)
-    classical = bf.DensityOperator(bf.TensorOperator(np.diag(rng.dirichlet(np.ones(d * d))), (d, d)))
+    classical = bf.DensityOperator(np.diag(rng.dirichlet(np.ones(d * d))), (d, d))
     diagonal = blocks_of(search_layout(bf.pattern_right2(classical)))
     assert len(diagonal) == len(sectors)
     assert all(np.array_equal(a, b) for a, b in zip(diagonal, sectors))
@@ -619,9 +618,9 @@ def test_dykstra_is_deterministic():
 def test_dykstra_matches_differing_targets():
     """Each constraint keeps its own target: dso_two_qubit witnesses this pattern."""
     w = bf.werner(2)
-    mixed = bf.DensityOperator(bf.TensorOperator(0.25 * np.eye(4), (2, 2)))
+    mixed = bf.DensityOperator(0.25 * np.eye(4), (2, 2))
     pattern = bf.MarginalPattern(((1, mixed), (2, w), (3, w)))
-    assert max(bf.verify_marginals(bf.dso_two_qubit().op, pattern)) <= 1e-13
+    assert max(bf.verify_marginals(bf.dso_two_qubit(), pattern)) <= 1e-13
     tol = 1e-6
     result = bf.dykstra_find_extension(pattern, max_iters=5000, tol=tol)
     assert result.converged
@@ -635,7 +634,7 @@ def test_dykstra_rejects_large_dimension():
 
 
 def test_dykstra_rejects_unit_dimension():
-    trivial = bf.DensityOperator(bf.TensorOperator(np.ones((1, 1)), (1, 1)))
+    trivial = bf.DensityOperator(np.ones((1, 1)), (1, 1))
     with pytest.raises(ValueError, match="outside"):
         bf.dykstra_find_extension(bf.MarginalPattern(((1, trivial),)), max_iters=10, tol=1e-6)
 

@@ -2,12 +2,16 @@
 the dimension range, no thread pools, the see-saw's state layouts multiplied only by its two
 effective-operator functions, one command-line parser, one report writer, one permutation-sum
 builder, one random stream for the see-saw's starts, and a public surface trimmed to what the
-solvers, the CLI and the benchmark call, with no operator algebra beside numpy."""
+solvers, the CLI and the benchmark call, with no operator algebra beside numpy and no wrapper
+between a state and its operator."""
 
 from __future__ import annotations
 
 import ast
+import dataclasses
 from pathlib import Path
+
+import pytest
 
 import bellforge
 import bellforge.cli
@@ -263,6 +267,20 @@ def test_operators_carry_no_algebra():
     assert [name for name in dense if hasattr(bellforge.linalg, name)] == []
 
 
+def test_a_density_operator_is_an_operator():
+    """A state is its own operator: ``DensityOperator`` subclasses ``TensorOperator`` with no
+    field of its own, so no caller reaches through a wrapper to the entries, and a state is as
+    frozen as any operator."""
+    assert issubclass(bellforge.DensityOperator, bellforge.TensorOperator)
+    fields = dataclasses.fields
+    assert fields(bellforge.DensityOperator) == fields(bellforge.TensorOperator)
+    state = bellforge.werner(2)
+    assert not hasattr(state, "op")
+    for obj in (state, bellforge.flip(2)):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            obj.op = None
+
+
 def test_package_exports_exactly_the_module_lists():
     """``__init__.py`` names no public name: each module's ``__all__`` is its export list."""
     modules = (bellforge.linalg, bellforge.states, bellforge.extensions, bellforge.bell)
@@ -279,7 +297,6 @@ def test_package_exports_exactly_the_module_lists():
 
 # Public names that nothing in the package or the benchmark calls yet, each with its reason.
 UNCALLED_PUBLIC = {
-    "correlation": "the paper's E(a, b), which both Bell functionals compose",
     "original_bell_gap": "re-evaluates a see-saw optimum in the exact model",
     "chsh_value": "re-evaluates a see-saw optimum in the exact model",
 }

@@ -444,10 +444,10 @@ def random_real_symmetric(rng: np.random.Generator, dims: tuple[int, ...]) -> la
 
 # name: (operator, side of the largest matrix solved, dtype kind of the solves)
 KERNEL_CASES = {
-    **{f"werner{d}": (lambda d=d: bf.werner(d).op, d * d, "f") for d in range(2, 7)},
-    "singlet": (lambda: bf.singlet().op, 4, "f"),
-    "dso_two_qubit": (lambda: bf.dso_two_qubit().op, 3, "f"),
-    **{f"dso_general{d}": (lambda d=d: bf.dso_general(d).op, 6, "f") for d in range(3, 7)},
+    **{f"werner{d}": (lambda d=d: bf.werner(d), d * d, "f") for d in range(2, 7)},
+    "singlet": (bf.singlet, 4, "f"),
+    "dso_two_qubit": (bf.dso_two_qubit, 3, "f"),
+    **{f"dso_general{d}": (lambda d=d: bf.dso_general(d), 6, "f") for d in range(3, 7)},
     "conserving-complex": (
         lambda: la.TensorOperator(sector_hermitian(np.random.default_rng(31), 4, False), (4,) * 3),
         6,
@@ -513,7 +513,7 @@ def test_spectrum_gathers_blocks_only_for_conserving_operators(monkeypatch):
     la._layout.cache_clear()
     la._spectrum(la._blocks(mixed.entries, (3, 3, 3)))
     assert grouped == []
-    la._spectrum(la._blocks(conserving.op.entries, (3, 3, 3)))
+    la._spectrum(la._blocks(conserving.entries, (3, 3, 3)))
     assert grouped == [3]
 
 
@@ -538,7 +538,7 @@ def test_one_sector_grouping_serves_validation_and_dykstra(monkeypatch, d):
     monkeypatch.setattr(la, "_sectors", lambda d: grouped.append(d) or original(d))
     la._layout.cache_clear()
     dso = bf.dso_general(d)
-    bf.density_deficits(dso.op)
+    bf.density_deficits(dso)
     bf.dykstra_find_extension(bf.pattern_sym3(bf.werner(d)), max_iters=3)
     assert grouped == [d]
 
@@ -556,7 +556,7 @@ def dense_deficits(m: np.ndarray) -> tuple[float, float, float]:
 def conserving_cases() -> dict[str, np.ndarray]:
     """Operators that conserve weight: the source operators, and random ones, real and complex,
     Hermitian of norm 1, and that plus an anti-Hermitian part of norm 1e-3 inside the blocks."""
-    cases = {f"dso_general{d}": bf.dso_general(d).op.entries for d in range(3, 7)}
+    cases = {f"dso_general{d}": bf.dso_general(d).entries for d in range(3, 7)}
     for d, real in itertools.product((3, 5), (True, False)):
         rng = np.random.default_rng(200 + 2 * d + real)
         h = sector_hermitian(rng, d, real)
@@ -598,14 +598,14 @@ def test_block_idempotence_matches_the_dense_product(d):
 def test_one_asymmetric_entry_inside_a_block_is_rejected():
     """A conserving operator that is not Hermitian in a single entry, inside one block, is
     rejected both as a density operator and by ``eigenvalues``."""
-    m = bf.dso_general(3).op.entries.copy()
+    m = bf.dso_general(3).entries.copy()
     code = la._multisets(3, 3)
     row, col = next((r, c) for r in range(27) for c in range(27) if r != c and code[r] == code[c])
     m[row, col] += 1e-6
     assert la._conserves(m, 3, 3)
     t = la.TensorOperator(m, (3, 3, 3))
     with pytest.raises(ValueError, match="not Hermitian"):
-        bf.DensityOperator(t)
+        bf.DensityOperator(m, (3, 3, 3))
     with pytest.raises(ValueError, match="not Hermitian"):
         la.eigenvalues(t)
 

@@ -200,14 +200,14 @@ def test_antisymmetrizer_vanishes_for_qubits():
 def test_werner_two_constructions_agree(d):
     w = bf.werner(d)
     alt = ((d + 1) / d**3) * np.eye(d * d) - (1.0 / d**2) * bf.flip(d).entries
-    assert np.linalg.norm(w.op.entries - alt) <= 1e-13
-    assert np.trace(w.op.entries) == pytest.approx(1.0, abs=1e-12)
-    assert bf.eigenvalues(w.op)[-1] >= -bf.linalg.PSD_TOL
+    assert np.linalg.norm(w.entries - alt) <= 1e-13
+    assert np.trace(w.entries) == pytest.approx(1.0, abs=1e-12)
+    assert bf.eigenvalues(w)[-1] >= -bf.linalg.PSD_TOL
 
 
 @pytest.mark.parametrize("d", [2, 3, 4, 5, 6])
 def test_werner_spectrum_formula(d):
-    vals = bf.eigenvalues(bf.werner(d).op)
+    vals = bf.eigenvalues(bf.werner(d))
     expected = np.concatenate(
         [
             np.full(d * (d - 1) // 2, 1.0 / d**3 + 2.0 / d**2),
@@ -218,7 +218,7 @@ def test_werner_spectrum_formula(d):
 
 
 def test_werner_qubit_spectrum_frozen():
-    vals = bf.eigenvalues(bf.werner(2).op)
+    vals = bf.eigenvalues(bf.werner(2))
     np.testing.assert_allclose(vals, [0.625, 0.125, 0.125, 0.125], atol=1e-14)
 
 
@@ -226,7 +226,7 @@ def test_werner_qubit_spectrum_frozen():
 def test_werner_marginals_are_maximally_mixed(d):
     w = bf.werner(d)
     for j in (1, 2):
-        reduced = _ptrace(w.op.entries, (d, d), j)
+        reduced = _ptrace(w.entries, (d, d), j)
         assert np.linalg.norm(reduced - (1.0 / d) * np.eye(d)) <= 1e-13
 
 
@@ -241,8 +241,8 @@ def test_singlet_is_rank_one_antisymmetric_vector():
     psi = np.zeros(4, dtype=complex)
     psi[1] = 1.0 / np.sqrt(2.0)
     psi[2] = -1.0 / np.sqrt(2.0)
-    np.testing.assert_allclose(s.op.entries, np.outer(psi, psi.conj()), atol=1e-14)
-    vals = bf.eigenvalues(s.op)
+    np.testing.assert_allclose(s.entries, np.outer(psi, psi.conj()), atol=1e-14)
+    vals = bf.eigenvalues(s)
     np.testing.assert_allclose(vals, [1.0, 0.0, 0.0, 0.0], atol=1e-14)
 
 
@@ -251,20 +251,20 @@ def test_singlet_is_rank_one_antisymmetric_vector():
 
 def test_density_operator_rejects_wrong_trace():
     with pytest.raises(ValueError, match="trace"):
-        bf.DensityOperator(bf.TensorOperator(np.eye(4), (2, 2)))
+        bf.DensityOperator(np.eye(4), (2, 2))
 
 
 def test_density_operator_rejects_negative_eigenvalue():
     m = np.diag([1.5, -0.5, 0.0, 0.0])
     with pytest.raises(ValueError, match="negative eigenvalue"):
-        bf.DensityOperator(bf.TensorOperator(m, (2, 2)))
+        bf.DensityOperator(m, (2, 2))
 
 
 def test_density_operator_rejects_non_hermitian():
     m = np.eye(4, dtype=complex) / 4.0
     m[0, 1] = 0.3
     with pytest.raises(ValueError, match="Hermitian"):
-        bf.DensityOperator(bf.TensorOperator(m, (2, 2)))
+        bf.DensityOperator(m, (2, 2))
 
 
 # One pair of basis states of three qutrits per block size, both in the same weight sector:
@@ -296,13 +296,13 @@ def test_density_operator_rejects_negativity_inside_one_block(monkeypatch, size,
     monkeypatch.setattr(np.linalg, "eigvalsh", spy)
     t = bf.TensorOperator(m, (3, 3, 3))
     with pytest.raises(ValueError, match="negative eigenvalue"):
-        bf.DensityOperator(t)
+        bf.DensityOperator(m, (3, 3, 3))
     assert abs(bf.density_deficits(t)[2] + lowest) <= 1e-15
     assert sides and max(sides) <= 6
 
 
 def test_density_deficits_of_valid_state_vanish():
-    asym, trace_err, neg = bf.density_deficits(bf.werner(3).op)
+    asym, trace_err, neg = bf.density_deficits(bf.werner(3))
     assert asym <= 1e-15
     assert trace_err <= 1e-14
     assert neg <= 1e-14
@@ -315,13 +315,13 @@ def test_dso_two_qubit_marginals_are_frozen():
     t = bf.dso_two_qubit()
     w2 = bf.werner(2)
     for j in (2, 3):
-        assert np.linalg.norm(_ptrace(t.op.entries, (2, 2, 2), j) - w2.op.entries) <= 1e-13
+        assert np.linalg.norm(_ptrace(t.entries, (2, 2, 2), j) - w2.entries) <= 1e-13
     mixed = 0.25 * np.eye(4)
-    assert np.linalg.norm(_ptrace(t.op.entries, (2, 2, 2), 1) - mixed) <= 1e-13
+    assert np.linalg.norm(_ptrace(t.entries, (2, 2, 2), 1) - mixed) <= 1e-13
 
 
 def test_dso_two_qubit_spectrum_frozen():
-    vals = bf.eigenvalues(bf.dso_two_qubit().op)
+    vals = bf.eigenvalues(bf.dso_two_qubit())
     expected = [0.375, 0.375, 0.125, 0.125, 0.0, 0.0, 0.0, 0.0]
     np.testing.assert_allclose(vals, expected, atol=1e-13)
 
@@ -330,7 +330,7 @@ def test_dso_two_qubit_matches_permutation_route():
     """The same operator arises from signed permutation operators directly."""
     v12, v13 = _perm(2, (2, 1, 3)), _perm(2, (3, 2, 1))
     direct = 0.25 * np.eye(8) - 0.125 * v12 - 0.125 * v13
-    assert np.linalg.norm(bf.dso_two_qubit().op.entries - direct) <= 1e-13
+    assert np.linalg.norm(bf.dso_two_qubit().entries - direct) <= 1e-13
 
 
 def test_dso_general_rejects_low_dimension():
@@ -343,16 +343,16 @@ def test_dso_general_rejects_low_dimension():
 def test_dso_general_all_marginals_equal_werner(d):
     t = bf.dso_general(d)
     w = bf.werner(d)
-    assert np.trace(t.op.entries) == pytest.approx(1.0, abs=1e-12)
-    assert bf.eigenvalues(t.op)[-1] >= -bf.linalg.PSD_TOL
+    assert np.trace(t.entries) == pytest.approx(1.0, abs=1e-12)
+    assert bf.eigenvalues(t)[-1] >= -bf.linalg.PSD_TOL
     for j in (1, 2, 3):
-        assert np.linalg.norm(_ptrace(t.op.entries, (d, d, d), j) - w.op.entries) <= 1e-12
+        assert np.linalg.norm(_ptrace(t.entries, (d, d, d), j) - w.entries) <= 1e-12
 
 
 def test_dso_general_three_dim_spectrum_frozen():
     """At d = 3 the antisymmetric subspace is one-dimensional: one eigenvalue
     1/81 + 2/3 = 55/81, the remaining 26 equal 1/81."""
-    vals = bf.eigenvalues(bf.dso_general(3).op)
+    vals = bf.eigenvalues(bf.dso_general(3))
     expected = np.concatenate([[55.0 / 81.0], np.full(26, 1.0 / 81.0)])
     np.testing.assert_allclose(vals, expected, atol=1e-13)
 
@@ -388,7 +388,7 @@ def test_bipartite_sums_match_their_formulas_bit_for_bit(d):
     )
     assert _same_bits(bf.flip(d), _flip_ref(d))
     assert _same_bits(bf.antisym_projector(d), _antisym_ref(d))
-    assert _same_bits(bf.werner(d).op, werner_ref)
+    assert _same_bits(bf.werner(d), werner_ref)
 
 
 @pytest.mark.parametrize("d", range(2, 7))
@@ -406,14 +406,14 @@ def test_dso_general_matches_its_formula_bit_for_bit(d):
         + (6.0 / (d * d * (d - 2))) * _antisymmetrizer_ref(d).entries,
         (d, d, d),
     )
-    assert _same_bits(bf.dso_general(d).op, reference)
+    assert _same_bits(bf.dso_general(d), reference)
 
 
 def test_qubit_sources_match_their_formulas_bit_for_bit():
     v12, v13 = _perm(2, (2, 1, 3)), _perm(2, (3, 2, 1))
     reference = bf.TensorOperator(0.25 * np.eye(8) - 0.125 * v12 - 0.125 * v13, (2, 2, 2))
-    assert _same_bits(bf.dso_two_qubit().op, reference)
-    assert _same_bits(bf.singlet().op, _antisym_ref(2))
+    assert _same_bits(bf.dso_two_qubit(), reference)
+    assert _same_bits(bf.singlet(), _antisym_ref(2))
 
 
 @pytest.mark.parametrize("d", [3, 6])
