@@ -83,15 +83,11 @@ class Observable:
     label: str = ""
 
     def __post_init__(self) -> None:
-        if self.op.nfactors != 1:
+        if len(self.op.factor_dims) != 1:
             raise ValueError(f"an observable acts on one factor, got {self.op.factor_dims}")
         norm = operator_norm(self.op)  # rejects non-Hermitian input
         if norm > 1.0 + NORM_SLACK:
             raise ValueError(f"observable norm {norm:.12f} exceeds 1")
-
-    @property
-    def dim(self) -> int:
-        return self.op.factor_dims[0]
 
 
 @dataclass(frozen=True)
@@ -132,10 +128,6 @@ class OptimizationResult:
     value_trace: tuple[float, ...]
 
 
-def _check_state(rho: DensityOperator) -> tuple[np.ndarray, int]:
-    return rho.entries, _bipartite_dim(rho.factor_dims)
-
-
 def _layouts(rho_mat: np.ndarray, d: int) -> tuple[np.ndarray, np.ndarray]:
     """The state ``rho[(i, j), (k, l)]`` as the ``d² x d²`` matrices ``[(j, l), (i, k)]``
     and ``[(i, k), (j, l)]``, the layouts that Alice's and Bob's contractions multiply by."""
@@ -152,17 +144,10 @@ def _rows(m: np.ndarray) -> np.ndarray:
 
 
 def _pair(n: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """``tr(b n)`` for matching matrices or stacks of them, as ``(n, 1, d²) @ (n, d², 1)``."""
-    val = (n.reshape(*n.shape[:-2], 1, -1) @ _rows(b).swapaxes(-1, -2))[..., 0, 0]
-    worst = np.max(np.abs(val.imag))
-    if worst > 1e-10:
-        raise ValueError(f"correlation has imaginary part {worst:.3e}")
-    return val.real
-
-
-def _corr_raw(r: tuple[np.ndarray, np.ndarray], a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """``tr(rho (a x b))`` for matching matrices or ``(n, d, d)`` stacks of them."""
-    return _pair(_bob_effective(r, a), b)
+    """Real part of ``tr(b n)`` for matching matrices or stacks, as ``(n, 1, d²) @ (n, d², 1)``;
+    ``tr(rho (a x b))`` for ``n = _bob_effective(r, a)``.  States and observables are validated
+    Hermitian where they enter, so the imaginary part is rounding and is dropped unbounded."""
+    return (n.reshape(*n.shape[:-2], 1, -1) @ _rows(b).swapaxes(-1, -2))[..., 0, 0].real
 
 
 def _alice_effective(r: tuple[np.ndarray, np.ndarray], b: np.ndarray) -> np.ndarray:
@@ -199,13 +184,14 @@ def _draw_observables(d: int, seeds: range, count: int) -> np.ndarray:
 
 def correlation(rho: DensityOperator, a: Observable, b: Observable) -> float:
     """Expectation tr(rho (a x b)) with ``a`` on the first factor, ``b`` on the second."""
-    rho_mat, d = _check_state(rho)
+    d = _bipartite_dim(rho.factor_dims)
     for obs, name in ((a, "a"), (b, "b")):
-        if obs.dim != d:
+        if obs.op.factor_dims != (d,):
             raise ValueError(
-                f"observable {obs.label or name} has dimension {obs.dim}, state needs {d}"
+                f"observable {obs.label or name} has dimension {obs.op.factor_dims[0]}, "
+                f"state needs {d}"
             )
-    return float(_corr_raw(_layouts(rho_mat, d), a.op.entries, b.op.entries))
+    return float(_pair(_bob_effective(_layouts(rho.entries, d), a.op.entries), b.op.entries))
 
 
 def original_bell_gap(
@@ -301,9 +287,9 @@ def _seesaw(
     A later block wins only with a strictly larger score, so ties go to the
     lowest restart, as in one stack.
     """
-    rho_mat, d = _check_state(rho)
+    d = _bipartite_dim(rho.factor_dims)
     _check_local_dim(d)
-    r = _layouts(rho_mat, d)
+    r = _layouts(rho.entries, d)
     end = cfg.base_seed + cfg.restarts
     best = None
     for first in range(cfg.base_seed, end, _RESTART_BLOCK):
@@ -361,13 +347,13 @@ def horodecki_chsh_oracle(rho: DensityOperator) -> float:
     ``max(2, value)`` when both local Bloch vectors vanish (Werner states,
     the singlet, Bell-diagonal states), and may exceed it otherwise.
     """
-    rho_mat, d = _check_state(rho)
+    d = _bipartite_dim(rho.factor_dims)
     if d != 2:
         raise ValueError(f"closed-form CHSH maximum needs qubit factors, got dimension {d}")
-    r = _layouts(rho_mat, 2)
+    r = _layouts(rho.entries, 2)
     t = np.empty((3, 3), dtype=np.float64)
     for i, si in enumerate(_PAULIS):
         for j, sj in enumerate(_PAULIS):
-            t[i, j] = _corr_raw(r, si, sj)
+            t[i, j] = _pair(_bob_effective(r, si), sj)
     grams = np.linalg.eigvalsh(t.T @ t)
     return float(2.0 * math.sqrt(grams[-1] + grams[-2]))

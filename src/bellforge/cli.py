@@ -59,7 +59,7 @@ from .states import (
     werner,
 )
 
-__all__ = ["main", "entrypoint"]
+__all__ = ["main"]
 
 
 class _UsageError(Exception):
@@ -347,7 +347,3 @@ def main(argv: list[str] | None = None) -> int:
         for note in outcome.notes:
             print(note, file=sys.stderr)
     return 0 if outcome.passed else 1
-
-
-def entrypoint() -> None:
-    raise SystemExit(main())

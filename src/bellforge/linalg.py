@@ -80,18 +80,8 @@ class TensorOperator:
         object.__setattr__(self, "entries", _frozen(mat))
         object.__setattr__(self, "factor_dims", dims)
 
-    @property
-    def side(self) -> int:
-        """Number of rows (= columns) of the matrix."""
-        return self.entries.shape[0]
-
-    @property
-    def nfactors(self) -> int:
-        """Number of tensor factors."""
-        return len(self.factor_dims)
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"{type(self).__name__}(side={self.side}, factor_dims={self.factor_dims})"
+        return f"{type(self).__name__}(side={len(self.entries)}, factor_dims={self.factor_dims})"
 
 
 def _ptrace(m: np.ndarray, dims: tuple[int, ...], j: int) -> np.ndarray:

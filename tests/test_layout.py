@@ -2,8 +2,8 @@
 the dimension range, no thread pools, the see-saw's state layouts multiplied only by its two
 effective-operator functions, one command-line parser, one report writer, one permutation-sum
 builder, one random stream for the see-saw's starts, and a public surface trimmed to what the
-solvers, the CLI and the benchmark call, with no operator algebra beside numpy and no wrapper
-between a state and its operator."""
+solvers, the CLI and the benchmark call, with no operator algebra beside numpy, no wrapper
+between a state and its operator and no alias that restates a fact its callers hold."""
 
 from __future__ import annotations
 
@@ -18,6 +18,7 @@ import bellforge.cli
 
 PACKAGE = Path(bellforge.__file__).parent
 BENCHMARKS = Path(__file__).resolve().parents[1] / "benchmarks"
+PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
 EIG_NAMES = {"eig", "eigh", "eigvals", "eigvalsh"}
 # The closed-form two-qubit CHSH oracle keeps its own 3x3 real eigen-solve,
 # so that it stays an independent reference for the see-saw.
@@ -279,6 +280,27 @@ def test_a_density_operator_is_an_operator():
     for obj in (state, bellforge.flip(2)):
         with pytest.raises(dataclasses.FrozenInstanceError):
             obj.op = None
+
+
+def test_no_one_expression_aliases():
+    """An operator's side and factor count, an observable's dimension, a state's entries and
+    local dimension, a correlation and the script's exit are read where they are held; no
+    property, helper or wrapper restates one of them in one expression."""
+    aliases = (
+        (bellforge.TensorOperator, "side"),
+        (bellforge.TensorOperator, "nfactors"),
+        (bellforge.Observable, "dim"),
+        (bellforge.bell, "_check_state"),
+        (bellforge.bell, "_corr_raw"),
+        (bellforge.cli, "entrypoint"),
+    )
+    assert [name for owner, name in aliases if hasattr(owner, name)] == []
+    assert bellforge.cli.__all__ == ["main"]
+    # plain text: ``tomllib`` is not in Python 3.10
+    lines = PYPROJECT.read_text(encoding="utf-8").splitlines()
+    assert [line for line in lines if line.startswith("bellforge =")] == [
+        'bellforge = "bellforge.cli:main"'
+    ]
 
 
 def test_package_exports_exactly_the_module_lists():

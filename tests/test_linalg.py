@@ -63,12 +63,6 @@ def test_constructor_copies_input():
     assert t.entries[0, 0] == 1.0
 
 
-def test_side_and_nfactors():
-    t = la.TensorOperator(np.eye(12), (2, 3, 2))
-    assert t.side == 12
-    assert t.nfactors == 3
-
-
 # -------------------------------------------------------------- partial trace
 
 
@@ -161,7 +155,7 @@ def test_eig_hermitian_reconstructs_large_matrix():
     assert np.linalg.norm(recon - h.entries) <= 1e-9 * scale
     assert np.all(np.diff(la.eigenvalues(h)) <= 1e-12)  # descending
     gram = la._spectral_map(h.entries, np.ones_like)  # V V^H
-    assert np.linalg.norm(gram - np.eye(h.side)) <= 1e-10
+    assert np.linalg.norm(gram - np.eye(h.entries.shape[0])) <= 1e-10
 
 
 def test_eig_hermitian_eigenpairs_satisfy_equation():
@@ -170,7 +164,7 @@ def test_eig_hermitian_eigenpairs_satisfy_equation():
     h = random_hermitian(rng, (2, 3))
     vals = la.eigenvalues(h)[::-1]  # ascending, the kernel's order
     norm = la.operator_norm(h)
-    for k in range(h.side):
+    for k in range(h.entries.shape[0]):
         p = la._spectral_map(h.entries, lambda v: (np.arange(v.size) == k).astype(float))
         assert np.trace(p).real == pytest.approx(1.0, abs=1e-12)
         resid = np.linalg.norm(h.entries @ p - vals[k] * p)
