@@ -1,9 +1,10 @@
-"""Command-line interface: verify identities, maximize functionals, find extensions.
+"""Command-line interface: prove the source theorem, maximize functionals, find extensions.
 
 Subcommands:
 
-* ``verify``   -- numeric checks of the flip/antisymmetrizer/Werner and
-  source-operator identities for one local dimension.
+* ``verify``   -- exact proof, at one local dimension, that the source operator
+  extends the Werner state and that the Werner state is entangled, and the
+  distance of each float build from its exact operator.
 * ``bell``     -- see-saw maximization of the perfect-correlation Bell
   gap or the CHSH combination on a chosen state.
 * ``dso-find`` -- Douglas–Rachford projection search for a tripartite
@@ -37,24 +38,27 @@ import numpy as np
 
 from . import __version__
 from .bell import SeeSawConfig, seesaw_chsh, seesaw_original_bell
-from .extensions import dykstra_find_extension, pattern_right2, pattern_sym3, verify_marginals
+from .extensions import dykstra_find_extension, pattern_right2, pattern_sym3
 from .linalg import (
-    _idempotence,
+    _blocks,
+    _psd_defect,
     _ptrace,
+    _rational,
     _split_text,
-    eigenvalues,
     operator_from_text,
     operator_to_text,
 )
 from .states import (
+    _DSO_TWO_QUBIT,
+    _P_MINUS,
+    _Q,
     DensityOperator,
     _bipartite_dim,
     _check_local_dim,
-    antisym_projector,
-    antisymmetrizer3,
+    _permutation_sum,
+    _scaled,
     dso_general,
     dso_two_qubit,
-    flip,
     singlet,
     werner,
 )
@@ -126,61 +130,55 @@ def _check(value: float, threshold: float) -> dict:
     return {"value": float(value), "threshold": float(threshold), "pass": bool(value <= threshold)}
 
 
+def _exact(value: object, passed: bool) -> dict:
+    return {"value": str(value), "threshold": "0", "pass": bool(passed)}
+
+
+def _scaled_operators(d: int) -> tuple[np.ndarray, int, np.ndarray]:
+    """``W = d^3 werner(d) = (d+1) I - d V``, the scale ``k`` and ``S = k T`` in int64, from the
+    tables that build the states: T = dso_two_qubit(), k = 8 at d = 2, so S = 2I - V12 - V13;
+    else T = dso_general(d), k = d^4 (d-2), so S = d^2 sum sgn(pi) U_pi + (d-2) I."""
+    w = _permutation_sum(d, _scaled(_P_MINUS, lambda s: d * s, 1))
+    if d == 2:
+        return w, 8, _permutation_sum(2, _DSO_TWO_QUBIT)
+    return w, d**4 * (d - 2), _permutation_sum(d, _scaled(_Q, lambda s: d * d * s, d - 2))
+
+
+def _proof(d: int, w: np.ndarray, scale: int, s: np.ndarray) -> dict[str, dict]:
+    """The exact checks of ``_scaled_operators(d)``, any d >= 2: ``tr S`` is the scale, each
+    constrained partial trace of S is ``d(d-2) W`` (at d = 2, W on slots 2, 3 and 2I on slot 1),
+    S is PSD on its distinct weight-sector blocks, and the witness ``<Phi|werner(d)^Gamma|Phi> =
+    tr(W V) / d^3``, ``Phi = sum_i |ii>``, is negative.  A defect is a largest |entry| / scale."""
+    trace_gap = abs(int(np.trace(s)) - scale)
+    checks = {"source_trace": _exact(_rational(trace_gap, scale), trace_gap == 0)}
+    targets = (2 * np.eye(4, dtype=np.int64), w, w) if d == 2 else (d * (d - 2) * w,) * 3
+    for j, target in enumerate(targets, 1):
+        gap = np.abs(_ptrace(s, (d,) * 3, j) - target).max()
+        checks[f"source_marginal_{j}"] = _exact(_rational(gap, scale), gap == 0)
+    # Each distinct block once, keyed by its bytes, which blocks of other sizes cannot share.
+    distinct = {m.tobytes(): m for b in _blocks(s, (d,) * 3) for m in b.reshape(-1, *b.shape[-2:])}
+    psd = max(_psd_defect(m) for m in distinct.values())
+    checks["source_psd"] = _exact(psd / scale, psd == 0)
+    witness = _rational(np.einsum("abba->", w.reshape((d,) * 4)), d**3)
+    checks["werner_witness"] = _exact(witness, witness < 0)
+    return checks
+
+
 def cmd_verify(args: argparse.Namespace) -> _Outcome:
-    d, tol = args.d, args.tol
+    d = args.d
     _check_d(d)
+    # The float builds come first, so that no exact operator is held while they validate; each
+    # one's largest entry distance |F - E| = hypot(E - Re F, Im F) is taken in one temporary E.
+    rho, source = werner(d), dso_two_qubit() if d == 2 else dso_general(d)
+    w, scale, s = _scaled_operators(d)
+    checks = _proof(d, w, scale, s)
+    for key, f, e in (("werner", rho, w / d**3), ("source", source, s / scale)):
+        e -= f.entries.real
+        checks[f"{key}_float_error"] = _check(np.hypot(e, f.entries.imag, out=e).max(), args.tol)
 
-    checks: dict[str, dict] = {}
-    eye2 = np.eye(d * d)
-    v = flip(d).entries
-    checks["flip_trace"] = _check(abs(np.trace(v) - d), tol)
-    checks["flip_involution"] = _check(np.linalg.norm(v @ v - eye2), tol)
-
-    w = werner(d)
-    alt = ((d + 1) / d**3) * eye2 - (1.0 / d**2) * v
-    checks["werner_forms_agree"] = _check(np.linalg.norm(w.entries - alt), tol)
-    checks["werner_trace"] = _check(abs(np.trace(w.entries) - 1.0), tol)
-    eigvals = eigenvalues(w)
-    checks["werner_negativity"] = _check(max(0.0, -eigvals[-1]), tol)
-    expected = np.concatenate(
-        [
-            np.full(d * (d - 1) // 2, 1.0 / d**3 + 2.0 / d**2),
-            np.full(d * (d + 1) // 2, 1.0 / d**3),
-        ]
-    )
-    checks["werner_spectrum"] = _check(float(np.max(np.abs(eigvals - expected))), tol)
-
-    q = antisymmetrizer3(d)
-    if d == 2:
-        checks["antisymmetrizer_vanishes"] = _check(float(np.linalg.norm(q.entries)), tol)
-    checks["antisymmetrizer_idempotent"] = _check(_idempotence(q), tol)
-    checks["antisymmetrizer_trace"] = _check(
-        abs(np.trace(q.entries) - d * (d - 1) * (d - 2) / 6.0), tol
-    )
-    target = ((d - 2) / 3.0) * antisym_projector(d).entries
-    for j in (1, 2, 3):
-        checks[f"antisymmetrizer_partial_trace_{j}"] = _check(
-            np.linalg.norm(_ptrace(q.entries, q.factor_dims, j) - target), tol
-        )
-
-    source = dso_two_qubit() if d == 2 else dso_general(d)
-    checks["source_trace"] = _check(abs(np.trace(source.entries) - 1.0), tol)
-    source_vals = eigenvalues(source)
-    checks["source_negativity"] = _check(max(0.0, -source_vals[-1]), tol)
-    pattern = pattern_right2(w) if d == 2 else pattern_sym3(w)
-    for (j, _), residual in zip(pattern.constraints, verify_marginals(source, pattern)):
-        checks[f"source_marginal_{j}"] = _check(residual, tol)
-    if d == 2:
-        checks["source_marginal_1_mixed"] = _check(
-            np.linalg.norm(_ptrace(source.entries, source.factor_dims, 1) - 0.25 * np.eye(4)), tol
-        )
-        dso_expected = np.array([0.375, 0.375, 0.125, 0.125, 0.0, 0.0, 0.0, 0.0])
-        checks["source_spectrum"] = _check(float(np.max(np.abs(source_vals - dso_expected))), tol)
-
-    passed = all(entry["pass"] for entry in checks.values())
     npass = sum(entry["pass"] for entry in checks.values())
     notes = [f"verify d={d}: {npass}/{len(checks)} identity checks passed"]
-    return _Outcome(d=d, results=checks, passed=passed, notes=notes)
+    return _Outcome(d=d, results=checks, passed=npass == len(checks), notes=notes)
 
 
 def cmd_bell(args: argparse.Namespace) -> _Outcome:
@@ -266,9 +264,11 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_verify = sub.add_parser("verify", help="check the operator identities for one dimension")
+    p_verify = sub.add_parser("verify", help="prove the source theorem exactly for one dimension")
     p_verify.add_argument("--d", type=int, required=True, help="local dimension, 2..6")
-    p_verify.add_argument("--tol", type=float, default=1e-10, help="pass threshold")
+    p_verify.add_argument(
+        "--tol", type=float, default=1e-10, help="pass threshold of the float checks"
+    )
     p_verify.add_argument("--quiet", action="store_true", help="suppress the stderr summary")
     p_verify.set_defaults(func=cmd_verify)
 

@@ -17,12 +17,12 @@ Gatermann & Parrilo, JPAA 192, 95 (2004)).  ``_layout`` lays such matrices
 out as one flat vector of block entries, once per dimension and read-only.
 On that vector the kernel takes partial traces, embeds, projects onto the
 density set and solves the spectrum, one stacked solve per block size.
-``eigenvalues``, density validation and ``verify``'s idempotence check read an
-operator through ``_blocks``: the Hermiticity, spectrum and idempotence of a
-three-factor operator that conserves weight are taken exactly on its blocks,
-and those of any other operator on its one dense matrix, in real arithmetic
-for a zero imaginary part.  The extension search stores its iterates in the
-same layout.
+``eigenvalues``, density validation and ``verify``'s exact positivity proof
+(``_psd_defect``, an exact LDL^T of an integer matrix) read an operator through
+``_blocks``: the Hermiticity and spectrum of a three-factor operator that
+conserves weight are taken exactly on its blocks, and those of any other
+operator on its one dense matrix, in real arithmetic for a zero imaginary
+part.  The extension search stores its iterates in the same layout.
 """
 
 from __future__ import annotations
@@ -31,9 +31,12 @@ import functools
 import math
 import operator
 from dataclasses import dataclass
-from typing import Callable
+from typing import TYPE_CHECKING, Callable
 
 import numpy as np
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 __all__ = [
     "TensorOperator",
@@ -280,15 +283,36 @@ def _asymmetry(blocks: list[np.ndarray]) -> float:
     return _norm([b - b.conj().swapaxes(-1, -2) for b in blocks]) / max(1.0, _norm(blocks))
 
 
-def _idempotence(t: TensorOperator) -> float:
-    """Frobenius norm of ``t @ t - t``, a product of the ``_blocks`` of ``t``."""
-    return _norm([b @ b - b for b in _blocks(t.entries, t.factor_dims)])
-
-
 def _spectrum(blocks: list[np.ndarray]) -> np.ndarray:
     """Ascending eigenvalues of the Hermitian part of the matrix with these blocks, one solve per
     stack; exact, as the matrix has no other entry."""
     return np.sort(np.concatenate([_eigenvalues(b).ravel() for b in blocks]))
+
+
+def _rational(n: int, den: int = 1) -> Fraction:
+    """``n / den`` exactly, for any integer type; only exact checks import ``fractions``."""
+    from fractions import Fraction
+    return Fraction(int(n), den)
+
+
+def _psd_defect(a: np.ndarray) -> Fraction:
+    """0 if the integer matrix ``a`` is symmetric and PSD, else a positive ``Fraction``: the largest
+    |entry| of ``a - a^T``, or of the Schur complement that an exact LDL^T, pivoting on the largest
+    diagonal entry, leaves once none is positive (a PSD one is then zero).  Fraction-free, in
+    Python integers: ``s`` is the complement times its last pivot, which divides exactly."""
+    if asymmetry := np.abs(a - a.T).max():
+        return _rational(asymmetry)
+    s, last = a.tolist(), 1
+    while s and (pivot := max(row[i] for i, row in enumerate(s))) > 0:
+        k = next(i for i, row in enumerate(s) if row[i] == pivot)
+        column = [row[k] for row in s]
+        s = [
+            [(pivot * x - column[i] * column[j]) // last for j, x in enumerate(row) if j != k]
+            for i, row in enumerate(s)
+            if i != k
+        ]
+        last = pivot
+    return _rational(max((abs(x) for row in s for x in row), default=0), last)
 
 
 def eigenvalues(t: TensorOperator) -> np.ndarray:

@@ -1,22 +1,17 @@
 """Werner states and their tripartite source operators.
 
-The bipartite objects live on C^d (x) C^d: the flip (swap) operator, the
-antisymmetric projector, and the Werner state built from it.  The
-tripartite objects live on C^d (x) C^d (x) C^d: the three-factor
-antisymmetrizer, and the two source-operator families whose partial
-traces reproduce Werner states.  Each named operator is one ordered sum
-of factor-permutation operators U_pi, built by ``_permutation_sum`` from
-``(images, c)`` terms: U_pi moves slot ``i`` to slot ``images[i - 1]``.
-A ``DensityOperator`` is a ``TensorOperator`` that checks its
-``density_deficits`` when it is built: exactly, on the weight-sector blocks
-of a three-factor operator that conserves weight, and in real arithmetic if
-real.
-"""
+Each named operator is one ordered sum of factor-permutation operators U_pi, built by
+``_permutation_sum`` from an integer table of ``(images, s)`` terms and a scale: U_pi moves slot
+``i`` to slot ``images[i - 1]``.  With integer scales the same tables give the exact operators
+that ``verify`` proves the source theorem on.  A ``DensityOperator`` is a ``TensorOperator`` that
+checks its ``density_deficits`` when it is built: exactly, on the weight-sector blocks of a
+three-factor operator that conserves weight, and in real arithmetic if real."""
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -33,9 +28,6 @@ from .linalg import (
 __all__ = [
     "DensityOperator",
     "density_deficits",
-    "flip",
-    "antisym_projector",
-    "antisymmetrizer3",
     "werner",
     "singlet",
     "dso_two_qubit",
@@ -91,44 +83,36 @@ class DensityOperator(TensorOperator):
             raise ValueError(f"density operator has negative eigenvalue -{negativity:.3e}")
 
 
-# Terms ``(images, c)`` of P_minus = (I - flip)/2 and of Q = sum of sgn(pi) U_pi / 6, the
-# ordered tables from which the named operators are summed; sgn(pi) is (-1) to the number of
-# inversions in pi's images.
-_P_MINUS = (((1, 2), 0.5), ((2, 1), -0.5))
+# The integer term tables ``(images, s)`` the named operators are summed from: P_minus =
+# (I - flip)/2 is _P_MINUS / 2, the antisymmetrizer Q is _Q / 6, each sign the parity of the
+# images' inversion count, and dso_two_qubit() is _DSO_TWO_QUBIT / 8 = (2I - V12 - V13)/8.
+_P_MINUS = (((1, 2), 1), ((2, 1), -1))
 _Q = tuple(
-    (images, (-1) ** sum(a > b for a, b in itertools.combinations(images, 2)) / 6.0)
+    (images, (-1) ** sum(a > b for a, b in itertools.combinations(images, 2)))
     for images in itertools.permutations((1, 2, 3))
 )
+_DSO_TWO_QUBIT = (((1, 2, 3), 2), ((2, 1, 3), -1), ((3, 2, 1), -1))
 
 
-def _permutation_sum(
-    d: int, terms: tuple[tuple[tuple[int, ...], float], ...], kind: type = TensorOperator
-) -> TensorOperator:
-    """``sum c U_images`` over the ``(images, c)`` pairs on copies of C^d, d >= 2, as one
-    operator of class ``kind``; each ``c`` is added at its unitary's ones in the order given,
-    which fixes every rounding."""
+def _scaled(table: tuple, coef: Callable[[int], float], eye: float) -> tuple:
+    """The terms of ``table`` with each sign ``s`` replaced by ``coef(s)``, then the identity with
+    coefficient ``eye``: last, so that where the signed terms cancel they reach 0 first."""
+    identity = tuple(range(1, len(table[0][0]) + 1))
+    return (*((images, coef(s)) for images, s in table), (identity, eye))
+
+
+def _permutation_sum(d: int, terms: tuple) -> np.ndarray:
+    """``sum c U_images`` over the ``(images, c)`` pairs on copies of C^d, d >= 2, as a raw array
+    in the coefficients' dtype: int64 for integers, exactly.  Each ``c`` is added at its
+    unitary's ones in the order given, which fixes every rounding."""
     if d < 2:
         raise ValueError(f"local dimension must be at least 2, got {d}")
     dims = (d,) * len(terms[0][0])
-    m = np.zeros((d ** len(dims),) * 2)
+    m = np.zeros((d ** len(dims),) * 2, np.result_type(*(c for _, c in terms)))
     rows = np.arange(len(m))
     for images, c in terms:
         m[rows, _permutation(dims, images)] += c
-    return kind(m, dims)
-
-
-def flip(d: int) -> TensorOperator:
-    """Flip (swap) operator on C^d (x) C^d, exchanging the two factors.
-
-    In the product basis it is the sum of |e_n e_m><e_m e_n| over all n, m;
-    it squares to the identity and has trace d.
-    """
-    return _permutation_sum(d, (((2, 1), 1.0),))
-
-
-def antisym_projector(d: int) -> TensorOperator:
-    """Projector onto the antisymmetric subspace of C^d (x) C^d: (I - flip)/2."""
-    return _permutation_sum(d, _P_MINUS)
+    return m
 
 
 def werner(d: int) -> DensityOperator:
@@ -141,22 +125,13 @@ def werner(d: int) -> DensityOperator:
     """
     if d < 2:  # before the coefficients, which divide by d
         raise ValueError(f"local dimension must be at least 2, got {d}")
-    scaled = ((pi, 2.0 / d**2 * c) for pi, c in _P_MINUS)
-    return _permutation_sum(d, (*scaled, ((1, 2), 1.0 / d**3)), DensityOperator)
+    terms = _scaled(_P_MINUS, lambda s: 1.0 / d**2 * s, 1.0 / d**3)
+    return DensityOperator(_permutation_sum(d, terms), (d, d))
 
 
 def singlet() -> DensityOperator:
     """Two-qubit singlet state: the rank-one projector onto (|01> - |10>)/sqrt(2)."""
-    return _permutation_sum(2, _P_MINUS, DensityOperator)
-
-
-def antisymmetrizer3(d: int) -> TensorOperator:
-    """Projector onto the totally antisymmetric subspace of three C^d factors.
-
-    Average of the six signed permutation operators; its trace is
-    d(d-1)(d-2)/6, and for d = 2 it is the zero operator.
-    """
-    return _permutation_sum(d, _Q)
+    return DensityOperator(_permutation_sum(2, tuple((pi, 0.5 * s) for pi, s in _P_MINUS)), (2, 2))
 
 
 def dso_two_qubit() -> DensityOperator:
@@ -167,8 +142,8 @@ def dso_two_qubit() -> DensityOperator:
     Tracing out factor 2 or factor 3 yields the d = 2 Werner state;
     tracing out factor 1 yields the maximally mixed two-qubit state.
     """
-    v12, v13 = ((2, 1, 3), -0.125), ((3, 2, 1), -0.125)
-    return _permutation_sum(2, (((1, 2, 3), 0.25), v12, v13), DensityOperator)
+    terms = tuple((pi, 0.125 * s) for pi, s in _DSO_TWO_QUBIT)
+    return DensityOperator(_permutation_sum(2, terms), (2, 2, 2))
 
 
 def dso_general(d: int) -> DensityOperator:
@@ -182,5 +157,5 @@ def dso_general(d: int) -> DensityOperator:
     """
     if d <= 2:
         raise ValueError(f"symmetric source operator needs local dimension >= 3, got {d}")
-    scaled = ((pi, 6.0 / (d * d * (d - 2)) * q) for pi, q in _Q)
-    return _permutation_sum(d, (*scaled, ((1, 2, 3), 1.0 / d**4)), DensityOperator)
+    terms = _scaled(_Q, lambda s: 6.0 / (d * d * (d - 2)) * (s / 6.0), 1.0 / d**4)
+    return DensityOperator(_permutation_sum(d, terms), (d, d, d))

@@ -19,6 +19,7 @@ import bellforge as bf
 from bellforge import SeeSawConfig
 from bellforge.cli import main
 from bellforge.linalg import _ptrace
+from test_states import PARITIES, _perm
 
 IDENTITY_TOL = 1e-10
 
@@ -40,16 +41,16 @@ def test_criterion_1_algebraic_identities(capsys):
 
     for d in range(2, 7):
         eye2 = np.eye(d * d)
-        v = bf.flip(d).entries
+        v = _perm(d, (2, 1))
         check(f"d={d} flip involution", float(np.linalg.norm(v @ v - eye2)))
         check(f"d={d} flip trace", abs(np.trace(v) - d))
 
-        q = bf.antisymmetrizer3(d).entries
+        q = sum(PARITIES[images] * _perm(d, images) for images in PARITIES) / 6.0
         asymmetry = float(np.linalg.norm(q - q.conj().T))
         check(f"d={d} antisymmetrizer hermitian", asymmetry)
         check(f"d={d} antisymmetrizer idempotent", float(np.linalg.norm(q @ q - q)))
         check(f"d={d} antisymmetrizer trace", abs(np.trace(q) - d * (d - 1) * (d - 2) / 6.0))
-        target = ((d - 2) / 3.0) * bf.antisym_projector(d).entries
+        target = ((d - 2) / 3.0) * (eye2 - v) / 2.0
         for j in (1, 2, 3):
             check(
                 f"d={d} antisymmetrizer partial trace {j}",

@@ -12,7 +12,9 @@ import numpy as np
 import pytest
 
 import bellforge as bf
+from bellforge import cli
 from bellforge.cli import build_parser, main
+from test_states import _scaled_dense
 
 REPORT_KEYS = ["command", "parameters", "results", "wall_time_ms", "artifact_version"]
 
@@ -63,56 +65,125 @@ def test_verify_passes_for_supported_dimensions(capsys, d):
     assert "identity checks passed" in err
 
 
+# The PPT witness <Phi|werner(d)^Gamma|Phi> = (d + 1 - d^2) / d^2, Phi = sum_i |ii>, exactly.
+WITNESS = {2: "-1/4", 3: "-5/9", 4: "-11/16", 5: "-19/25", 6: "-29/36"}
+EXACT_KEYS = [
+    "source_trace",
+    "source_marginal_1",
+    "source_marginal_2",
+    "source_marginal_3",
+    "source_psd",
+    "werner_witness",
+]
+
+
 @pytest.mark.parametrize("d", [2, 3, 4, 5, 6])
 def test_verify_results_keep_their_dense_definitions(capsys, d):
-    """Each ``verify`` value, in report order, is the defect of its identity, written here in
-    plain numpy on the dense matrices: V the flip, W the Werner state, Q the antisymmetrizer,
-    P the antisymmetric projector and S the source operator."""
+    """``verify`` reports its exact checks, every defect ``"0"`` and the witness
+    ``(d + 1 - d^2) / d^2``, then the largest entry distance of each float build from its exact
+    operator, written here on the dense matrices, in this order."""
     code, report, _ = run_cli(capsys, ["verify", "--d", str(d), "--quiet"])
     assert code == 0
-    v, w = bf.flip(d).entries, bf.werner(d).entries
-    q, p = bf.antisymmetrizer3(d).entries, bf.antisym_projector(d).entries
-    s = (bf.dso_two_qubit() if d == 2 else bf.dso_general(d)).entries
-    eye, norm = np.eye(d * d), np.linalg.norm
-    w_vals, s_vals = np.linalg.eigvalsh(w)[::-1], np.linalg.eigvalsh(s)[::-1]
-    w_spectrum = [1 / d**3 + 2 / d**2] * (d * (d - 1) // 2) + [1 / d**3] * (d * (d + 1) // 2)
-
-    def ptr(m, j):
-        """``m`` on three factors C^d with factor j traced out."""
-        return np.trace(m.reshape((d,) * 6), axis1=j - 1, axis2=j + 2).reshape(d * d, d * d)
-
-    expected = {
-        "flip_trace": abs(np.trace(v) - d),
-        "flip_involution": norm(v @ v - eye),
-        "werner_forms_agree": norm(w - ((d + 1) / d**3 * eye - v / d**2)),
-        "werner_trace": abs(np.trace(w) - 1),
-        "werner_negativity": max(0.0, -w_vals[-1]),
-        "werner_spectrum": np.max(np.abs(w_vals - w_spectrum)),
-        **({"antisymmetrizer_vanishes": norm(q)} if d == 2 else {}),
-        "antisymmetrizer_idempotent": norm(q @ q - q),
-        "antisymmetrizer_trace": abs(np.trace(q) - d * (d - 1) * (d - 2) / 6),
-        **{
-            f"antisymmetrizer_partial_trace_{j}": norm(ptr(q, j) - (d - 2) / 3 * p)
-            for j in (1, 2, 3)
-        },
-        "source_trace": abs(np.trace(s) - 1),
-        "source_negativity": max(0.0, -s_vals[-1]),
-    }
-    if d == 2:
-        expected |= {f"source_marginal_{j}": norm(ptr(s, j) - w) for j in (2, 3)}
-        expected["source_marginal_1_mixed"] = norm(ptr(s, 1) - eye / 4)
-        s_spectrum = [3 / 8, 3 / 8, 1 / 8, 1 / 8, 0, 0, 0, 0]
-        expected["source_spectrum"] = np.max(np.abs(s_vals - s_spectrum))
-    else:
-        expected |= {f"source_marginal_{j}": norm(ptr(s, j) - w) for j in (1, 2, 3)}
+    w, scale, s = _scaled_dense(d)
+    source = (bf.dso_two_qubit() if d == 2 else bf.dso_general(d)).entries
     results = report["results"]
-    assert list(results) == list(expected)
-    for key, value in expected.items():
-        assert abs(results[key]["value"] - value) <= 1e-15, key
+    assert list(results) == [*EXACT_KEYS, "werner_float_error", "source_float_error"]
+    for key in EXACT_KEYS:
+        value = WITNESS[d] if key == "werner_witness" else "0"
+        assert results[key] == {"value": value, "threshold": "0", "pass": True}, key
+    floats = {
+        "werner_float_error": np.max(np.abs(bf.werner(d).entries - w / d**3)),
+        "source_float_error": np.max(np.abs(source - s / scale)),
+    }
+    for key, value in floats.items():
+        assert results[key] == {"value": float(value), "threshold": 1e-10, "pass": True}, key
+
+
+def _failing(capsys, argv: list[str]) -> list[str]:
+    code, report, _ = run_cli(capsys, argv)
+    assert code == 1
+    return [key for key, entry in report["results"].items() if not entry["pass"]]
+
+
+def _mutate(monkeypatch, change) -> None:
+    """Make ``verify`` read ``change(d, S)`` as its exact scaled source."""
+
+    def mutated(d, _original=cli._scaled_operators):
+        w, scale, s = _original(d)
+        return w, scale, change(d, s.copy())
+
+    monkeypatch.setattr(cli, "_scaled_operators", mutated)
+
+
+@pytest.mark.parametrize("d", [3, 4, 6])
+def test_verify_fails_on_a_lowered_identity_term(monkeypatch, capsys, d):
+    """S with its identity term ``d - 2`` lowered by ``2(d - 2)``, which is ``2/d^4`` in the
+    source, has the wrong trace and marginals and a negative ``|aaa>`` block."""
+
+    def lowered(d, s):
+        return s - 2 * (d - 2) * np.eye(d**3, dtype=np.int64)
+
+    _mutate(monkeypatch, lowered)
+    failing = _failing(capsys, ["verify", "--d", str(d), "--quiet"])
+    assert failing == [*EXACT_KEYS[:5], "source_float_error"]
+
+
+@pytest.mark.parametrize("d", [3, 4, 6])
+def test_verify_fails_on_a_perturbed_off_diagonal_pair(monkeypatch, capsys, d):
+    """One symmetric pair inside a six-state sector, ``|012>`` and ``|021>``, raised by one unit:
+    tracing out slot 1, where both states hold 0, sees it; slots 2 and 3 and the trace do not,
+    and the block stays PSD."""
+
+    def perturbed(d, s):
+        i, j = d + 2, 2 * d + 1
+        s[i, j] += 1
+        s[j, i] += 1
+        return s
+
+    _mutate(monkeypatch, perturbed)
+    failing = _failing(capsys, ["verify", "--d", str(d), "--quiet"])
+    assert failing == ["source_marginal_1", "source_float_error"]
+
+
+@pytest.mark.parametrize("d", [3, 4, 6])
+def test_verify_fails_on_a_flipped_sign(monkeypatch, capsys, d):
+    """The exact source summed from Q's table with the sign of the transposition of slots 2 and
+    3 flipped has the wrong trace and marginals; the float build keeps the true table."""
+    flipped = tuple((images, -s if images == (1, 3, 2) else s) for images, s in cli._Q)
+    monkeypatch.setattr(cli, "_Q", flipped)
+    failing = _failing(capsys, ["verify", "--d", str(d), "--quiet"])
+    assert failing == [*EXACT_KEYS[:5], "source_float_error"]
+
+
+@pytest.mark.parametrize("d", [3, 4, 6])
+def test_verify_fails_on_a_pair_no_marginal_sees(monkeypatch, capsys, d):
+    """``|012>`` and ``|120>`` agree in no slot, so raising their pair by ``2 d^2`` keeps every
+    partial trace and the trace; only the PSD check sees it: the pair's 2 x 2 principal block,
+    ``[[d^2 + d - 2, 3 d^2], [3 d^2, d^2 + d - 2]]``, is indefinite."""
+
+    def raised(d, s):
+        i, j = d + 2, d * d + 2 * d
+        s[i, j] += 2 * d * d
+        s[j, i] += 2 * d * d
+        return s
+
+    _mutate(monkeypatch, raised)
+    failing = _failing(capsys, ["verify", "--d", str(d), "--quiet"])
+    assert failing == ["source_psd", "source_float_error"]
+
+
+@pytest.mark.parametrize("d", [7, 8, 12])
+def test_exact_checks_pass_past_the_command_line_cap(d):
+    """The exact checks take any d; only the command line stops at 6."""
+    checks = cli._proof(d, *cli._scaled_operators(d))
+    assert all(entry["pass"] for entry in checks.values())
+    assert [checks[key]["value"] for key in EXACT_KEYS[:5]] == ["0"] * 5
+    assert checks["werner_witness"]["value"] == f"{d + 1 - d * d}/{d * d}"
 
 
 def test_verify_fails_with_impossible_tolerance(capsys):
-    code, report, _ = run_cli(capsys, ["verify", "--d", "3", "--tol", "1e-30"])
+    """At d = 5 the float source is 1.7e-18 from the exact one, more than 1e-30."""
+    code, report, _ = run_cli(capsys, ["verify", "--d", "5", "--tol", "1e-30"])
     assert code == 1
     assert not all(entry["pass"] for entry in report["results"].values())
 
@@ -449,8 +520,9 @@ def test_every_entry_point_reports_the_supported_range(capsys, tmp_path, entry):
 
 
 def test_verify_solves_three_factor_operators_by_weight_sector(monkeypatch, capsys):
-    """``verify --d 6`` checks the 216-sided source operator block by block, in blocks of 3
-    and 6 states (1x1 blocks need no solve), and the 36-sided Werner state as one block."""
+    """``verify --d 6`` solves the spectra only to validate its float builds: the 216-sided
+    source operator block by block, in blocks of 3 and 6 states (1x1 blocks need no solve), and
+    the 36-sided Werner state as one block."""
     sides = []
     for name in ("eigvalsh", "eigh"):
 
@@ -460,17 +532,18 @@ def test_verify_solves_three_factor_operators_by_weight_sector(monkeypatch, caps
 
         monkeypatch.setattr(np.linalg, name, spy)
     code, report, _ = run_cli(capsys, ["verify", "--d", "6", "--quiet"])
-    assert code == 0 and report["results"]["source_negativity"]["pass"]
-    assert sorted(set(sides)) == [3, 6, 36]
+    assert code == 0 and report["results"]["source_psd"]["pass"]
+    assert sorted(sides) == [3, 6, 36]
 
 
 @pytest.mark.parametrize("d", [4, 5, 6])
 def test_verify_does_no_dense_three_factor_work(monkeypatch, capsys, d):
     """``verify`` multiplies no three-factor operator densely and takes no norm of more than
-    d**4 entries, so it calls no BLAS kernel large enough to start worker threads: the
-    idempotence product reads the antisymmetrizer as its stacks of 1-, 3- and 6-sided blocks."""
-    reads, sizes = [], []
-    blocks, norm = bf.linalg._blocks, np.linalg.norm
+    d**4 entries, so it calls no BLAS kernel large enough to start worker threads: the exact
+    positivity proof reads the scaled source as its stacks of 1-, 3- and 6-sided blocks, and
+    factors one of each size."""
+    reads, sizes, factored = [], [], []
+    blocks, norm, defect = bf.linalg._blocks, np.linalg.norm, cli._psd_defect
 
     def blocks_spy(m, dims):
         out = blocks(m, dims)
@@ -481,18 +554,25 @@ def test_verify_does_no_dense_three_factor_work(monkeypatch, capsys, d):
         sizes.append(np.size(x))
         return norm(x, *args, **kwargs)
 
+    def defect_spy(a):
+        factored.append(a.shape)
+        return defect(a)
+
     monkeypatch.setattr(bf.linalg, "_blocks", blocks_spy)
+    monkeypatch.setattr(cli, "_blocks", blocks_spy)
     monkeypatch.setattr(np.linalg, "norm", norm_spy)
+    monkeypatch.setattr(cli, "_psd_defect", defect_spy)
     code, _, _ = run_cli(capsys, ["verify", "--d", str(d), "--quiet"])
     assert code == 0
-    assert ("_idempotence", (d, d, d), [1, 3, 6]) in reads
+    assert ("_proof", (d, d, d), [1, 3, 6]) in reads
     assert all(max(sides) <= 6 for _, dims, sides in reads if len(dims) == 3)
     assert sizes and max(sizes) <= d**4
+    assert factored == [(1, 1), (3, 3), (6, 6)]
 
 
 def test_verify_solves_each_spectrum_once(monkeypatch, capsys):
     """``verify --d 2`` solves the 4-sided Werner state and the source operator's 3-sided weight
-    sectors twice each: once to validate the state, once for its negativity and spectrum."""
+    sectors once each, to validate the states; the exact proof solves none."""
     sides = []
 
     def spy(m, *args, _original=np.linalg.eigvalsh, **kwargs):
@@ -502,7 +582,7 @@ def test_verify_solves_each_spectrum_once(monkeypatch, capsys):
     monkeypatch.setattr(np.linalg, "eigvalsh", spy)
     code, _, _ = run_cli(capsys, ["verify", "--d", "2", "--quiet"])
     assert code == 0
-    assert sorted(sides) == [3, 3, 4, 4]
+    assert sorted(sides) == [3, 4]
 
 
 # ----------------------------------------------------------------------- misc
@@ -540,6 +620,21 @@ def test_import_builds_no_parser():
         [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
     )
     assert done.stdout == "0\n"
+
+
+def test_only_verify_imports_fractions():
+    """Exact arithmetic is imported on first use, so ``bell`` and ``dso-find`` never load it."""
+    probe = (
+        "import sys, bellforge.cli as cli; cli.main(['dso-find', '--d', '3', '--pattern', 'sym3',"
+        " '--quiet']); print('fractions' in sys.modules); cli.main(['verify', '--d', '3',"
+        " '--quiet']); print('fractions' in sys.modules)"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(bf.__file__).parents[1])}
+    done = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+    )
+    flags = [line for line in done.stdout.splitlines() if line in ("False", "True")]
+    assert flags == ["False", "True"]
 
 
 def test_options_do_not_carry_over_to_a_later_call(capsys):

@@ -16,6 +16,7 @@ from bellforge.extensions import _sweep
 from bellforge.linalg import (
     PSD_TOL, _add_embedded, _block_ptrace, _layout, _permutation, _project_density, _ptrace
 )
+from test_states import _perm
 
 
 def random_hermitian(rng: np.random.Generator, side: int) -> np.ndarray:
@@ -258,7 +259,7 @@ def test_sweep_is_exact_on_rational_entries():
     layout = _layout(d, True)
     v = np.array([Fraction(x) for x in found.candidate.entries[layout.rows, layout.cols].real])
     eye = np.eye(d * d, dtype=int).astype(object)
-    swap = bf.flip(d).entries.real.astype(int).astype(object)
+    swap = _perm(d, (2, 1)).astype(int).astype(object)
     target = Fraction(d + 1, d**3) * eye - Fraction(1, d**2) * swap
     swept, deficits = _sweep(v, layout, tuple((j, target) for j in (1, 2, 3)))
     assert any(deficit.any() for deficit in deficits)

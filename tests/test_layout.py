@@ -8,13 +8,17 @@ between a state and its operator and no alias that restates a fact its callers h
 from __future__ import annotations
 
 import ast
+import contextlib
 import dataclasses
+import io
+import json
 from pathlib import Path
 
 import pytest
 
 import bellforge
 import bellforge.cli
+from test_states import _perm
 
 PACKAGE = Path(bellforge.__file__).parent
 BENCHMARKS = Path(__file__).resolve().parents[1] / "benchmarks"
@@ -209,6 +213,46 @@ def test_one_permutation_sum_builds_every_named_operator():
     assert not [owner for owner in _call_owners("identity") if owner.startswith("states.py:")]
 
 
+def _module_stores(name: str) -> list[str]:
+    """``module:top-level name`` of every assignment to ``name``."""
+    return sorted(
+        f"{module}:{getattr(top, 'name', '<module>')}"
+        for module, tree in _modules()
+        for top in tree.body
+        for node in ast.walk(top)
+        if isinstance(node, ast.Name) and node.id == name and isinstance(node.ctx, ast.Store)
+    )
+
+
+def test_one_integer_table_per_operator():
+    """The terms of P_minus, Q and the two-qubit source are declared once each, at ``states``'
+    module level, with integer signs that the float and the exact builds both scale;
+    ``_permutation_sum`` sums every one; only ``linalg`` imports ``Fraction``; and ``verify``'s
+    ``results`` are the same bytes on every call."""
+    for table in ("_P_MINUS", "_Q", "_DSO_TWO_QUBIT"):
+        assert _module_stores(table) == ["states.py:<module>"], table
+        assert all(type(s) is int for _, s in getattr(bellforge.states, table)), table
+    assert _call_owners("_permutation") == ["states.py:_permutation_sum"]
+    importers = sorted(
+        {
+            name
+            for name, tree in _modules()
+            for node in ast.walk(tree)
+            if isinstance(node, (ast.Import, ast.ImportFrom))
+            and {"fractions", "Fraction"}
+            & {getattr(node, "module", None), *(alias.name for alias in node.names)}
+        }
+    )
+    assert importers == ["linalg.py"]
+    outputs = []
+    for _ in range(2):
+        buffer = io.StringIO()
+        with contextlib.redirect_stdout(buffer):
+            assert bellforge.cli.main(["verify", "--d", "4", "--quiet"]) == 0
+        outputs.append(json.dumps(json.loads(buffer.getvalue())["results"]))
+    assert outputs[0] == outputs[1]
+
+
 def test_one_stream_draws_every_start():
     """Every see-saw start is read from one ``Philox`` stream under the key ``bell._START_KEY``,
     declared once; no module names a per-seed generator, so none can be built beside it."""
@@ -239,8 +283,7 @@ PUBLIC_NAMES = {
     # linalg
     "TensorOperator", "eigenvalues", "operator_norm", "operator_to_text", "operator_from_text",
     # states
-    "DensityOperator", "density_deficits", "flip", "antisym_projector", "antisymmetrizer3",
-    "werner", "singlet", "dso_two_qubit", "dso_general",
+    "DensityOperator", "density_deficits", "werner", "singlet", "dso_two_qubit", "dso_general",
     # extensions
     "MarginalPattern", "InfeasibilityCertificate", "FeasibilityResult", "verify_marginals",
     "pattern_sym3", "pattern_right2", "dykstra_find_extension",
@@ -255,7 +298,10 @@ def test_public_surface_is_pinned():
     assert set(bellforge.__all__) == PUBLIC_NAMES
     assert len(bellforge.__all__) == len(PUBLIC_NAMES)
     assert all(hasattr(bellforge, name) for name in bellforge.__all__)
-    retired = ("Permutation3", "ALL_PERMUTATIONS_3", "permutation_operator")
+    retired = (
+        "Permutation3", "ALL_PERMUTATIONS_3", "permutation_operator",
+        "flip", "antisym_projector", "antisymmetrizer3",
+    )
     assert [name for name in retired if hasattr(bellforge, name)] == []
 
 
@@ -277,7 +323,7 @@ def test_a_density_operator_is_an_operator():
     assert fields(bellforge.DensityOperator) == fields(bellforge.TensorOperator)
     state = bellforge.werner(2)
     assert not hasattr(state, "op")
-    for obj in (state, bellforge.flip(2)):
+    for obj in (state, bellforge.TensorOperator(_perm(2, (2, 1)), (2, 2))):
         with pytest.raises(dataclasses.FrozenInstanceError):
             obj.op = None
 

@@ -6,6 +6,7 @@ import functools
 import itertools
 import math
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ import pytest
 import bellforge as bf
 from bellforge import linalg as la
 from bellforge.linalg import _chunks, _layout, _project_density, _project_simplex, _spectrum
+from test_states import PARITIES, _perm
 
 
 def random_operator(rng: np.random.Generator, dims: tuple[int, ...]) -> la.TensorOperator:
@@ -579,14 +581,35 @@ def test_block_hermiticity_and_deficits_match_the_dense_formulas(case):
 
 @pytest.mark.parametrize("d", [2, 3, 4, 5, 6])
 def test_block_idempotence_matches_the_dense_product(d):
-    """``verify``'s idempotence check, a product of blocks, is the dense ``||Q Q - Q||``, for the
+    """A product of ``_blocks``, ``||Q Q - Q||`` taken block by block, is the dense one, for the
     antisymmetrizer Q and for 2Q, whose defect is ``2 ||Q||``."""
-    q = bf.antisymmetrizer3(d)
-    dense = np.linalg.norm(q.entries @ q.entries - q.entries)
-    assert abs(la._idempotence(q) - dense) <= 1e-15
-    twice = la.TensorOperator(2.0 * q.entries, q.factor_dims)
+    q = sum(PARITIES[images] * _perm(d, images) for images in PARITIES) / 6.0
+
+    def idempotence(m):
+        return la._norm([b @ b - b for b in la._blocks(m, (d, d, d))])
+
+    dense = np.linalg.norm(q @ q - q)
+    assert abs(idempotence(q) - dense) <= 1e-15
     exact = 2.0 * math.sqrt(d * (d - 1) * (d - 2) / 6.0)
-    assert la._idempotence(twice) == pytest.approx(exact, rel=1e-14, abs=1e-15)
+    assert idempotence(2.0 * q) == pytest.approx(exact, rel=1e-14, abs=1e-15)
+
+
+def test_psd_defect_decides_positivity_exactly():
+    """The exact LDL^T agrees with the float spectrum on integer matrices: PSD ones of every rank
+    have defect 0, indefinite ones a positive defect, and an asymmetric one its largest
+    |a - a^T| entry."""
+    rng = np.random.default_rng(47)
+    for _ in range(300):
+        n, rank = rng.integers(1, 7), rng.integers(0, 7)
+        g = rng.integers(-3, 4, (n, rank))
+        m = g @ g.T - rng.integers(0, 2) * np.eye(n, dtype=np.int64)
+        defect = la._psd_defect(m)
+        assert type(defect) is Fraction
+        assert (defect == 0) == (np.linalg.eigvalsh(m)[0] > -1e-9), m
+    assert la._psd_defect(np.array([[0, 1], [1, 0]])) == 1
+    assert la._psd_defect(np.array([[1, 0], [0, -3]])) == 3
+    assert la._psd_defect(np.array([[4, 2], [2, 0]])) == 1  # Schur complement 0 - 2 * 2 / 4
+    assert la._psd_defect(np.array([[2, 1], [0, 2]])) == 1
 
 
 def test_one_asymmetric_entry_inside_a_block_is_rejected():
@@ -606,8 +629,8 @@ def test_one_asymmetric_entry_inside_a_block_is_rejected():
 
 def test_non_conserving_operators_stay_dense(monkeypatch):
     """A three-factor operator with entries between sectors is checked as one dense matrix,
-    by ``density_deficits``, ``eigenvalues`` and the idempotence check alike, and the sector
-    indices are never formed."""
+    by ``density_deficits`` and ``eigenvalues`` alike, and the sector indices are never
+    formed."""
     t = random_hermitian(np.random.default_rng(36), (3, 3, 3))
     grouped = []
     original = la._sectors
@@ -618,5 +641,4 @@ def test_non_conserving_operators_stay_dense(monkeypatch):
     m = t.entries
     assert bf.density_deficits(t) == pytest.approx(dense_deficits(m), abs=1e-13)
     np.testing.assert_allclose(la.eigenvalues(t), np.linalg.eigvalsh(m)[::-1], atol=1e-12)
-    assert la._idempotence(t) == pytest.approx(float(np.linalg.norm(m @ m - m)), rel=1e-14)
     assert grouped == []

@@ -3,58 +3,16 @@ operators."""
 
 from __future__ import annotations
 
+import hashlib
 import itertools
 
 import numpy as np
 import pytest
 
 import bellforge as bf
+from bellforge.cli import _scaled_operators
 from bellforge.linalg import _permutation, _ptrace
-from bellforge.states import _Q, _permutation_sum
-
-
-# ----------------------------------------------------------------------- flip
-
-
-def test_flip_two_qubit_matrix_is_frozen_swap():
-    expected = np.zeros((4, 4), dtype=complex)
-    expected[0, 0] = expected[1, 2] = expected[2, 1] = expected[3, 3] = 1.0
-    np.testing.assert_array_equal(bf.flip(2).entries, expected)
-
-
-@pytest.mark.parametrize("d", [2, 3, 4, 5, 6])
-def test_flip_involution_and_trace(d):
-    v = bf.flip(d).entries
-    assert np.linalg.norm(v @ v - np.eye(d * d)) <= 1e-12
-    assert np.trace(v) == pytest.approx(d)
-    np.testing.assert_array_equal(v, v.conj().T)
-
-
-def test_flip_swaps_product_vectors():
-    rng = np.random.default_rng(31)
-    d = 3
-    v = bf.flip(d).entries
-    x = rng.standard_normal(d) + 1j * rng.standard_normal(d)
-    y = rng.standard_normal(d) + 1j * rng.standard_normal(d)
-    np.testing.assert_allclose(v @ np.kron(x, y), np.kron(y, x), atol=1e-13)
-
-
-def test_flip_rejects_small_dimension():
-    with pytest.raises(ValueError, match="at least 2"):
-        bf.flip(1)
-
-
-@pytest.mark.parametrize("d", [2, 3, 4])
-def test_antisym_projector_properties(d):
-    p = bf.antisym_projector(d).entries
-    assert np.linalg.norm(p @ p - p) <= 1e-12
-    np.testing.assert_array_equal(p, p.conj().T)
-    assert np.trace(p) == pytest.approx(d * (d - 1) / 2)
-    # the flip acts as -1 on the antisymmetric subspace
-    assert np.linalg.norm(bf.flip(d).entries @ p + p) <= 1e-12
-
-
-# --------------------------------------------------------------- permutations
+from bellforge.states import _DSO_TWO_QUBIT, _P_MINUS, _Q, _permutation_sum
 
 
 # The sign of each permutation of three slots, by its image tuple: slot i moves to images[i - 1].
@@ -76,12 +34,82 @@ def _perm(d: int, images: tuple[int, ...]) -> np.ndarray:
     return u
 
 
+def _flip(d: int) -> np.ndarray:
+    """The flip V on C^d (x) C^d, its one term summed."""
+    return _permutation_sum(d, (((2, 1), 1.0),))
+
+
+def _antisym(d: int) -> np.ndarray:
+    """The antisymmetric projector P_minus = (I - V)/2, summed from its table at its float scale."""
+    return _permutation_sum(d, tuple((images, 0.5 * s) for images, s in _P_MINUS))
+
+
+def _antisymmetrizer(d: int) -> np.ndarray:
+    """The antisymmetrizer Q = sum sgn(pi) U_pi / 6, summed from its table at its float scale."""
+    return _permutation_sum(d, tuple((images, s / 6.0) for images, s in _Q))
+
+
+def _scaled_dense(d: int) -> tuple[np.ndarray, int, np.ndarray]:
+    """``d^3 werner(d) = (d+1) I - d V``, the scale k and the scaled source ``k T``, written on
+    dense matrices of ``_perm``: ``2I - V12 - V13`` with k = 8 at d = 2, else
+    ``d^2 sum sgn(pi) U_pi + (d-2) I`` with k = d^4 (d-2)."""
+    w = (d + 1) * np.eye(d * d) - d * _perm(d, (2, 1))
+    if d == 2:
+        return w, 8, 2 * np.eye(8) - _perm(2, (2, 1, 3)) - _perm(2, (3, 2, 1))
+    signed = sum(PARITIES[images] * _perm(d, images) for images in PARITIES)
+    return w, d**4 * (d - 2), d * d * signed + (d - 2) * np.eye(d**3)
+
+
+# ----------------------------------------------------------------------- flip
+
+
+def test_flip_two_qubit_matrix_is_frozen_swap():
+    expected = np.zeros((4, 4), dtype=complex)
+    expected[0, 0] = expected[1, 2] = expected[2, 1] = expected[3, 3] = 1.0
+    np.testing.assert_array_equal(_flip(2), expected)
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 5, 6])
+def test_flip_involution_and_trace(d):
+    v = _flip(d)
+    assert np.linalg.norm(v @ v - np.eye(d * d)) <= 1e-12
+    assert np.trace(v) == pytest.approx(d)
+    np.testing.assert_array_equal(v, v.conj().T)
+
+
+def test_flip_swaps_product_vectors():
+    rng = np.random.default_rng(31)
+    d = 3
+    v = _flip(d)
+    x = rng.standard_normal(d) + 1j * rng.standard_normal(d)
+    y = rng.standard_normal(d) + 1j * rng.standard_normal(d)
+    np.testing.assert_allclose(v @ np.kron(x, y), np.kron(y, x), atol=1e-13)
+
+
+def test_flip_rejects_small_dimension():
+    with pytest.raises(ValueError, match="at least 2"):
+        _permutation_sum(1, (((2, 1), 1),))
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_antisym_projector_properties(d):
+    p = _antisym(d)
+    assert np.linalg.norm(p @ p - p) <= 1e-12
+    np.testing.assert_array_equal(p, p.conj().T)
+    assert np.trace(p) == pytest.approx(d * (d - 1) / 2)
+    # the flip acts as -1 on the antisymmetric subspace
+    assert np.linalg.norm(_flip(d) @ p + p) <= 1e-12
+
+
+# --------------------------------------------------------------- permutations
+
+
 def test_permutation_parities_are_frozen():
     """Q's terms are the six permutations in ``itertools.permutations`` order, each with the
-    coefficient sgn(pi)/6 of the table above."""
+    integer sign sgn(pi) of the table above."""
     assert [images for images, _ in _Q] == list(itertools.permutations((1, 2, 3)))
-    for images, c in _Q:
-        assert c == PARITIES[images] / 6.0
+    for images, s in _Q:
+        assert s == PARITIES[images]
     assert sum(PARITIES[images] for images, _ in _Q) == 0
     assert len(_Q) == 6
 
@@ -121,7 +149,7 @@ def test_permutation_operator_is_unitary():
 @pytest.mark.parametrize("d", [2, 3])
 def test_transpositions_match_flip_constructions(d):
     """The three transposition operators factor through the bipartite flip."""
-    v = bf.flip(d).entries
+    v = _flip(d)
     one = np.eye(d)
     v12, v23 = np.kron(v, one), np.kron(one, v)
     v13 = v23 @ v12 @ v23
@@ -158,14 +186,14 @@ def _six_term_antisymmetrizer(d: int) -> np.ndarray:
 
 @pytest.mark.parametrize("d", [2, 3, 4, 5])
 def test_antisymmetrizer_matches_six_term_expansion(d):
-    q = bf.antisymmetrizer3(d).entries
+    q = _antisymmetrizer(d)
     oracle = _six_term_antisymmetrizer(d)
     assert np.max(np.abs(q - oracle)) <= 1e-13
 
 
 @pytest.mark.parametrize("d", [2, 3, 4, 5, 6])
 def test_antisymmetrizer_is_projector_with_known_trace(d):
-    q = bf.antisymmetrizer3(d).entries
+    q = _antisymmetrizer(d)
     np.testing.assert_array_equal(q, q.conj().T)
     assert np.linalg.norm(q @ q - q) <= 1e-12
     assert np.trace(q) == pytest.approx(d * (d - 1) * (d - 2) / 6, abs=1e-12)
@@ -173,7 +201,7 @@ def test_antisymmetrizer_is_projector_with_known_trace(d):
 
 @pytest.mark.parametrize("d", [2, 3, 4])
 def test_antisymmetrizer_commutes_with_permutations(d):
-    q = bf.antisymmetrizer3(d).entries
+    q = _antisymmetrizer(d)
     for images, parity in PARITIES.items():
         u = _perm(d, images)
         assert np.linalg.norm(q @ u - u @ q) <= 1e-12
@@ -184,13 +212,13 @@ def test_antisymmetrizer_commutes_with_permutations(d):
 @pytest.mark.parametrize("d", [2, 3, 4, 5, 6])
 @pytest.mark.parametrize("j", [1, 2, 3])
 def test_antisymmetrizer_partial_traces(d, j):
-    q = bf.antisymmetrizer3(d)
-    target = ((d - 2) / 3.0) * bf.antisym_projector(d).entries
-    assert np.linalg.norm(_ptrace(q.entries, q.factor_dims, j) - target) <= 1e-12
+    q = _antisymmetrizer(d)
+    target = ((d - 2) / 3.0) * _antisym(d)
+    assert np.linalg.norm(_ptrace(q, (d, d, d), j) - target) <= 1e-12
 
 
 def test_antisymmetrizer_vanishes_for_qubits():
-    assert np.max(np.abs(bf.antisymmetrizer3(2).entries)) <= 1e-14
+    assert np.max(np.abs(_antisymmetrizer(2))) <= 1e-14
 
 
 # --------------------------------------------------------------- werner state
@@ -199,7 +227,7 @@ def test_antisymmetrizer_vanishes_for_qubits():
 @pytest.mark.parametrize("d", [2, 3, 4, 5, 6])
 def test_werner_two_constructions_agree(d):
     w = bf.werner(d)
-    alt = ((d + 1) / d**3) * np.eye(d * d) - (1.0 / d**2) * bf.flip(d).entries
+    alt = ((d + 1) / d**3) * np.eye(d * d) - (1.0 / d**2) * _flip(d)
     assert np.linalg.norm(w.entries - alt) <= 1e-13
     assert np.trace(w.entries) == pytest.approx(1.0, abs=1e-12)
     assert bf.eigenvalues(w)[-1] >= -bf.linalg.PSD_TOL
@@ -386,8 +414,8 @@ def test_bipartite_sums_match_their_formulas_bit_for_bit(d):
     werner_ref = bf.TensorOperator(
         (1.0 / d**3) * np.eye(d * d, dtype=complex) + (2.0 / d**2) * _antisym_ref(d).entries, (d, d)
     )
-    assert _same_bits(bf.flip(d), _flip_ref(d))
-    assert _same_bits(bf.antisym_projector(d), _antisym_ref(d))
+    assert _same_bits(bf.TensorOperator(_flip(d), (d, d)), _flip_ref(d))
+    assert _same_bits(bf.TensorOperator(_antisym(d), (d, d)), _antisym_ref(d))
     assert _same_bits(bf.werner(d), werner_ref)
 
 
@@ -395,8 +423,9 @@ def test_bipartite_sums_match_their_formulas_bit_for_bit(d):
 def test_tripartite_sums_match_their_formulas_bit_for_bit(d):
     for images in PARITIES:
         reference = bf.TensorOperator(_perm(d, images), (d, d, d))
-        assert _same_bits(_permutation_sum(d, ((images, 1.0),)), reference)
-    assert _same_bits(bf.antisymmetrizer3(d), _antisymmetrizer_ref(d))
+        summed = bf.TensorOperator(_permutation_sum(d, ((images, 1.0),)), (d, d, d))
+        assert _same_bits(summed, reference)
+    assert _same_bits(bf.TensorOperator(_antisymmetrizer(d), (d, d, d)), _antisymmetrizer_ref(d))
 
 
 @pytest.mark.parametrize("d", range(3, 9))
@@ -426,7 +455,51 @@ def test_each_sum_constructs_one_operator(monkeypatch, d):
         _original(self)
 
     monkeypatch.setattr(bf.TensorOperator, "__post_init__", spy)
-    for build in (bf.werner, bf.antisymmetrizer3, bf.dso_general):
+    for build in (bf.werner, bf.dso_general):
         calls.clear()
         build(d)
         assert len(calls) == 1, build.__name__
+
+
+# sha256 of the entries of werner(2..6), singlet(), dso_two_qubit() and dso_general(3..6), in that
+# order, as complex128 bytes: the integer term tables and their scales keep every byte.
+BUILD_DIGEST = "1132032ea6071e54dbec28b0510647ade08c9e2083f4bd070038d7df3e038e8f"
+
+
+def test_float_builds_keep_their_bytes():
+    states = [
+        *(bf.werner(d) for d in range(2, 7)),
+        bf.singlet(),
+        bf.dso_two_qubit(),
+        *(bf.dso_general(d) for d in range(3, 7)),
+    ]
+    digest = hashlib.sha256()
+    for state in states:
+        digest.update(state.entries.tobytes())
+    assert digest.hexdigest() == BUILD_DIGEST
+
+
+def test_term_tables_are_frozen():
+    assert _P_MINUS == (((1, 2), 1), ((2, 1), -1))
+    assert _DSO_TWO_QUBIT == (((1, 2, 3), 2), ((2, 1, 3), -1), ((3, 2, 1), -1))
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 5, 6])
+def test_integer_sums_are_the_scaled_operators(d):
+    """``verify``'s W and S, summed in int64 from the tables, are the dense formulas."""
+    w, scale, s = _scaled_operators(d)
+    assert w.dtype == s.dtype == np.int64
+    dense_w, dense_scale, dense_s = _scaled_dense(d)
+    assert scale == dense_scale
+    np.testing.assert_array_equal(w, dense_w)
+    np.testing.assert_array_equal(s, dense_s)
+
+
+@pytest.mark.parametrize("d", [2, 4])
+def test_integer_sums_times_a_dyadic_scale_are_the_float_builds(d):
+    """Where 1/d^3 and 1/k are powers of two, the float builds are exactly the integer sums
+    over their scales: ``werner(2)``, ``werner(4)``, ``dso_two_qubit()`` and ``dso_general(4)``."""
+    w, scale, s = _scaled_operators(d)
+    source = bf.dso_two_qubit() if d == 2 else bf.dso_general(d)
+    assert (bf.werner(d).entries == w * (1.0 / d**3)).all()
+    assert (source.entries == s * (1.0 / scale)).all()
