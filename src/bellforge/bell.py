@@ -15,7 +15,8 @@ update therefore never decreases the objective, and the sweep values
 converge monotonically.  The gap ascends ``E(a, b1) - E(a, b2)`` alone, as
 ``a -> -a`` flips its sign.  Random restarts guard against poor local
 optima; each restart reads its starts from its own fixed slice of one
-counter-based (Philox) stream, so a block of restarts draws them at once.
+counter-based stream, an integer hash of the seed (SplitMix64) in numpy
+``uint64`` arithmetic, so a block of restarts draws them at once.
 Restarts advance together as stacks of matrices, in blocks of up to 256, one
 stacked spectral sign per update (closed-form on qubits, one stacked
 eigendecomposition above); each stops at its own convergence test, so results
@@ -68,6 +69,10 @@ _RESTART_BLOCK = 256
 # The key of the one counter-based stream that every see-saw start is read from.
 _START_KEY = 0xBE11_F0E6E
 
+# Word ``k`` of a seed's slice adds ``(k + 1)`` times SplitMix64's Weyl increment to its
+# hashed seed; the ``4d²`` offsets of the largest supported d, 6, serve every smaller d.
+_WEYL = np.array([(k + 1) * 0x9E37_79B9_7F4A_7C15 % 2**64 for k in range(4 * 36)], np.uint64)
+
 _PAULIS = (
     np.array([[0.0, 1.0], [1.0, 0.0]], dtype=np.complex128),
     np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=np.complex128),
@@ -95,8 +100,9 @@ class SeeSawConfig:
     """Random restarts of a see-saw optimizer.
 
     ``restarts`` independent starts are run; restart ``r`` reads its start
-    observables from the fixed slice of one Philox stream that seed
-    ``base_seed + r`` owns, and ``base_seed + restarts`` is at most ``2**64``.
+    observables from the fixed slice of one counter-based stream that seed
+    ``base_seed + r`` owns, and ``base_seed + restarts`` is at most ``2**64``,
+    so every seed is a distinct 64-bit word.
     """
 
     restarts: int = 20
@@ -160,17 +166,30 @@ def _bob_effective(r: tuple[np.ndarray, np.ndarray], a: np.ndarray) -> np.ndarra
     return (_rows(a) @ r[1]).reshape(a.shape)
 
 
+def _mix(z: np.ndarray) -> np.ndarray:
+    """SplitMix64's finalizer, a bijection on 64-bit words, on a ``uint64`` array: arrays wrap
+    on overflow silently, where numpy scalars would warn."""
+    z = z ^ (z >> 30)
+    z *= 0xBF58_476D_1CE4_E5B9
+    z ^= z >> 27
+    z *= 0x94D0_49BB_1331_11EB
+    z ^= z >> 31
+    return z
+
+
 def _draw_observables(d: int, seeds: range, count: int) -> np.ndarray:
     """``count >= 2`` starts per seed of consecutive ``seeds``, as a ``(len(seeds), count, d, d)``
     array.  A sweep reads only the last two and overwrites the others before it reads them, so
-    those are zero.  Seed ``s`` owns words ``[4d²·s, 4d²·(s+1))`` of the one ``Philox`` stream,
-    so one ``random_raw`` call draws a block and a row depends on its seed alone.  Box–Muller
-    takes radii from the first ``2d²`` words and angles from the last; the cosines, then the
-    sines, are the real and imaginary Gaussian parts of the two starts.  Each start is the
-    Hermitian part of its complex Gaussian scaled to unit Frobenius norm, so its operator norm
-    is at most one."""
+    those are zero.  Seed ``s`` owns the ``4d²`` words ``mix(mix(s ^ _START_KEY) + (k+1)·γ)``,
+    ``0 <= k < 4d²``, of SplitMix64 (``mix`` its finalizer, ``γ`` its Weyl increment, sums modulo
+    ``2**64``): exact integers, so one call draws a block, a row depends on its seed alone, and
+    distinct seeds start distinct sequences, as ``mix`` is a bijection.  Box–Muller takes radii
+    from the first ``2d²`` words and angles from the last; the cosines, then the sines, are the
+    real and imaginary Gaussian parts of the two starts.  Each start is the Hermitian part of
+    its complex Gaussian scaled to unit Frobenius norm, so its operator norm is at most one."""
     n, size = len(seeds), d * d
-    words = np.random.Philox(key=_START_KEY, counter=seeds[0] * size).random_raw(4 * size * n)
+    seed_words = np.uint64(seeds[0]) + np.arange(n, dtype=np.uint64)
+    words = _mix(_mix(seed_words ^ _START_KEY)[:, None] + _WEYL[: 4 * size])
     # in (0, 1], never 0, so every radius is finite
     u = ((words.reshape(n, 2, 2 * size) >> 11) + 0.5) * 2.0**-53
     radius = np.sqrt(-2.0 * np.log(u[:, 0]))
@@ -319,8 +338,8 @@ def seesaw_original_bell(
     ``E(a, b1) - E(a, b2)`` and leaves ``E(b1, b2)`` alone, so the maximum of
     ``|E(a, b1) - E(a, b2)|`` equals that of ``E(a, b1) - E(a, b2)``; each
     restart ascends that linear form, and its score keeps the absolute value.
-    Restart ``r`` reads its starts from the slice of one Philox stream that
-    seed ``base_seed + r`` owns, whatever block it runs in, and ties across
+    Restart ``r`` reads its starts from the slice of one counter-based stream
+    that seed ``base_seed + r`` owns, whatever block it runs in, and ties across
     restarts resolve to the lowest restart index, so results are reproducible.
     """
     return _seesaw(rho, cfg, ("a", "b1", "b2"), _original_sweep)

@@ -266,7 +266,8 @@ def _project_density(v: np.ndarray, layout: _Layout) -> np.ndarray:
 def _blocks(m: np.ndarray, dims: tuple[int, ...]) -> list[np.ndarray]:
     """``m`` on ``dims`` as the stacks of its weight-sector blocks if it is on three factors C^d
     and conserves weight (tested first), else as ``[m]``; real for a zero imaginary part."""
-    m = m if m.imag.any() else m.real
+    if np.iscomplexobj(m) and not m.imag.any():
+        m = m.real
     if len(dims) != 3 or len(set(dims)) != 1 or not _conserves(m, dims[0], 3):
         return [m]
     layout = _layout(dims[0], True)

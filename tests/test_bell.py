@@ -74,13 +74,28 @@ def test_random_observable_norm_bounded(d):
         assert bf.operator_norm(TensorOperator(w, (d,))) <= 1.0 + 1e-12
 
 
-def scalar_draw(d: int, seed: int, stream: np.ndarray) -> np.ndarray:
-    """The two read starts of ``seed`` from its words ``[4d²·seed, 4d²·(seed+1))`` of the start
-    stream, by a scalar ``math`` Box–Muller per pair of words, each start made Hermitian and
-    scaled to unit Frobenius norm on its own: the reference for the stacked draw."""
+MASK = 2**64 - 1
+
+
+def splitmix_words(seed: int, count: int) -> list[int]:
+    """Words ``mix(mix(seed ^ key) + (k+1)·γ)``, ``0 <= k < count``, of SplitMix64 (``mix`` its
+    finalizer, ``γ`` its Weyl increment) in Python integers: the reference start stream."""
+
+    def mix(z: int) -> int:
+        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & MASK
+        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & MASK
+        return z ^ (z >> 31)
+
+    start = mix(seed ^ bell._START_KEY)
+    return [mix((start + (k + 1) * 0x9E3779B97F4A7C15) & MASK) for k in range(count)]
+
+
+def scalar_draw(d: int, seed: int) -> np.ndarray:
+    """The two read starts of ``seed`` from its ``4d²`` words of the start stream, by a scalar
+    ``math`` Box–Muller per pair of words, each start made Hermitian and scaled to unit Frobenius
+    norm on its own: the reference for the stacked draw."""
     size = d * d
-    words = stream[4 * size * seed : 4 * size * (seed + 1)].tolist()
-    u = [((w >> 11) + 0.5) * 2.0**-53 for w in words]
+    u = [((w >> 11) + 0.5) * 2.0**-53 for w in splitmix_words(seed, 4 * size)]
     starts = []
     for trig in (math.cos, math.sin):
         g = [
@@ -96,21 +111,30 @@ def scalar_draw(d: int, seed: int, stream: np.ndarray) -> np.ndarray:
 @pytest.mark.parametrize("d", [2, 3, 4, 5, 6])
 @pytest.mark.parametrize("height", [1, 3, 4])
 def test_draw_matches_per_matrix_draw(d, height):
-    """Stacks of ``height`` seeds draw what a scalar Box–Muller over each seed's own slice of the
-    start stream does; each start is exactly Hermitian with unit Frobenius norm, so
-    ``Observable`` accepts it, and a seed's starts are the same bits alone or in any stack."""
-    seeds = range(60)
-    drawn = np.concatenate(
-        [bell._draw_observables(d, seeds[i : i + height], 2) for i in range(0, 60, height)]
-    )
-    stream = np.random.Philox(key=bell._START_KEY).random_raw(4 * d * d * len(seeds))
-    reference = np.array([scalar_draw(d, seed, stream) for seed in seeds])
-    np.testing.assert_allclose(drawn, reference, rtol=0.0, atol=1e-15)
-    np.testing.assert_array_equal(drawn, bell._draw_observables(d, seeds, 2))
-    np.testing.assert_array_equal(drawn, drawn.conj().swapaxes(-1, -2))
-    np.testing.assert_allclose(np.linalg.norm(drawn, axis=(-2, -1)), 1.0, rtol=0.0, atol=1e-15)
-    for w in drawn[:5].reshape(-1, d, d):
-        obs(w)
+    """Stacks of ``height`` seeds draw what a scalar Box–Muller over each seed's own words of a
+    Python-integer SplitMix64 does, at the first 60 seeds and the last 60 below ``2**64``; each
+    start is exactly Hermitian with unit Frobenius norm, so ``Observable`` accepts it, and a
+    seed's starts are the same bits alone or in any stack."""
+    for seeds in (range(60), range(2**64 - 60, 2**64)):
+        drawn = np.concatenate(
+            [bell._draw_observables(d, seeds[i : i + height], 2) for i in range(0, 60, height)]
+        )
+        reference = np.array([scalar_draw(d, seed) for seed in seeds])
+        np.testing.assert_allclose(drawn, reference, rtol=0.0, atol=1e-15)
+        np.testing.assert_array_equal(drawn, bell._draw_observables(d, seeds, 2))
+        np.testing.assert_array_equal(drawn, drawn.conj().swapaxes(-1, -2))
+        np.testing.assert_allclose(
+            np.linalg.norm(drawn, axis=(-2, -1)), 1.0, rtol=0.0, atol=1e-15
+        )
+        for w in drawn[:5].reshape(-1, d, d):
+            obs(w)
+
+
+@pytest.mark.parametrize("d", [2, 6])
+def test_seeds_draw_distinct_starts(d):
+    """No two of the 20 000 starts that seeds 0-9999 draw are equal."""
+    starts = bell._draw_observables(d, range(10_000), 2).reshape(-1, d * d)
+    assert len(np.unique(starts, axis=0)) == len(starts)
 
 
 @pytest.mark.parametrize("d", [2, 3, 4, 5, 6])
@@ -395,8 +419,8 @@ def test_seesaw_config_validation():
 
 
 def test_seesaw_config_bounds_the_seed_range():
-    """Seeds run up to ``2**64``, so every counter of the start stream stays far inside Philox's
-    ``2**256``; the last admitted seed still draws and runs."""
+    """Seeds run up to ``2**64``, so each is a distinct 64-bit word of the start stream's hash;
+    the last admitted seed still draws and runs."""
     top = SeeSawConfig(restarts=10, base_seed=2**64 - 10)
     for cfg in ({"restarts": 11, "base_seed": 2**64 - 10}, {"restarts": 1, "base_seed": 2**64}):
         with pytest.raises(ValueError, match=r"base_seed \+ restarts must be at most 2\*\*64"):
@@ -600,8 +624,8 @@ def test_seesaw_meets_benchmark_references(seed):
 
 # Seeds at which the winner of 7 restarts on ``werner(3)`` ties a restart in another block of two.
 BLOCK_TIES = {
-    "original": SeeSawConfig(restarts=7, base_seed=67),
-    "chsh": SeeSawConfig(restarts=7, base_seed=10),
+    "original": SeeSawConfig(restarts=7, base_seed=28),
+    "chsh": SeeSawConfig(restarts=7, base_seed=4),
 }
 
 

@@ -253,9 +253,31 @@ def test_one_integer_table_per_operator():
     assert outputs[0] == outputs[1]
 
 
+def _numpy_random_reads(tree: ast.Module) -> list[int]:
+    """Lines that read ``np.random`` or ``numpy.random``, or import ``numpy.random``."""
+    found = []
+    for node in ast.walk(tree):
+        if (
+            isinstance(node, ast.Attribute)
+            and node.attr == "random"
+            and getattr(node.value, "id", None) in ("np", "numpy")
+        ):
+            found.append(node.lineno)
+        elif isinstance(node, ast.Import):
+            found += [node.lineno for alias in node.names if alias.name == "numpy.random"]
+        elif isinstance(node, ast.ImportFrom) and (
+            node.module == "numpy.random"
+            or (node.module == "numpy" and any(alias.name == "random" for alias in node.names))
+        ):
+            found.append(node.lineno)
+    return found
+
+
 def test_one_stream_draws_every_start():
-    """Every see-saw start is read from one ``Philox`` stream under the key ``bell._START_KEY``,
-    declared once; no module names a per-seed generator, so none can be built beside it."""
+    """Every see-saw start is read from one stream, the package's own SplitMix64 hash under the
+    key ``bell._START_KEY``, declared once: ``bell._mix`` is called only by
+    ``_draw_observables``, and no module reads ``numpy.random`` or names a per-seed generator,
+    so none can be built beside it."""
     per_seed = {"default_rng", "Generator", "SeedSequence"}
     named = [
         f"{module}:{node.lineno}"
@@ -264,8 +286,9 @@ def test_one_stream_draws_every_start():
         if getattr(node, "id", getattr(node, "attr", None)) in per_seed
     ]
     assert not named, f"per-seed generators named: {named}"
-    assert _call_owners("Philox") == ["bell.py:_draw_observables"]
-    assert _call_owners("random_raw") == ["bell.py:_draw_observables"]
+    assert set(_call_owners("_mix")) == {"bell.py:_draw_observables"}
+    reads = [f"{name}:{line}" for name, tree in _modules() for line in _numpy_random_reads(tree)]
+    assert not reads, f"numpy.random read at {reads}"
     keys = [
         f"{module}:{getattr(top, 'name', '<module>')}"
         for module, tree in _modules()
@@ -276,6 +299,18 @@ def test_one_stream_draws_every_start():
         and isinstance(node.ctx, ast.Store)
     ]
     assert keys == ["bell.py:<module>"]
+
+
+def test_numpy_random_guard_sees_every_form():
+    forms = [
+        "np.random.default_rng()",
+        "numpy.random.Philox",
+        "import numpy.random",
+        "from numpy.random import Philox",
+        "from numpy import random",
+    ]
+    assert [_numpy_random_reads(ast.parse(form)) for form in forms] == [[1]] * 5
+    assert _numpy_random_reads(ast.parse("np.linalg.eigh; rng.random(3); import random")) == []
 
 
 PUBLIC_NAMES = {
