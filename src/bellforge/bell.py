@@ -69,10 +69,6 @@ _RESTART_BLOCK = 256
 # The key of the one counter-based stream that every see-saw start is read from.
 _START_KEY = 0xBE11_F0E6E
 
-# Word ``k`` of a seed's slice adds ``(k + 1)`` times SplitMix64's Weyl increment to its
-# hashed seed; the ``4d²`` offsets of the largest supported d, 6, serve every smaller d.
-_WEYL = np.array([(k + 1) * 0x9E37_79B9_7F4A_7C15 % 2**64 for k in range(4 * 36)], np.uint64)
-
 _PAULIS = (
     np.array([[0.0, 1.0], [1.0, 0.0]], dtype=np.complex128),
     np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=np.complex128),
@@ -189,7 +185,9 @@ def _draw_observables(d: int, seeds: range, count: int) -> np.ndarray:
     its complex Gaussian scaled to unit Frobenius norm, so its operator norm is at most one."""
     n, size = len(seeds), d * d
     seed_words = np.uint64(seeds[0]) + np.arange(n, dtype=np.uint64)
-    words = _mix(_mix(seed_words ^ _START_KEY)[:, None] + _WEYL[: 4 * size])
+    # (k + 1)·γ, 0 <= k < 4d², modulo 2**64: uint64 arrays wrap silently
+    weyl = np.arange(1, 4 * size + 1, dtype=np.uint64) * 0x9E37_79B9_7F4A_7C15
+    words = _mix(_mix(seed_words ^ _START_KEY)[:, None] + weyl)
     # in (0, 1], never 0, so every radius is finite
     u = ((words.reshape(n, 2, 2 * size) >> 11) + 0.5) * 2.0**-53
     radius = np.sqrt(-2.0 * np.log(u[:, 0]))

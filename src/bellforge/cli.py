@@ -3,8 +3,7 @@
 Subcommands:
 
 * ``verify``   -- exact proof, at one local dimension, that the source operator
-  extends the Werner state and that the Werner state is entangled, and the
-  distance of each float build from its exact operator.
+  extends the Werner state and that the Werner state is entangled.
 * ``bell``     -- see-saw maximization of the perfect-correlation Bell
   gap or the CHSH combination on a chosen state.
 * ``dso-find`` -- Douglas–Rachford projection search for a tripartite
@@ -49,16 +48,11 @@ from .linalg import (
     operator_to_text,
 )
 from .states import (
-    _DSO_TWO_QUBIT,
-    _P_MINUS,
-    _Q,
     DensityOperator,
     _bipartite_dim,
     _check_local_dim,
-    _permutation_sum,
-    _scaled,
-    dso_general,
-    dso_two_qubit,
+    _source_sum,
+    _werner_sum,
     singlet,
     werner,
 )
@@ -134,21 +128,12 @@ def _exact(value: object, passed: bool) -> dict:
     return {"value": str(value), "threshold": "0", "pass": bool(passed)}
 
 
-def _scaled_operators(d: int) -> tuple[np.ndarray, int, np.ndarray]:
-    """``W = d^3 werner(d) = (d+1) I - d V``, the scale ``k`` and ``S = k T`` in int64, from the
-    tables that build the states: T = dso_two_qubit(), k = 8 at d = 2, so S = 2I - V12 - V13;
-    else T = dso_general(d), k = d^4 (d-2), so S = d^2 sum sgn(pi) U_pi + (d-2) I."""
-    w = _permutation_sum(d, _scaled(_P_MINUS, lambda s: d * s, 1))
-    if d == 2:
-        return w, 8, _permutation_sum(2, _DSO_TWO_QUBIT)
-    return w, d**4 * (d - 2), _permutation_sum(d, _scaled(_Q, lambda s: d * d * s, d - 2))
-
-
-def _proof(d: int, w: np.ndarray, scale: int, s: np.ndarray) -> dict[str, dict]:
-    """The exact checks of ``_scaled_operators(d)``, any d >= 2: ``tr S`` is the scale, each
-    constrained partial trace of S is ``d(d-2) W`` (at d = 2, W on slots 2, 3 and 2I on slot 1),
-    S is PSD on its distinct weight-sector blocks, and the witness ``<Phi|werner(d)^Gamma|Phi> =
-    tr(W V) / d^3``, ``Phi = sum_i |ii>``, is negative.  A defect is a largest |entry| / scale."""
+def _proof(d: int, w: np.ndarray, s: np.ndarray, scale: int) -> dict[str, dict]:
+    """The exact checks of ``W = _werner_sum(d)`` and ``S, scale = _source_sum(d)``, any d >= 2:
+    ``tr S`` is the scale, each constrained partial trace of S is ``d(d-2) W`` (at d = 2, W on
+    slots 2, 3 and 2I on slot 1), S is PSD on its distinct weight-sector blocks, and the witness
+    ``<Phi|werner(d)^Gamma|Phi> = tr(W V) / d^3``, ``Phi = sum_i |ii>``, is negative.  A defect
+    is a largest |entry| / scale."""
     trace_gap = abs(int(np.trace(s)) - scale)
     checks = {"source_trace": _exact(_rational(trace_gap, scale), trace_gap == 0)}
     targets = (2 * np.eye(4, dtype=np.int64), w, w) if d == 2 else (d * (d - 2) * w,) * 3
@@ -167,15 +152,7 @@ def _proof(d: int, w: np.ndarray, scale: int, s: np.ndarray) -> dict[str, dict]:
 def cmd_verify(args: argparse.Namespace) -> _Outcome:
     d = args.d
     _check_d(d)
-    # The float builds come first, so that no exact operator is held while they validate; each
-    # one's largest entry distance |F - E| = hypot(E - Re F, Im F) is taken in one temporary E.
-    rho, source = werner(d), dso_two_qubit() if d == 2 else dso_general(d)
-    w, scale, s = _scaled_operators(d)
-    checks = _proof(d, w, scale, s)
-    for key, f, e in (("werner", rho, w / d**3), ("source", source, s / scale)):
-        e -= f.entries.real
-        checks[f"{key}_float_error"] = _check(np.hypot(e, f.entries.imag, out=e).max(), args.tol)
-
+    checks = _proof(d, _werner_sum(d), *_source_sum(d))
     npass = sum(entry["pass"] for entry in checks.values())
     notes = [f"verify d={d}: {npass}/{len(checks)} identity checks passed"]
     return _Outcome(d=d, results=checks, passed=npass == len(checks), notes=notes)
@@ -253,6 +230,17 @@ def cmd_dso_find(args: argparse.Namespace) -> _Outcome:
     )
 
 
+def _tolerance(text: str) -> float:
+    """The type of a ``--tol`` option: a finite positive float, else a usage error."""
+    try:
+        tol = float(text)
+    except ValueError:
+        tol = math.nan
+    if not 0.0 < tol < math.inf:
+        raise argparse.ArgumentTypeError(f"must be finite and positive, got {text!r}")
+    return tol
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """Built once, on first use; its ``func`` defaults bind the ``cmd_*`` functions then, so a
@@ -266,9 +254,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_verify = sub.add_parser("verify", help="prove the source theorem exactly for one dimension")
     p_verify.add_argument("--d", type=int, required=True, help="local dimension, 2..6")
-    p_verify.add_argument(
-        "--tol", type=float, default=1e-10, help="pass threshold of the float checks"
-    )
     p_verify.add_argument("--quiet", action="store_true", help="suppress the stderr summary")
     p_verify.set_defaults(func=cmd_verify)
 
@@ -284,7 +269,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_bell.add_argument(
         "--seed", type=int, default=0, help="base seed <= 2**64-restarts; restart r uses seed+r"
     )
-    p_bell.add_argument("--tol", type=float, default=1e-7, help="violation threshold slack")
+    p_bell.add_argument("--tol", type=_tolerance, default=1e-7, help="violation threshold slack")
     p_bell.add_argument("--quiet", action="store_true", help="suppress the stderr summary")
     p_bell.set_defaults(func=cmd_bell)
 
@@ -305,7 +290,9 @@ def build_parser() -> argparse.ArgumentParser:
         default=5000,
         help="Douglas-Rachford iterations, each one marginal sweep and one density projection",
     )
-    p_find.add_argument("--tol", type=float, default=1e-6, help="residual convergence threshold")
+    p_find.add_argument(
+        "--tol", type=_tolerance, default=1e-6, help="residual convergence threshold"
+    )
     p_find.add_argument("--dump", default=None, help="write the candidate to this path")
     p_find.add_argument("--quiet", action="store_true", help="suppress the stderr summary")
     p_find.set_defaults(func=cmd_dso_find)
@@ -321,8 +308,6 @@ def main(argv: list[str] | None = None) -> int:
 
     start = time.perf_counter()
     try:
-        if not 0.0 < args.tol < math.inf:
-            raise _UsageError(f"--tol must be finite and positive, got {args.tol}")
         outcome = args.func(args)
     except _UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -1,17 +1,18 @@
 """Werner states and their tripartite source operators.
 
-Each named operator is one ordered sum of factor-permutation operators U_pi, built by
-``_permutation_sum`` from an integer table of ``(images, s)`` terms and a scale: U_pi moves slot
-``i`` to slot ``images[i - 1]``.  With integer scales the same tables give the exact operators
-that ``verify`` proves the source theorem on.  A ``DensityOperator`` is a ``TensorOperator`` that
-checks its ``density_deficits`` when it is built: exactly, on the weight-sector blocks of a
-three-factor operator that conserves weight, and in real arithmetic if real."""
+Each named operator is one integer sum of factor-permutation operators U_pi, built in int64 by
+``_permutation_sum`` from an integer table of ``(images, s)`` terms: U_pi moves slot ``i`` to slot
+``images[i - 1]``.  ``_werner_sum`` and ``_source_sum`` give the exact scaled operators that
+``verify`` proves the source theorem on; each float state is its integer sum divided once by its
+scale, so every entry is the exact one correctly rounded.  A ``DensityOperator`` is a
+``TensorOperator`` that checks its ``density_deficits`` when it is built: exactly, on the
+weight-sector blocks of a three-factor operator that conserves weight, and in real arithmetic if
+real."""
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -94,44 +95,48 @@ _Q = tuple(
 _DSO_TWO_QUBIT = (((1, 2, 3), 2), ((2, 1, 3), -1), ((3, 2, 1), -1))
 
 
-def _scaled(table: tuple, coef: Callable[[int], float], eye: float) -> tuple:
-    """The terms of ``table`` with each sign ``s`` replaced by ``coef(s)``, then the identity with
-    coefficient ``eye``: last, so that where the signed terms cancel they reach 0 first."""
+def _scaled(table: tuple, coef: int, eye: int) -> tuple:
+    """The terms of ``table``, each sign ``s`` times ``coef``, and the identity times ``eye``."""
     identity = tuple(range(1, len(table[0][0]) + 1))
-    return (*((images, coef(s)) for images, s in table), (identity, eye))
+    return (*((images, coef * s) for images, s in table), (identity, eye))
 
 
 def _permutation_sum(d: int, terms: tuple) -> np.ndarray:
-    """``sum c U_images`` over the ``(images, c)`` pairs on copies of C^d, d >= 2, as a raw array
-    in the coefficients' dtype: int64 for integers, exactly.  Each ``c`` is added at its
-    unitary's ones in the order given, which fixes every rounding."""
+    """``sum c U_images`` over the integer ``(images, c)`` pairs on copies of C^d, d >= 2, as a
+    raw int64 array, exactly: a float ``c`` cannot be cast to it and raises."""
     if d < 2:
         raise ValueError(f"local dimension must be at least 2, got {d}")
     dims = (d,) * len(terms[0][0])
-    m = np.zeros((d ** len(dims),) * 2, np.result_type(*(c for _, c in terms)))
+    m = np.zeros((d ** len(dims),) * 2, np.int64)
     rows = np.arange(len(m))
     for images, c in terms:
         m[rows, _permutation(dims, images)] += c
     return m
 
 
-def werner(d: int) -> DensityOperator:
-    """Werner state on C^d (x) C^d.
+def _werner_sum(d: int) -> np.ndarray:
+    """``W = d^3 werner(d) = (d+1) I - d V`` in int64, V the flip."""
+    return _permutation_sum(d, _scaled(_P_MINUS, d, 1))
 
-    Built as (2/d^2) P_minus + (1/d^3) I with P_minus the antisymmetric
-    projector; equivalently ((d+1)/d^3) I - (1/d^2) flip.  The terms of
-    P_minus come first, so that on a symmetric state such as |aa> they
-    cancel exactly to 0 before 1/d^3 is added.
-    """
-    if d < 2:  # before the coefficients, which divide by d
-        raise ValueError(f"local dimension must be at least 2, got {d}")
-    terms = _scaled(_P_MINUS, lambda s: 1.0 / d**2 * s, 1.0 / d**3)
-    return DensityOperator(_permutation_sum(d, terms), (d, d))
+
+def _source_sum(d: int) -> tuple[np.ndarray, int]:
+    """The scaled source ``S = k T`` in int64 and its scale ``k``: ``(2I - V12 - V13, 8)`` at
+    d = 2, where T = dso_two_qubit(); else ``(d^2 sum sgn(pi) U_pi + (d-2) I, d^4 (d-2))``, where
+    T = dso_general(d)."""
+    if d == 2:
+        return _permutation_sum(2, _DSO_TWO_QUBIT), 8
+    return _permutation_sum(d, _scaled(_Q, d * d, d - 2)), d**4 * (d - 2)
+
+
+def werner(d: int) -> DensityOperator:
+    """Werner state on C^d (x) C^d: ((d+1)/d^3) I - (1/d^2) flip = (2/d^2) P_minus + (1/d^3) I,
+    with P_minus the antisymmetric projector."""
+    return DensityOperator(_werner_sum(d) / d**3, (d, d))
 
 
 def singlet() -> DensityOperator:
     """Two-qubit singlet state: the rank-one projector onto (|01> - |10>)/sqrt(2)."""
-    return DensityOperator(_permutation_sum(2, tuple((pi, 0.5 * s) for pi, s in _P_MINUS)), (2, 2))
+    return DensityOperator(_permutation_sum(2, _P_MINUS) / 2, (2, 2))
 
 
 def dso_two_qubit() -> DensityOperator:
@@ -142,8 +147,8 @@ def dso_two_qubit() -> DensityOperator:
     Tracing out factor 2 or factor 3 yields the d = 2 Werner state;
     tracing out factor 1 yields the maximally mixed two-qubit state.
     """
-    terms = tuple((pi, 0.125 * s) for pi, s in _DSO_TWO_QUBIT)
-    return DensityOperator(_permutation_sum(2, terms), (2, 2, 2))
+    s, k = _source_sum(2)
+    return DensityOperator(s / k, (2, 2, 2))
 
 
 def dso_general(d: int) -> DensityOperator:
@@ -151,11 +156,10 @@ def dso_general(d: int) -> DensityOperator:
 
     Equals (6 / (d^2 (d - 2))) Q + (1/d^4) I with Q the three-factor
     antisymmetrizer.  All three bipartite partial traces equal the
-    Werner state.  The terms of Q come first, so that where they cancel
-    (on |aaa> and |aab>) they sum to exactly 0 before 1/d^4 is added.
-    Undefined at d = 2, where Q vanishes and the formula divides by zero.
+    Werner state.  Undefined at d = 2, where Q vanishes and the formula
+    divides by zero.
     """
     if d <= 2:
         raise ValueError(f"symmetric source operator needs local dimension >= 3, got {d}")
-    terms = _scaled(_Q, lambda s: 6.0 / (d * d * (d - 2)) * (s / 6.0), 1.0 / d**4)
-    return DensityOperator(_permutation_sum(d, terms), (d, d, d))
+    s, k = _source_sum(d)
+    return DensityOperator(s / k, (d, d, d))

@@ -108,13 +108,14 @@ def scalar_draw(d: int, seed: int) -> np.ndarray:
     return np.array(starts)
 
 
-@pytest.mark.parametrize("d", [2, 3, 4, 5, 6])
+@pytest.mark.parametrize("d", [2, 3, 4, 5, 6, 7])
 @pytest.mark.parametrize("height", [1, 3, 4])
 def test_draw_matches_per_matrix_draw(d, height):
     """Stacks of ``height`` seeds draw what a scalar Box–Muller over each seed's own words of a
     Python-integer SplitMix64 does, at the first 60 seeds and the last 60 below ``2**64``; each
     start is exactly Hermitian with unit Frobenius norm, so ``Observable`` accepts it, and a
-    seed's starts are the same bits alone or in any stack."""
+    seed's starts are the same bits alone or in any stack.  The draw makes the words of the d it
+    is given, so d = 7, above the command line's cap, draws too."""
     for seeds in (range(60), range(2**64 - 60, 2**64)):
         drawn = np.concatenate(
             [bell._draw_observables(d, seeds[i : i + height], 2) for i in range(0, 60, height)]

@@ -12,9 +12,8 @@ import numpy as np
 import pytest
 
 import bellforge as bf
-from bellforge import cli
+from bellforge import cli, states
 from bellforge.cli import build_parser, main
-from test_states import _scaled_dense
 
 REPORT_KEYS = ["command", "parameters", "results", "wall_time_ms", "artifact_version"]
 
@@ -59,7 +58,7 @@ def test_verify_passes_for_supported_dimensions(capsys, d):
     assert code == 0
     assert list(report.keys()) == REPORT_KEYS
     assert report["command"] == "verify"
-    assert report["parameters"] == {"d": d, "tol": 1e-10}
+    assert report["parameters"] == {"d": d}
     assert report["artifact_version"] == bf.__version__
     assert all(entry["pass"] for entry in report["results"].values())
     assert "identity checks passed" in err
@@ -79,24 +78,15 @@ EXACT_KEYS = [
 
 @pytest.mark.parametrize("d", [2, 3, 4, 5, 6])
 def test_verify_results_keep_their_dense_definitions(capsys, d):
-    """``verify`` reports its exact checks, every defect ``"0"`` and the witness
-    ``(d + 1 - d^2) / d^2``, then the largest entry distance of each float build from its exact
-    operator, written here on the dense matrices, in this order."""
+    """``verify`` reports its exact checks, in this order, every defect ``"0"`` and the witness
+    ``(d + 1 - d^2) / d^2``."""
     code, report, _ = run_cli(capsys, ["verify", "--d", str(d), "--quiet"])
     assert code == 0
-    w, scale, s = _scaled_dense(d)
-    source = (bf.dso_two_qubit() if d == 2 else bf.dso_general(d)).entries
     results = report["results"]
-    assert list(results) == [*EXACT_KEYS, "werner_float_error", "source_float_error"]
+    assert list(results) == EXACT_KEYS
     for key in EXACT_KEYS:
         value = WITNESS[d] if key == "werner_witness" else "0"
         assert results[key] == {"value": value, "threshold": "0", "pass": True}, key
-    floats = {
-        "werner_float_error": np.max(np.abs(bf.werner(d).entries - w / d**3)),
-        "source_float_error": np.max(np.abs(source - s / scale)),
-    }
-    for key, value in floats.items():
-        assert results[key] == {"value": float(value), "threshold": 1e-10, "pass": True}, key
 
 
 def _failing(capsys, argv: list[str]) -> list[str]:
@@ -108,11 +98,11 @@ def _failing(capsys, argv: list[str]) -> list[str]:
 def _mutate(monkeypatch, change) -> None:
     """Make ``verify`` read ``change(d, S)`` as its exact scaled source."""
 
-    def mutated(d, _original=cli._scaled_operators):
-        w, scale, s = _original(d)
-        return w, scale, change(d, s.copy())
+    def mutated(d, _original=cli._source_sum):
+        s, scale = _original(d)
+        return change(d, s), scale
 
-    monkeypatch.setattr(cli, "_scaled_operators", mutated)
+    monkeypatch.setattr(cli, "_source_sum", mutated)
 
 
 @pytest.mark.parametrize("d", [3, 4, 6])
@@ -125,7 +115,7 @@ def test_verify_fails_on_a_lowered_identity_term(monkeypatch, capsys, d):
 
     _mutate(monkeypatch, lowered)
     failing = _failing(capsys, ["verify", "--d", str(d), "--quiet"])
-    assert failing == [*EXACT_KEYS[:5], "source_float_error"]
+    assert failing == EXACT_KEYS[:5]
 
 
 @pytest.mark.parametrize("d", [3, 4, 6])
@@ -142,17 +132,17 @@ def test_verify_fails_on_a_perturbed_off_diagonal_pair(monkeypatch, capsys, d):
 
     _mutate(monkeypatch, perturbed)
     failing = _failing(capsys, ["verify", "--d", str(d), "--quiet"])
-    assert failing == ["source_marginal_1", "source_float_error"]
+    assert failing == ["source_marginal_1"]
 
 
 @pytest.mark.parametrize("d", [3, 4, 6])
 def test_verify_fails_on_a_flipped_sign(monkeypatch, capsys, d):
     """The exact source summed from Q's table with the sign of the transposition of slots 2 and
-    3 flipped has the wrong trace and marginals; the float build keeps the true table."""
-    flipped = tuple((images, -s if images == (1, 3, 2) else s) for images, s in cli._Q)
-    monkeypatch.setattr(cli, "_Q", flipped)
+    3 flipped has the wrong trace and marginals."""
+    flipped = tuple((images, -s if images == (1, 3, 2) else s) for images, s in states._Q)
+    monkeypatch.setattr(states, "_Q", flipped)
     failing = _failing(capsys, ["verify", "--d", str(d), "--quiet"])
-    assert failing == [*EXACT_KEYS[:5], "source_float_error"]
+    assert failing == EXACT_KEYS[:5]
 
 
 @pytest.mark.parametrize("d", [3, 4, 6])
@@ -169,23 +159,29 @@ def test_verify_fails_on_a_pair_no_marginal_sees(monkeypatch, capsys, d):
 
     _mutate(monkeypatch, raised)
     failing = _failing(capsys, ["verify", "--d", str(d), "--quiet"])
-    assert failing == ["source_psd", "source_float_error"]
+    assert failing == ["source_psd"]
 
 
 @pytest.mark.parametrize("d", [7, 8, 12])
 def test_exact_checks_pass_past_the_command_line_cap(d):
     """The exact checks take any d; only the command line stops at 6."""
-    checks = cli._proof(d, *cli._scaled_operators(d))
+    checks = cli._proof(d, cli._werner_sum(d), *cli._source_sum(d))
     assert all(entry["pass"] for entry in checks.values())
     assert [checks[key]["value"] for key in EXACT_KEYS[:5]] == ["0"] * 5
     assert checks["werner_witness"]["value"] == f"{d + 1 - d * d}/{d * d}"
 
 
-def test_verify_fails_with_impossible_tolerance(capsys):
-    """At d = 5 the float source is 1.7e-18 from the exact one, more than 1e-30."""
-    code, report, _ = run_cli(capsys, ["verify", "--d", "5", "--tol", "1e-30"])
-    assert code == 1
-    assert not all(entry["pass"] for entry in report["results"].values())
+def _rejects_tolerance(capsys, argv: list[str]) -> None:
+    """``verify`` has no ``--tol`` (its checks are exact), so any value is a usage error."""
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "unrecognized arguments: --tol" in captured.err
+
+
+def test_verify_has_no_tolerance_option(capsys):
+    _rejects_tolerance(capsys, ["verify", "--d", "5", "--tol", "1e-30"])
 
 
 def test_verify_rejects_out_of_range_dimension(capsys):
@@ -427,6 +423,9 @@ def test_dso_find_rejects_bad_pattern(capsys):
     ids=["verify", "bell", "dso-find"],
 )
 def test_non_finite_or_non_positive_tolerance_is_usage_error(capsys, argv, tol):
+    if argv[0] == "verify":
+        _rejects_tolerance(capsys, [*argv, f"--tol={tol}"])
+        return
     code = main([*argv, f"--tol={tol}"])
     captured = capsys.readouterr()
     assert code == 2
@@ -466,7 +465,7 @@ def test_seed_past_the_start_stream_is_usage_error(capsys):
 @pytest.mark.parametrize(
     "argv, options",
     [
-        (["verify", "--d", "2"], ["d", "tol"]),
+        (["verify", "--d", "2"], ["d"]),
         (
             ["bell", "--functional", "chsh", "--state", "singlet", "--restarts", "2"],
             ["d", "functional", "state", "restarts", "seed", "tol"],
@@ -520,9 +519,8 @@ def test_every_entry_point_reports_the_supported_range(capsys, tmp_path, entry):
 
 
 def test_verify_solves_three_factor_operators_by_weight_sector(monkeypatch, capsys):
-    """``verify --d 6`` solves the spectra only to validate its float builds: the 216-sided
-    source operator block by block, in blocks of 3 and 6 states (1x1 blocks need no solve), and
-    the 36-sided Werner state as one block."""
+    """``verify --d 6`` builds no float state, so it solves no spectrum: its PSD check is the
+    exact factorization of the weight-sector blocks."""
     sides = []
     for name in ("eigvalsh", "eigh"):
 
@@ -533,15 +531,14 @@ def test_verify_solves_three_factor_operators_by_weight_sector(monkeypatch, caps
         monkeypatch.setattr(np.linalg, name, spy)
     code, report, _ = run_cli(capsys, ["verify", "--d", "6", "--quiet"])
     assert code == 0 and report["results"]["source_psd"]["pass"]
-    assert sorted(sides) == [3, 6, 36]
+    assert sides == []
 
 
 @pytest.mark.parametrize("d", [4, 5, 6])
 def test_verify_does_no_dense_three_factor_work(monkeypatch, capsys, d):
-    """``verify`` multiplies no three-factor operator densely and takes no norm of more than
-    d**4 entries, so it calls no BLAS kernel large enough to start worker threads: the exact
-    positivity proof reads the scaled source as its stacks of 1-, 3- and 6-sided blocks, and
-    factors one of each size."""
+    """``verify`` multiplies no three-factor operator densely and takes no norm, so it calls no
+    BLAS kernel large enough to start worker threads: the exact positivity proof reads the
+    scaled source as its stacks of 1-, 3- and 6-sided blocks, and factors one of each size."""
     reads, sizes, factored = [], [], []
     blocks, norm, defect = bf.linalg._blocks, np.linalg.norm, cli._psd_defect
 
@@ -566,13 +563,13 @@ def test_verify_does_no_dense_three_factor_work(monkeypatch, capsys, d):
     assert code == 0
     assert ("_proof", (d, d, d), [1, 3, 6]) in reads
     assert all(max(sides) <= 6 for _, dims, sides in reads if len(dims) == 3)
-    assert sizes and max(sizes) <= d**4
+    assert sizes == []
     assert factored == [(1, 1), (3, 3), (6, 6)]
 
 
 def test_verify_solves_each_spectrum_once(monkeypatch, capsys):
-    """``verify --d 2`` solves the 4-sided Werner state and the source operator's 3-sided weight
-    sectors once each, to validate the states; the exact proof solves none."""
+    """``verify --d 2`` solves no spectrum: it validates no float state, and the exact proof
+    factors its blocks instead."""
     sides = []
 
     def spy(m, *args, _original=np.linalg.eigvalsh, **kwargs):
@@ -582,7 +579,7 @@ def test_verify_solves_each_spectrum_once(monkeypatch, capsys):
     monkeypatch.setattr(np.linalg, "eigvalsh", spy)
     code, _, _ = run_cli(capsys, ["verify", "--d", "2", "--quiet"])
     assert code == 0
-    assert sorted(sides) == [3, 4]
+    assert sides == []
 
 
 # ----------------------------------------------------------------------- misc

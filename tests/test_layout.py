@@ -224,15 +224,43 @@ def _module_stores(name: str) -> list[str]:
     )
 
 
-def test_one_integer_table_per_operator():
+def test_one_integer_table_per_operator(monkeypatch):
     """The terms of P_minus, Q and the two-qubit source are declared once each, at ``states``'
-    module level, with integer signs that the float and the exact builds both scale;
-    ``_permutation_sum`` sums every one; only ``linalg`` imports ``Fraction``; and ``verify``'s
+    module level, with integer signs; only ``states`` sums them, with ``_permutation_sum``, and
+    ``_scaled`` multiplies them by integers only, so each float state and ``verify``'s exact
+    operators come from one integer build; ``cli`` imports neither the tables nor the
+    summing helpers, only the builders; only ``linalg`` imports ``Fraction``; and ``verify``'s
     ``results`` are the same bytes on every call."""
     for table in ("_P_MINUS", "_Q", "_DSO_TWO_QUBIT"):
         assert _module_stores(table) == ["states.py:<module>"], table
         assert all(type(s) is int for _, s in getattr(bellforge.states, table)), table
     assert _call_owners("_permutation") == ["states.py:_permutation_sum"]
+    for helper in ("_permutation_sum", "_scaled"):
+        owners = _call_owners(helper)
+        assert owners and all(owner.startswith("states.py:") for owner in owners), helper
+    cli_imports = {
+        alias.name
+        for node in ast.walk(dict(_modules())["cli.py"])
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+    }
+    hidden = {"_P_MINUS", "_Q", "_DSO_TWO_QUBIT", "_permutation_sum", "_scaled"}
+    assert not cli_imports & hidden, cli_imports & hidden
+    assert {"_werner_sum", "_source_sum"} <= cli_imports
+    coefficients = []
+
+    def spy(table, coef, eye, _original=bellforge.states._scaled):
+        coefficients.append((coef, eye))
+        return _original(table, coef, eye)
+
+    monkeypatch.setattr(bellforge.states, "_scaled", spy)
+    for d in range(2, 7):
+        bellforge.states.werner(d)
+        bellforge.states._source_sum(d)
+        if d >= 3:
+            bellforge.states.dso_general(d)
+    assert coefficients
+    assert all(type(c) is int for pair in coefficients for c in pair), coefficients
     importers = sorted(
         {
             name
@@ -402,6 +430,8 @@ def test_package_exports_exactly_the_module_lists():
 UNCALLED_PUBLIC = {
     "original_bell_gap": "re-evaluates a see-saw optimum in the exact model",
     "chsh_value": "re-evaluates a see-saw optimum in the exact model",
+    "dso_two_qubit": "the paper's d = 2 source operator; verify proves its integer sum instead",
+    "dso_general": "the paper's d >= 3 source operator; verify proves its integer sum instead",
 }
 
 

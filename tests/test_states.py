@@ -5,14 +5,21 @@ from __future__ import annotations
 
 import hashlib
 import itertools
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 import bellforge as bf
-from bellforge.cli import _scaled_operators
 from bellforge.linalg import _permutation, _ptrace
-from bellforge.states import _DSO_TWO_QUBIT, _P_MINUS, _Q, _permutation_sum
+from bellforge.states import (
+    _DSO_TWO_QUBIT,
+    _P_MINUS,
+    _Q,
+    _permutation_sum,
+    _source_sum,
+    _werner_sum,
+)
 
 
 # The sign of each permutation of three slots, by its image tuple: slot i moves to images[i - 1].
@@ -36,17 +43,17 @@ def _perm(d: int, images: tuple[int, ...]) -> np.ndarray:
 
 def _flip(d: int) -> np.ndarray:
     """The flip V on C^d (x) C^d, its one term summed."""
-    return _permutation_sum(d, (((2, 1), 1.0),))
+    return _permutation_sum(d, (((2, 1), 1),))
 
 
 def _antisym(d: int) -> np.ndarray:
-    """The antisymmetric projector P_minus = (I - V)/2, summed from its table at its float scale."""
-    return _permutation_sum(d, tuple((images, 0.5 * s) for images, s in _P_MINUS))
+    """The antisymmetric projector P_minus = (I - V)/2, its table's integer sum over 2."""
+    return _permutation_sum(d, _P_MINUS) / 2
 
 
 def _antisymmetrizer(d: int) -> np.ndarray:
-    """The antisymmetrizer Q = sum sgn(pi) U_pi / 6, summed from its table at its float scale."""
-    return _permutation_sum(d, tuple((images, s / 6.0) for images, s in _Q))
+    """The antisymmetrizer Q = sum sgn(pi) U_pi / 6, its table's integer sum over 6."""
+    return _permutation_sum(d, _Q) / 6
 
 
 def _scaled_dense(d: int) -> tuple[np.ndarray, int, np.ndarray]:
@@ -58,6 +65,15 @@ def _scaled_dense(d: int) -> tuple[np.ndarray, int, np.ndarray]:
         return w, 8, 2 * np.eye(8) - _perm(2, (2, 1, 3)) - _perm(2, (3, 2, 1))
     signed = sum(PARITIES[images] * _perm(d, images) for images in PARITIES)
     return w, d**4 * (d - 2), d * d * signed + (d - 2) * np.eye(d**3)
+
+
+def _rounded(exact, *parts: np.ndarray) -> np.ndarray:
+    """``float(exact(*values))`` at each entry of the integer-valued arrays ``parts``: the exact
+    rational correctly rounded, computed once per distinct tuple of values."""
+    stacked = np.stack([np.asarray(p).astype(np.int64).ravel() for p in parts], axis=1)
+    keys, inverse = np.unique(stacked, axis=0, return_inverse=True)
+    table = np.array([float(exact(*map(int, key))) for key in keys])
+    return table[inverse.ravel()].reshape(np.shape(parts[0]))
 
 
 # ----------------------------------------------------------------------- flip
@@ -423,18 +439,21 @@ def test_bipartite_sums_match_their_formulas_bit_for_bit(d):
 def test_tripartite_sums_match_their_formulas_bit_for_bit(d):
     for images in PARITIES:
         reference = bf.TensorOperator(_perm(d, images), (d, d, d))
-        summed = bf.TensorOperator(_permutation_sum(d, ((images, 1.0),)), (d, d, d))
+        summed = bf.TensorOperator(_permutation_sum(d, ((images, 1),)), (d, d, d))
         assert _same_bits(summed, reference)
     assert _same_bits(bf.TensorOperator(_antisymmetrizer(d), (d, d, d)), _antisymmetrizer_ref(d))
 
 
 @pytest.mark.parametrize("d", range(3, 9))
 def test_dso_general_matches_its_formula_bit_for_bit(d):
-    reference = bf.TensorOperator(
-        (1.0 / d**4) * np.eye(d**3, dtype=complex)
-        + (6.0 / (d * d * (d - 2))) * _antisymmetrizer_ref(d).entries,
-        (d, d, d),
-    )
+    """Each entry of ``dso_general(d)`` is ``(6 / (d^2 (d-2))) Q + (1/d^4) I``, summed in
+    ``Fraction``s from the signed permutation sum ``6 Q`` and rounded once."""
+    signed = sum(PARITIES[images] * _perm(d, images) for images in PARITIES)
+
+    def exact(q6: int, eye: int) -> Fraction:
+        return Fraction(6, d * d * (d - 2)) * Fraction(q6, 6) + Fraction(eye, d**4)
+
+    reference = bf.TensorOperator(_rounded(exact, signed, np.eye(d**3)), (d, d, d))
     assert _same_bits(bf.dso_general(d), reference)
 
 
@@ -462,8 +481,9 @@ def test_each_sum_constructs_one_operator(monkeypatch, d):
 
 
 # sha256 of the entries of werner(2..6), singlet(), dso_two_qubit() and dso_general(3..6), in that
-# order, as complex128 bytes: the integer term tables and their scales keep every byte.
-BUILD_DIGEST = "1132032ea6071e54dbec28b0510647ade08c9e2083f4bd070038d7df3e038e8f"
+# order, as complex128 bytes.  Of these, only dso_general(5) moved (300 entries) when each state
+# became its integer sum over its scale, to the correctly rounded exact value.
+BUILD_DIGEST = "b3c559748fb8ac0917d858511485243d77a7012ccc4e0b08620ed37d97684dc4"
 
 
 def test_float_builds_keep_their_bytes():
@@ -487,7 +507,7 @@ def test_term_tables_are_frozen():
 @pytest.mark.parametrize("d", [2, 3, 4, 5, 6])
 def test_integer_sums_are_the_scaled_operators(d):
     """``verify``'s W and S, summed in int64 from the tables, are the dense formulas."""
-    w, scale, s = _scaled_operators(d)
+    w, (s, scale) = _werner_sum(d), _source_sum(d)
     assert w.dtype == s.dtype == np.int64
     dense_w, dense_scale, dense_s = _scaled_dense(d)
     assert scale == dense_scale
@@ -495,11 +515,29 @@ def test_integer_sums_are_the_scaled_operators(d):
     np.testing.assert_array_equal(s, dense_s)
 
 
-@pytest.mark.parametrize("d", [2, 4])
+@pytest.mark.parametrize("d", range(2, 13))
 def test_integer_sums_times_a_dyadic_scale_are_the_float_builds(d):
-    """Where 1/d^3 and 1/k are powers of two, the float builds are exactly the integer sums
-    over their scales: ``werner(2)``, ``werner(4)``, ``dso_two_qubit()`` and ``dso_general(4)``."""
-    w, scale, s = _scaled_operators(d)
+    """Every float build is its integer sum divided once by its scale, ``entries == m / k``, at
+    every d: ``werner(d)`` over d^3, and ``dso_two_qubit()`` over 8 or ``dso_general(d)`` over
+    d^4 (d-2)."""
+    s, scale = _source_sum(d)
     source = bf.dso_two_qubit() if d == 2 else bf.dso_general(d)
-    assert (bf.werner(d).entries == w * (1.0 / d**3)).all()
-    assert (source.entries == s * (1.0 / scale)).all()
+    assert (bf.werner(d).entries == _werner_sum(d) / d**3).all()
+    assert (source.entries == s / scale).all()
+
+
+@pytest.mark.parametrize("d", range(2, 9))
+def test_float_builds_are_their_exact_operators_correctly_rounded(d):
+    """Every entry of ``werner(d)``, of the source (``dso_two_qubit()`` at d = 2, else
+    ``dso_general(d)``) and, at d = 2, of ``singlet()`` is ``float(Fraction(m, k))`` of its
+    integer entry ``m`` and scale ``k`` in the dense formulas, with a zero imaginary part."""
+    w, scale, s = _scaled_dense(d)
+    cases = [
+        (bf.werner(d), w, d**3),
+        (bf.dso_two_qubit() if d == 2 else bf.dso_general(d), s, scale),
+    ]
+    if d == 2:
+        cases.append((bf.singlet(), np.eye(4) - _perm(2, (2, 1)), 2))
+    for state, m, k in cases:
+        assert (state.entries.imag == 0).all()
+        assert (state.entries.real == _rounded(lambda v, k=k: Fraction(v, k), m)).all()
