@@ -24,9 +24,6 @@ equal running them one at a time.  Every contraction with the state is a
 batched matrix product: the state is reshaped once into two ``d² x d²``
 matrices, and each observable of a stack is a ``1 x d²`` row multiplied by one
 of them on its own, so a row's bits do not depend on the height of the stack.
-Each sweep forms each effective operator once and reads its correlations off
-Bob's, and a row's final score comes from its last sweep, with no
-re-evaluation pass.
 """
 
 from __future__ import annotations

@@ -40,6 +40,7 @@ target does not conserve weight.  ``linalg`` owns every map on that layout.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import operator
@@ -48,8 +49,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import (
-    PSD_TOL, TensorOperator, _add_embedded, _block_ptrace, _chunks, _conserves, _hermitian_part,
-    _Layout, _layout, _project_density, _ptrace, _spectrum,
+    PSD_TOL, TensorOperator, _add_embedded, _block_ptrace, _chunks, _conserves, _frozen,
+    _hermitian_part, _Layout, _layout, _project_density, _ptrace, _spectrum,
 )
 from .states import DensityOperator, _bipartite_dim, _check_local_dim
 
@@ -117,22 +118,30 @@ class InfeasibilityCertificate:
 class FeasibilityResult:
     """Outcome of the DR search ``dykstra_find_extension`` (named for the benchmark layer).
 
-    ``candidate`` is the best density point found and ``residual`` its total
-    infeasibility (largest marginal deviation plus PSD and trace deficits),
-    ``iterations`` the number of DR iterations run (0 when the targets'
-    shared one-party marginals proved infeasibility first; the candidate is
-    then the start), and ``converged`` whether that residual reached the
-    tolerance.  ``certificate`` is ``None`` unless infeasibility was proved.
-    ``residual_trace`` records each iteration's marginal deviation plus
-    trace deficit.  ``stop_reason`` says what the result proves.
+    ``best`` holds the block entries, in ``layout``, of the best density point found, which
+    ``candidate`` scatters into an operator on first read.  ``residual`` is its total
+    infeasibility (largest marginal deviation plus PSD and trace deficits), ``iterations`` the
+    number of DR iterations run (0 when the targets' shared one-party marginals proved
+    infeasibility first; the point is then the start), ``converged`` whether that residual
+    reached the tolerance, and ``residual_trace`` each iteration's marginal deviation plus trace
+    deficit.  ``certificate`` is ``None`` unless infeasibility was proved, and ``stop_reason``
+    says what the result proves.
     """
 
-    candidate: TensorOperator
+    best: np.ndarray
+    layout: _Layout
     residual: float
     iterations: int
     converged: bool
     residual_trace: tuple[float, ...]
     certificate: InfeasibilityCertificate | None
+
+    @functools.cached_property
+    def candidate(self) -> TensorOperator:
+        """The best point as a dense operator, built from ``best`` on first read and kept."""
+        m = np.zeros((self.layout.d**3,) * 2, self.best.dtype)
+        m[self.layout.rows, self.layout.cols] = self.best
+        return TensorOperator(m, (self.layout.d,) * 3)
 
     @property
     def stop_reason(self) -> str:
@@ -302,10 +311,9 @@ def dykstra_find_extension(
             certificate = _certificate(_sweep(a - c, layout, zeros)[1], layout, targets)
         z += c - a
 
-    candidate = np.zeros((d**3, d**3), dtype=best.dtype)
-    candidate[layout.rows, layout.cols] = best
     return FeasibilityResult(
-        candidate=TensorOperator(candidate, (d, d, d)),
+        best=_frozen(best),
+        layout=layout,
         residual=full if converged else _residual(best, layout, targets),
         iterations=iterations,
         converged=converged,

@@ -18,11 +18,8 @@ out as one flat vector of block entries, once per dimension and read-only.
 On that vector the kernel takes partial traces, embeds, projects onto the
 density set and solves the spectrum, one stacked solve per block size.
 ``eigenvalues``, density validation and ``verify``'s exact positivity proof
-(``_psd_defect``, an exact LDL^T of an integer matrix) read an operator through
-``_blocks``: the Hermiticity and spectrum of a three-factor operator that
-conserves weight are taken exactly on its blocks, and those of any other
-operator on its one dense matrix, in real arithmetic for a zero imaginary
-part.  The extension search stores its iterates in the same layout.
+read an operator through ``_blocks``, and the extension search stores its
+iterates and its result in the same layout.
 """
 
 from __future__ import annotations
@@ -174,7 +171,7 @@ def _multisets(d: int, n: int) -> np.ndarray:
 def _conserves(m: np.ndarray, d: int, n: int) -> bool:
     """Whether ``m`` on n copies of C^d is exactly zero between states of different multisets."""
     code = _multisets(d, n)
-    return not m[code[:, None] != code].any()
+    return bool(np.count_nonzero(m[code[:, None] == code]) == np.count_nonzero(m.astype(bool)))
 
 
 def _sectors(d: int) -> tuple[np.ndarray, ...]:

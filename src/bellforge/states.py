@@ -147,8 +147,7 @@ def dso_two_qubit() -> DensityOperator:
     Tracing out factor 2 or factor 3 yields the d = 2 Werner state;
     tracing out factor 1 yields the maximally mixed two-qubit state.
     """
-    s, k = _source_sum(2)
-    return DensityOperator(s / k, (2, 2, 2))
+    return DensityOperator(np.divide(*_source_sum(2)), (2, 2, 2))
 
 
 def dso_general(d: int) -> DensityOperator:
@@ -161,5 +160,4 @@ def dso_general(d: int) -> DensityOperator:
     """
     if d <= 2:
         raise ValueError(f"symmetric source operator needs local dimension >= 3, got {d}")
-    s, k = _source_sum(d)
-    return DensityOperator(s / k, (d, d, d))
+    return DensityOperator(np.divide(*_source_sum(d)), (d, d, d))

@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -405,6 +406,27 @@ def test_dso_find_dump_round_trips(capsys, tmp_path):
     assert np.trace(candidate.entries).real == pytest.approx(1.0, abs=1e-8)
     residuals = bf.verify_marginals(candidate, bf.pattern_right2(bf.werner(2)))
     assert max(residuals) <= 1e-6
+
+
+def test_dso_find_builds_no_dense_candidate_without_dump(capsys):
+    """A search keeps its result as block entries: a warm ``sym3`` run at d = 6 without
+    ``--dump`` peaks below one float d^6-entry matrix, and ``candidate`` is scattered from the
+    entries once, on first read, with zeros outside the blocks."""
+    argv = ["dso-find", "--pattern", "sym3", "--d", "6", "--quiet"]
+    assert main(argv) == 0
+    tracemalloc.start()
+    try:
+        assert main(argv) == 0
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    capsys.readouterr()
+    assert peak < 8 * 6**6
+    result = bf.dykstra_find_extension(bf.pattern_sym3(bf.werner(6)))
+    assert result.candidate is result.candidate
+    entries, layout = result.candidate.entries, result.layout
+    np.testing.assert_array_equal(entries[layout.rows, layout.cols], result.best)
+    assert np.count_nonzero(entries) == np.count_nonzero(result.best)
 
 
 def test_dso_find_rejects_bad_pattern(capsys):

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import types
 from fractions import Fraction
 
 import numpy as np
@@ -681,7 +682,7 @@ def nearest_density(m: np.ndarray) -> np.ndarray:
 
 def textbook_douglas_rachford(
     pattern: bf.MarginalPattern, max_iters: int, tol: float
-) -> bf.FeasibilityResult:
+) -> types.SimpleNamespace:
     """The search on dense matrices, as Douglas–Rachford splitting is stated.
 
     It calls no helper of the search: embeddings come from ``embed_identity``, the density
@@ -743,12 +744,12 @@ def textbook_douglas_rachford(
             if found is not None:
                 break
         z = z + c - a
-    return bf.FeasibilityResult(
+    # A plain record: a ``FeasibilityResult`` scatters its candidate from the search's layout.
+    return types.SimpleNamespace(
         candidate=bf.TensorOperator(best, (d, d, d)),
         residual=residual(best),
         iterations=iterations,
-        converged=converged,
-        residual_trace=(),
+        stop_reason="converged" if converged else "max_iters" if found is None else "infeasible",
         certificate=found,
     )
 

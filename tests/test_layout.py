@@ -213,6 +213,28 @@ def test_one_permutation_sum_builds_every_named_operator():
     assert not [owner for owner in _call_owners("identity") if owner.startswith("states.py:")]
 
 
+def _scatter_owners() -> list[str]:
+    """``module:top-level name``, or ``module:Class.method``, of every store into a matrix at
+    ``rows`` and ``cols``, the one way a layout's block vector becomes a dense matrix."""
+    return sorted(
+        f"{module}:{getattr(top, 'name', '<module>')}" + (f".{fn.name}" if fn is not top else "")
+        for module, tree in _modules()
+        for top in tree.body
+        for fn in (top.body if isinstance(top, ast.ClassDef) else [top])
+        for node in ast.walk(fn)
+        if isinstance(node, ast.Subscript)
+        and isinstance(node.ctx, ast.Store)
+        and [getattr(e, "attr", getattr(e, "id", None)) for e in getattr(node.slice, "elts", [])]
+        == ["rows", "cols"]
+    )
+
+
+def test_one_property_scatters_a_search_result():
+    """A search returns its best point as block entries; ``FeasibilityResult.candidate`` is the
+    one place that scatters them into a dense matrix, on first read."""
+    assert _scatter_owners() == ["extensions.py:FeasibilityResult.candidate"]
+
+
 def _module_stores(name: str) -> list[str]:
     """``module:top-level name`` of every assignment to ``name``."""
     return sorted(

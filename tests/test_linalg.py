@@ -612,6 +612,28 @@ def test_psd_defect_decides_positivity_exactly():
     assert la._psd_defect(np.array([[2, 1], [0, 2]])) == 1
 
 
+def test_conservation_test_copies_no_off_sector_entry():
+    """``_conserves`` counts the nonzero entries inside the sectors against all of them, so it
+    copies no off-sector entry, and it agrees with testing those entries for a nonzero one: the
+    least subnormal and a purely imaginary value count, and ``-0.0`` does not."""
+    m = bf.dso_general(6).entries
+    tracemalloc.start()
+    try:
+        assert la._conserves(m, 6, 3)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 6**6  # the off-sector copy alone took twice that
+    code = la._multisets(3, 3)
+    row, col = next((r, c) for r in range(27) for c in range(27) if code[r] != code[c])
+    for value, conserving in ((5e-324, False), (1e-300j, False), (-0.0, True)):
+        for entries in (bf.dso_general(3).entries, bf.dso_general(3).entries.real):
+            off = entries.astype(np.result_type(entries, value))
+            off[row, col] = value
+            assert la._conserves(off, 3, 3) is conserving
+            assert conserving == (not off[code[:, None] != code].any())
+
+
 def test_one_asymmetric_entry_inside_a_block_is_rejected():
     """A conserving operator that is not Hermitian in a single entry, inside one block, is
     rejected both as a density operator and by ``eigenvalues``."""

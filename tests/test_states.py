@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import hashlib
 import itertools
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -462,6 +463,20 @@ def test_qubit_sources_match_their_formulas_bit_for_bit():
     reference = bf.TensorOperator(0.25 * np.eye(8) - 0.125 * v12 - 0.125 * v13, (2, 2, 2))
     assert _same_bits(bf.dso_two_qubit(), reference)
     assert _same_bits(bf.singlet(), _antisym_ref(2))
+
+
+def test_source_state_frees_its_integer_sum_before_validation():
+    """``dso_general`` divides its int64 sum and drops it before the float state is built and
+    checked: the peak holds the complex state, its float quotient and the checks' temporaries,
+    below one more d^6-entry matrix, which the int64 sum alone would fill."""
+    bf.dso_general(6)
+    tracemalloc.start()
+    try:
+        bf.dso_general(6)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < (16 + 8 + 8) * 6**6
 
 
 @pytest.mark.parametrize("d", [3, 6])
