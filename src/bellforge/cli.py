@@ -16,7 +16,7 @@ stdout: floats take their shortest round-trip spelling, so identical inputs
 give identical bytes in every field but ``wall_time_ms``.  A short summary
 goes to stderr unless ``--quiet`` is passed.  The report's ``parameters``
 echo every option but ``--quiet``, in parser order; ``d`` is the state's
-local dimension.
+local dimension, which ``--d`` sets for ``werner`` alone.
 Exit codes: 0 all checks passed, 1 a check failed or a violation was
 found, 2 usage error, 3 structurally valid but non-density input data.
 Repeated ``main(argv)`` calls share one parser, built on the first call.
@@ -59,6 +59,9 @@ from .states import (
 
 __all__ = ["main"]
 
+# Slack over a classical bound: see-saw sums round near 1e-14; named states violate by >= 0.5.
+_BOUND_SLACK = 1e-7
+
 
 class _UsageError(Exception):
     """Bad command line or unreadable input file (exit code 2)."""
@@ -84,15 +87,15 @@ def _check_d(d: int) -> None:
 
 
 def _resolve_state(name: str, d: int | None) -> DensityOperator:
-    """Build the requested bipartite state, validating dimensions along the way."""
+    """Build the requested bipartite state; ``--d`` sizes ``werner`` alone."""
     if name == "werner":
         if d is None:
             raise _UsageError("--state werner requires --d")
         _check_d(d)
         return werner(d)
+    if d is not None:
+        raise _UsageError(f"--d is accepted only with --state werner, got --state {name}")
     if name == "singlet":
-        if d is not None and d != 2:
-            raise _UsageError(f"--state singlet is two-dimensional, got --d {d}")
         return singlet()
     if name.startswith("file:"):
         path = name[len("file:"):]
@@ -107,8 +110,6 @@ def _resolve_state(name: str, d: int | None) -> DensityOperator:
             _check_local_dim(local)
         except ValueError as exc:
             raise _DataError(f"state file: {exc}") from exc
-        if d is not None and local != d:
-            raise _DataError(f"state file has local dimension {local}, but --d {d} was given")
         try:
             op = operator_from_text(text)
         except ValueError as exc:
@@ -129,15 +130,16 @@ def _exact(value: object, passed: bool) -> dict:
 
 
 def _proof(d: int, w: np.ndarray, s: np.ndarray, scale: int) -> dict[str, dict]:
-    """The exact checks of ``W = _werner_sum(d)`` and ``S, scale = _source_sum(d)``, any d >= 2:
-    ``tr S`` is the scale, each constrained partial trace of S is ``d(d-2) W`` (at d = 2, W on
-    slots 2, 3 and 2I on slot 1), S is PSD on its distinct weight-sector blocks, and the witness
-    ``<Phi|werner(d)^Gamma|Phi> = tr(W V) / d^3``, ``Phi = sum_i |ii>``, is negative.  A defect
-    is a largest |entry| / scale."""
+    """The exact checks, any d >= 2, of ``W = _werner_sum(d)`` and ``S, scale = _source_sum(d)``
+    for the theorem that each constrained marginal of ``T = S / scale`` is ``werner(d) = W / d^3``
+    (at d = 2, slot 1 is ``I / d^2``): ``tr S`` is the scale, the marginals hold exactly, S is
+    PSD on its distinct weight-sector blocks, and the witness ``<Phi|werner(d)^Gamma|Phi> =
+    tr(W V) / d^3``, ``Phi = sum_i |ii>``, is negative.  A defect is a largest |entry| / scale."""
     trace_gap = abs(int(np.trace(s)) - scale)
     checks = {"source_trace": _exact(_rational(trace_gap, scale), trace_gap == 0)}
-    targets = (2 * np.eye(4, dtype=np.int64), w, w) if d == 2 else (d * (d - 2) * w,) * 3
-    for j, target in enumerate(targets, 1):
+    marginal = scale // d**3 * w
+    first = scale // d**2 * np.eye(d * d, dtype=np.int64) if d == 2 else marginal
+    for j, target in enumerate((first, marginal, marginal), 1):
         gap = np.abs(_ptrace(s, (d,) * 3, j) - target).max()
         checks[f"source_marginal_{j}"] = _exact(_rational(gap, scale), gap == 0)
     # Each distinct block once, keyed by its bytes, which blocks of other sizes cannot share.
@@ -166,11 +168,11 @@ def cmd_bell(args: argparse.Namespace) -> _Outcome:
     rho = _resolve_state(args.state, args.d)
     if args.functional == "original":
         result = seesaw_original_bell(rho, cfg)
-        threshold = args.tol
+        threshold = _BOUND_SLACK
         kind = "perfect-correlation gap"
     else:
         result = seesaw_chsh(rho, cfg)
-        threshold = 2.0 + args.tol
+        threshold = 2.0 + _BOUND_SLACK
         kind = "CHSH value"
 
     entry = _check(result.best_value, threshold)
@@ -183,12 +185,7 @@ def cmd_bell(args: argparse.Namespace) -> _Outcome:
         notes.append(
             f"VIOLATION: {kind} {result.best_value:.12g} exceeds threshold {threshold:.12g}"
         )
-    return _Outcome(
-        d=rho.factor_dims[0],
-        results={"best_value": entry},
-        passed=passed,
-        notes=notes,
-    )
+    return _Outcome(d=rho.factor_dims[0], results={"best_value": entry}, passed=passed, notes=notes)
 
 
 def cmd_dso_find(args: argparse.Namespace) -> _Outcome:
@@ -231,7 +228,7 @@ def cmd_dso_find(args: argparse.Namespace) -> _Outcome:
 
 
 def _tolerance(text: str) -> float:
-    """The type of a ``--tol`` option: a finite positive float, else a usage error."""
+    """The type of ``dso-find --tol``: a finite positive float, else a usage error."""
     try:
         tol = float(text)
     except ValueError:
@@ -251,14 +248,15 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
+    d_help = "local dimension of the Werner state, 2..6"
 
     p_verify = sub.add_parser("verify", help="prove the source theorem exactly for one dimension")
-    p_verify.add_argument("--d", type=int, required=True, help="local dimension, 2..6")
+    p_verify.add_argument("--d", type=int, required=True, help=d_help)
     p_verify.add_argument("--quiet", action="store_true", help="suppress the stderr summary")
     p_verify.set_defaults(func=cmd_verify)
 
     p_bell = sub.add_parser("bell", help="maximize a correlation functional by see-saw")
-    p_bell.add_argument("--d", type=int, default=None, help="local dimension, 2..6")
+    p_bell.add_argument("--d", type=int, default=None, help=d_help)
     p_bell.add_argument(
         "--functional", choices=("original", "chsh"), required=True, help="objective to maximize"
     )
@@ -269,12 +267,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_bell.add_argument(
         "--seed", type=int, default=0, help="base seed <= 2**64-restarts; restart r uses seed+r"
     )
-    p_bell.add_argument("--tol", type=_tolerance, default=1e-7, help="violation threshold slack")
     p_bell.add_argument("--quiet", action="store_true", help="suppress the stderr summary")
     p_bell.set_defaults(func=cmd_bell)
 
     p_find = sub.add_parser("dso-find", help="search for a tripartite extension")
-    p_find.add_argument("--d", type=int, default=None, help="local dimension, 2..6")
+    p_find.add_argument("--d", type=int, default=None, help=d_help)
     p_find.add_argument(
         "--state", default="werner", help="werner, singlet, or file:PATH (matrix text format)"
     )

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import argparse
 import json
 import os
 import subprocess
@@ -173,7 +174,8 @@ def test_exact_checks_pass_past_the_command_line_cap(d):
 
 
 def _rejects_tolerance(capsys, argv: list[str]) -> None:
-    """``verify`` has no ``--tol`` (its checks are exact), so any value is a usage error."""
+    """``verify`` and ``bell`` have no ``--tol``, so any value is a usage error: ``verify``'s
+    checks are exact, and ``bell`` compares with its classical bound plus a fixed 1e-7."""
     code = main(argv)
     captured = capsys.readouterr()
     assert code == 2
@@ -309,7 +311,42 @@ def test_bell_rejects_singlet_dimension_conflict(capsys):
         capsys, ["bell", "--d", "3", "--functional", "chsh", "--state", "singlet"]
     )
     assert code == 2
-    assert "two-dimensional" in err
+    assert "--d is accepted only with --state werner, got --state singlet" in err
+
+
+@pytest.mark.parametrize(
+    "state, d",
+    [("singlet", "2"), ("file", "3"), ("file", "2")],
+    ids=["singlet", "file-same-d", "file-other-d"],
+)
+@pytest.mark.parametrize(
+    "argv",
+    [["bell", "--functional", "chsh", "--restarts", "1"], ["dso-find", "--pattern", "sym3"]],
+    ids=["bell", "dso-find"],
+)
+def test_dimension_is_read_only_for_werner(capsys, tmp_path, argv, state, d):
+    """``--d`` sizes ``--state werner`` alone: beside the singlet or a ``werner(3)`` state file,
+    with or without the file's own dimension, it is a usage error."""
+    path = tmp_path / "w3.mat"
+    path.write_text(bf.operator_to_text(bf.werner(3)), encoding="ascii")
+    name = f"file:{path}" if state == "file" else state
+    code = main([*argv, "--state", name, "--d", d, "--quiet"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert f"--d is accepted only with --state werner, got --state {name}" in captured.err
+
+
+def test_bell_has_no_tolerance_option(capsys):
+    _rejects_tolerance(capsys, ["bell", "--d", "2", "--functional", "chsh", "--tol", "1e-9"])
+
+
+@pytest.mark.parametrize("functional, threshold", [("chsh", 2.0000001), ("original", 1e-07)])
+def test_bell_threshold_is_the_classical_bound_plus_a_fixed_slack(capsys, functional, threshold):
+    argv = ["bell", "--d", "3", "--functional", functional, "--restarts", "2", "--quiet"]
+    code, report, _ = run_cli(capsys, argv)
+    assert code == 0
+    assert report["results"]["best_value"]["threshold"] == threshold
 
 
 def test_bell_requires_dimension_for_werner(capsys):
@@ -445,7 +482,7 @@ def test_dso_find_rejects_bad_pattern(capsys):
     ids=["verify", "bell", "dso-find"],
 )
 def test_non_finite_or_non_positive_tolerance_is_usage_error(capsys, argv, tol):
-    if argv[0] == "verify":
+    if argv[0] in ("verify", "bell"):
         _rejects_tolerance(capsys, [*argv, f"--tol={tol}"])
         return
     code = main([*argv, f"--tol={tol}"])
@@ -490,7 +527,7 @@ def test_seed_past_the_start_stream_is_usage_error(capsys):
         (["verify", "--d", "2"], ["d"]),
         (
             ["bell", "--functional", "chsh", "--state", "singlet", "--restarts", "2"],
-            ["d", "functional", "state", "restarts", "seed", "tol"],
+            ["d", "functional", "state", "restarts", "seed"],
         ),
         (
             ["dso-find", "--pattern", "right2", "--iters", "3"],
@@ -629,6 +666,21 @@ def test_version_flag(capsys):
 
 def test_parser_is_built_once():
     assert build_parser() is build_parser()
+
+
+def test_an_option_means_one_thing_on_every_subcommand():
+    """An option string that several subcommands declare has one ``type`` and one ``help``, so
+    one flag name cannot come to mean two things."""
+    (subparsers,) = [
+        a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)
+    ]
+    seen: dict[str, set] = {}
+    for subparser in subparsers.choices.values():
+        for action in subparser._actions:
+            for flag in action.option_strings:
+                seen.setdefault(flag, set()).add((action.type, action.help))
+    assert {"--d", "--state", "--quiet"} <= set(seen)
+    assert {flag: meanings for flag, meanings in seen.items() if len(meanings) > 1} == {}
 
 
 def test_import_builds_no_parser():
