@@ -33,26 +33,15 @@ import time
 from dataclasses import dataclass, field
 from pathlib import Path
 
-import numpy as np
-
 from . import __version__
 from .bell import SeeSawConfig, seesaw_chsh, seesaw_original_bell
 from .extensions import dykstra_find_extension, pattern_right2, pattern_sym3
-from .linalg import (
-    _blocks,
-    _psd_defect,
-    _ptrace,
-    _rational,
-    _split_text,
-    operator_from_text,
-    operator_to_text,
-)
+from .linalg import _split_text, operator_from_text, operator_to_text
 from .states import (
     DensityOperator,
     _bipartite_dim,
     _check_local_dim,
-    _source_sum,
-    _werner_sum,
+    _source_proof,
     singlet,
     werner,
 )
@@ -129,32 +118,10 @@ def _exact(value: object, passed: bool) -> dict:
     return {"value": str(value), "threshold": "0", "pass": bool(passed)}
 
 
-def _proof(d: int, w: np.ndarray, s: np.ndarray, scale: int) -> dict[str, dict]:
-    """The exact checks, any d >= 2, of ``W = _werner_sum(d)`` and ``S, scale = _source_sum(d)``
-    for the theorem that each constrained marginal of ``T = S / scale`` is ``werner(d) = W / d^3``
-    (at d = 2, slot 1 is ``I / d^2``): ``tr S`` is the scale, the marginals hold exactly, S is
-    PSD on its distinct weight-sector blocks, and the witness ``<Phi|werner(d)^Gamma|Phi> =
-    tr(W V) / d^3``, ``Phi = sum_i |ii>``, is negative.  A defect is a largest |entry| / scale."""
-    trace_gap = abs(int(np.trace(s)) - scale)
-    checks = {"source_trace": _exact(_rational(trace_gap, scale), trace_gap == 0)}
-    marginal = scale // d**3 * w
-    first = scale // d**2 * np.eye(d * d, dtype=np.int64) if d == 2 else marginal
-    for j, target in enumerate((first, marginal, marginal), 1):
-        gap = np.abs(_ptrace(s, (d,) * 3, j) - target).max()
-        checks[f"source_marginal_{j}"] = _exact(_rational(gap, scale), gap == 0)
-    # Each distinct block once, keyed by its bytes, which blocks of other sizes cannot share.
-    distinct = {m.tobytes(): m for b in _blocks(s, (d,) * 3) for m in b.reshape(-1, *b.shape[-2:])}
-    psd = max(_psd_defect(m) for m in distinct.values())
-    checks["source_psd"] = _exact(psd / scale, psd == 0)
-    witness = _rational(np.einsum("abba->", w.reshape((d,) * 4)), d**3)
-    checks["werner_witness"] = _exact(witness, witness < 0)
-    return checks
-
-
 def cmd_verify(args: argparse.Namespace) -> _Outcome:
     d = args.d
     _check_d(d)
-    checks = _proof(d, _werner_sum(d), *_source_sum(d))
+    checks = {key: _exact(*check) for key, check in _source_proof(d).items()}
     npass = sum(entry["pass"] for entry in checks.values())
     notes = [f"verify d={d}: {npass}/{len(checks)} identity checks passed"]
     return _Outcome(d=d, results=checks, passed=npass == len(checks), notes=notes)

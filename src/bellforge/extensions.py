@@ -49,7 +49,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import (
-    PSD_TOL, TensorOperator, _add_embedded, _block_ptrace, _chunks, _conserves, _frozen,
+    PSD_TOL, TensorOperator, _add_embedded, _block_ptrace, _chunks, _conserves, _dense, _frozen,
     _hermitian_part, _Layout, _layout, _project_density, _ptrace, _spectrum,
 )
 from .states import DensityOperator, _bipartite_dim, _check_local_dim
@@ -139,9 +139,7 @@ class FeasibilityResult:
     @functools.cached_property
     def candidate(self) -> TensorOperator:
         """The best point as a dense operator, built from ``best`` on first read and kept."""
-        m = np.zeros((self.layout.d**3,) * 2, self.best.dtype)
-        m[self.layout.rows, self.layout.cols] = self.best
-        return TensorOperator(m, (self.layout.d,) * 3)
+        return TensorOperator(_dense(self.best, self.layout), (self.layout.d,) * 3)
 
     @property
     def stop_reason(self) -> str:

@@ -16,10 +16,10 @@ between sectors is block-diagonal (Eggeling & Werner, PRA 63, 042111 (2001);
 Gatermann & Parrilo, JPAA 192, 95 (2004)).  ``_layout`` lays such matrices
 out as one flat vector of block entries, once per dimension and read-only.
 On that vector the kernel takes partial traces, embeds, projects onto the
-density set and solves the spectrum, one stacked solve per block size.
-``eigenvalues``, density validation and ``verify``'s exact positivity proof
-read an operator through ``_blocks``, and the extension search stores its
-iterates and its result in the same layout.
+density set and solves the spectrum, one stacked solve per block size, and
+``_dense`` scatters it into the dense matrix.  ``eigenvalues`` and density
+validation read an operator through ``_blocks``; the extension search and the
+exact proof of the source theorem hold their operators in the layout itself.
 """
 
 from __future__ import annotations
@@ -199,7 +199,7 @@ class _Layout:
     def traced(self) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
         """Per slot j, the entries whose slot-j digits agree, which partial trace j sums, and the
         index ``row_pair * d**2 + col_pair`` each adds to; built on first use, by the extension
-        search only."""
+        search or the source proof."""
         d, rows, cols = self.d, self.rows, self.cols
         # Row r of ``place`` is the place value of slot r + 1 in a basis index; dropping
         # that digit from the index leaves the bipartite index ``pair[r]``.
@@ -223,6 +223,13 @@ def _layout(d: int, conserving: bool) -> _Layout:
         start += math.prod(shape)
     rows, cols = _frozen(np.concatenate(rows)), _frozen(np.concatenate(cols))
     return _Layout(d, tuple(chunks), rows, cols, _frozen(np.flatnonzero(rows == cols)))
+
+
+def _dense(v: np.ndarray, layout: _Layout) -> np.ndarray:
+    """The ``d**3``-sided matrix in ``v``'s dtype whose block entries are ``v``, zero elsewhere."""
+    m = np.zeros((layout.d**3,) * 2, v.dtype)
+    m[layout.rows, layout.cols] = v
+    return m
 
 
 def _chunks(v: np.ndarray, layout: _Layout) -> list[np.ndarray]:

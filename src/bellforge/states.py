@@ -1,13 +1,13 @@
-"""Werner states and their tripartite source operators.
+"""Werner states, their tripartite source operators, and the exact proof of the source theorem.
 
 Each named operator is one integer sum of factor-permutation operators U_pi, built in int64 by
 ``_permutation_sum`` from an integer table of ``(images, s)`` terms: U_pi moves slot ``i`` to slot
-``images[i - 1]``.  ``_werner_sum`` and ``_source_sum`` give the exact scaled operators that
-``verify`` proves the source theorem on; each float state is its integer sum divided once by its
-scale, so every entry is the exact one correctly rounded.  A ``DensityOperator`` is a
-``TensorOperator`` that checks its ``density_deficits`` when it is built: exactly, on the
-weight-sector blocks of a three-factor operator that conserves weight, and in real arithmetic if
-real."""
+``images[i - 1]``.  ``_source_proof`` proves the theorem exactly on ``_werner_sum``, dense, and
+``_source_sum``, the source's block entries in ``linalg._layout``; each float state is its integer
+sum divided once by its scale, so every entry is the exact one correctly rounded.  A
+``DensityOperator`` is a ``TensorOperator`` that checks its ``density_deficits`` when it is built:
+exactly, on the weight-sector blocks of a three-factor operator that conserves weight, and in
+real arithmetic if real."""
 
 from __future__ import annotations
 
@@ -21,8 +21,14 @@ from .linalg import (
     PSD_TOL,
     TensorOperator,
     _asymmetry,
+    _block_ptrace,
     _blocks,
+    _chunks,
+    _dense,
+    _layout,
     _permutation,
+    _psd_defect,
+    _rational,
     _spectrum,
 )
 
@@ -101,31 +107,52 @@ def _scaled(table: tuple, coef: int, eye: int) -> tuple:
     return (*((images, coef * s) for images, s in table), (identity, eye))
 
 
-def _permutation_sum(d: int, terms: tuple) -> np.ndarray:
-    """``sum c U_images`` over the integer ``(images, c)`` pairs on copies of C^d, d >= 2, as a
-    raw int64 array, exactly: a float ``c`` cannot be cast to it and raises."""
+def _permutation_sum(d: int, terms: tuple, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """The entries at the index arrays ``rows`` and ``cols`` of ``sum c U_images`` over the
+    ``(images, c)`` pairs on copies of C^d, d >= 2; in int64, exactly, for integer ``c``."""
     if d < 2:
         raise ValueError(f"local dimension must be at least 2, got {d}")
     dims = (d,) * len(terms[0][0])
-    m = np.zeros((d ** len(dims),) * 2, np.int64)
-    rows = np.arange(len(m))
-    for images, c in terms:
-        m[rows, _permutation(dims, images)] += c
-    return m
+    return sum(c * (_permutation(dims, images)[rows] == cols) for images, c in terms)
 
 
 def _werner_sum(d: int) -> np.ndarray:
     """``W = d^3 werner(d) = (d+1) I - d V`` in int64, V the flip."""
-    return _permutation_sum(d, _scaled(_P_MINUS, d, 1))
+    side = np.arange(d * d)
+    return _permutation_sum(d, _scaled(_P_MINUS, d, 1), side[:, None], side)
 
 
 def _source_sum(d: int) -> tuple[np.ndarray, int]:
-    """The scaled source ``S = k T`` in int64 and its scale ``k``: ``(2I - V12 - V13, 8)`` at
-    d = 2, where T = dso_two_qubit(); else ``(d^2 sum sgn(pi) U_pi + (d-2) I, d^4 (d-2))``, where
-    T = dso_general(d)."""
-    if d == 2:
-        return _permutation_sum(2, _DSO_TWO_QUBIT), 8
-    return _permutation_sum(d, _scaled(_Q, d * d, d - 2)), d**4 * (d - 2)
+    """The block entries in ``_layout(d, True)`` of the scaled source ``S = k T`` in int64, and its
+    scale ``k``: ``(2I - V12 - V13, 8)`` at d = 2, where T = dso_two_qubit(); else ``(d^2 sum
+    sgn(pi) U_pi + (d-2) I, d^4 (d-2))``, where T = dso_general(d).  The blocks are the whole of
+    S: every U_pi keeps the digit multiset of each basis state, so S has no other entry."""
+    layout = _layout(d, True)
+    terms, k = (_DSO_TWO_QUBIT, 8) if d == 2 else (_scaled(_Q, d * d, d - 2), d**4 * (d - 2))
+    return _permutation_sum(d, terms, layout.rows, layout.cols), k
+
+
+def _source_proof(d: int) -> dict[str, tuple]:
+    """``{key: (exact value, holds)}`` for the theorem, any d >= 2, that each constrained marginal
+    of ``T = S / k``, ``S, k = _source_sum(d)``, is ``werner(d) = W / d^3`` (at d = 2, slot 1 is
+    ``I / d^2``): ``tr S`` is k, the marginals hold exactly, S is PSD on its distinct weight-sector
+    blocks, and the witness ``<Phi|werner(d)^Gamma|Phi> = tr(W V) / d^3``, ``Phi = sum_i |ii>``,
+    is negative.  A defect is a largest |entry| / k."""
+    layout, w, (v, k) = _layout(d, True), _werner_sum(d), _source_sum(d)
+    trace_gap = abs(int(v[layout.diagonal].sum()) - k)
+    checks = {"source_trace": (_rational(trace_gap, k), trace_gap == 0)}
+    marginal = k // d**3 * w
+    first = k // d**2 * np.eye(d * d, dtype=np.int64) if d == 2 else marginal
+    for j, target in enumerate((first, marginal, marginal), 1):
+        gap = np.abs(_block_ptrace(v, layout, j) - target).max()
+        checks[f"source_marginal_{j}"] = (_rational(gap, k), gap == 0)
+    # Each distinct block once, keyed by its bytes, which blocks of other sizes cannot share.
+    distinct = {m.tobytes(): m for chunk in _chunks(v, layout) for m in chunk}
+    psd = max(_psd_defect(m) for m in distinct.values())
+    checks["source_psd"] = (psd / k, psd == 0)
+    witness = _rational(np.einsum("abba->", w.reshape((d,) * 4)), d**3)
+    checks["werner_witness"] = (witness, witness < 0)
+    return checks
 
 
 def werner(d: int) -> DensityOperator:
@@ -136,7 +163,8 @@ def werner(d: int) -> DensityOperator:
 
 def singlet() -> DensityOperator:
     """Two-qubit singlet state: the rank-one projector onto (|01> - |10>)/sqrt(2)."""
-    return DensityOperator(_permutation_sum(2, _P_MINUS) / 2, (2, 2))
+    side = np.arange(4)
+    return DensityOperator(_permutation_sum(2, _P_MINUS, side[:, None], side) / 2, (2, 2))
 
 
 def dso_two_qubit() -> DensityOperator:
@@ -147,7 +175,8 @@ def dso_two_qubit() -> DensityOperator:
     Tracing out factor 2 or factor 3 yields the d = 2 Werner state;
     tracing out factor 1 yields the maximally mixed two-qubit state.
     """
-    return DensityOperator(np.divide(*_source_sum(2)), (2, 2, 2))
+    v, k = _source_sum(2)
+    return DensityOperator(_dense(v / k, _layout(2, True)), (2, 2, 2))
 
 
 def dso_general(d: int) -> DensityOperator:
@@ -160,4 +189,5 @@ def dso_general(d: int) -> DensityOperator:
     """
     if d <= 2:
         raise ValueError(f"symmetric source operator needs local dimension >= 3, got {d}")
-    return DensityOperator(np.divide(*_source_sum(d)), (d, d, d))
+    v, k = _source_sum(d)
+    return DensityOperator(_dense(v / k, _layout(d, True)), (d, d, d))

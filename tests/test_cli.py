@@ -98,13 +98,23 @@ def _failing(capsys, argv: list[str]) -> list[str]:
 
 
 def _mutate(monkeypatch, change) -> None:
-    """Make ``verify`` read ``change(d, S)`` as its exact scaled source."""
+    """Make ``verify`` read ``change(d, v, layout)`` as the block entries of its exact scaled
+    source ``S``, ``v`` those of today's S in ``layout = _layout(d, True)``."""
 
-    def mutated(d, _original=cli._source_sum):
-        s, scale = _original(d)
-        return change(d, s), scale
+    def mutated(d, _original=states._source_sum):
+        v, scale = _original(d)
+        return change(d, v, bf.linalg._layout(d, True)), scale
 
-    monkeypatch.setattr(cli, "_source_sum", mutated)
+    monkeypatch.setattr(states, "_source_sum", mutated)
+
+
+def _raise_pair(v, layout, i: int, j: int, by: int):
+    """``v`` with the symmetric pair of entries ``(i, j)`` and ``(j, i)`` of S raised by ``by``;
+    both lie in one weight sector, so each is a block entry."""
+    for row, col in ((i, j), (j, i)):
+        [k] = np.flatnonzero((layout.rows == row) & (layout.cols == col))
+        v[k] += by
+    return v
 
 
 @pytest.mark.parametrize("d", [3, 4, 6])
@@ -112,8 +122,9 @@ def test_verify_fails_on_a_lowered_identity_term(monkeypatch, capsys, d):
     """S with its identity term ``d - 2`` lowered by ``2(d - 2)``, which is ``2/d^4`` in the
     source, has the wrong trace and marginals and a negative ``|aaa>`` block."""
 
-    def lowered(d, s):
-        return s - 2 * (d - 2) * np.eye(d**3, dtype=np.int64)
+    def lowered(d, v, layout):
+        v[layout.diagonal] -= 2 * (d - 2)
+        return v
 
     _mutate(monkeypatch, lowered)
     failing = _failing(capsys, ["verify", "--d", str(d), "--quiet"])
@@ -126,11 +137,8 @@ def test_verify_fails_on_a_perturbed_off_diagonal_pair(monkeypatch, capsys, d):
     tracing out slot 1, where both states hold 0, sees it; slots 2 and 3 and the trace do not,
     and the block stays PSD."""
 
-    def perturbed(d, s):
-        i, j = d + 2, 2 * d + 1
-        s[i, j] += 1
-        s[j, i] += 1
-        return s
+    def perturbed(d, v, layout):
+        return _raise_pair(v, layout, d + 2, 2 * d + 1, 1)
 
     _mutate(monkeypatch, perturbed)
     failing = _failing(capsys, ["verify", "--d", str(d), "--quiet"])
@@ -153,24 +161,22 @@ def test_verify_fails_on_a_pair_no_marginal_sees(monkeypatch, capsys, d):
     partial trace and the trace; only the PSD check sees it: the pair's 2 x 2 principal block,
     ``[[d^2 + d - 2, 3 d^2], [3 d^2, d^2 + d - 2]]``, is indefinite."""
 
-    def raised(d, s):
-        i, j = d + 2, d * d + 2 * d
-        s[i, j] += 2 * d * d
-        s[j, i] += 2 * d * d
-        return s
+    def raised(d, v, layout):
+        return _raise_pair(v, layout, d + 2, d * d + 2 * d, 2 * d * d)
 
     _mutate(monkeypatch, raised)
     failing = _failing(capsys, ["verify", "--d", str(d), "--quiet"])
     assert failing == ["source_psd"]
 
 
-@pytest.mark.parametrize("d", [7, 8, 12])
+@pytest.mark.parametrize("d", [7, 8, 12, 16, 20])
 def test_exact_checks_pass_past_the_command_line_cap(d):
     """The exact checks take any d; only the command line stops at 6."""
-    checks = cli._proof(d, cli._werner_sum(d), *cli._source_sum(d))
-    assert all(entry["pass"] for entry in checks.values())
-    assert [checks[key]["value"] for key in EXACT_KEYS[:5]] == ["0"] * 5
-    assert checks["werner_witness"]["value"] == f"{d + 1 - d * d}/{d * d}"
+    checks = states._source_proof(d)
+    assert list(checks) == EXACT_KEYS
+    assert all(holds for _, holds in checks.values())
+    assert [str(checks[key][0]) for key in EXACT_KEYS[:5]] == ["0"] * 5
+    assert str(checks["werner_witness"][0]) == f"{d + 1 - d * d}/{d * d}"
 
 
 def _rejects_tolerance(capsys, argv: list[str]) -> None:
@@ -596,10 +602,11 @@ def test_verify_solves_three_factor_operators_by_weight_sector(monkeypatch, caps
 @pytest.mark.parametrize("d", [4, 5, 6])
 def test_verify_does_no_dense_three_factor_work(monkeypatch, capsys, d):
     """``verify`` multiplies no three-factor operator densely and takes no norm, so it calls no
-    BLAS kernel large enough to start worker threads: the exact positivity proof reads the
-    scaled source as its stacks of 1-, 3- and 6-sided blocks, and factors one of each size."""
+    BLAS kernel large enough to start worker threads: the exact positivity proof holds the
+    scaled source as its block entries, reads no three-factor operator through ``_blocks``, and
+    factors one block of each size 1, 3 and 6."""
     reads, sizes, factored = [], [], []
-    blocks, norm, defect = bf.linalg._blocks, np.linalg.norm, cli._psd_defect
+    blocks, norm, defect = bf.linalg._blocks, np.linalg.norm, states._psd_defect
 
     def blocks_spy(m, dims):
         out = blocks(m, dims)
@@ -615,15 +622,30 @@ def test_verify_does_no_dense_three_factor_work(monkeypatch, capsys, d):
         return defect(a)
 
     monkeypatch.setattr(bf.linalg, "_blocks", blocks_spy)
-    monkeypatch.setattr(cli, "_blocks", blocks_spy)
+    monkeypatch.setattr(states, "_blocks", blocks_spy)
     monkeypatch.setattr(np.linalg, "norm", norm_spy)
-    monkeypatch.setattr(cli, "_psd_defect", defect_spy)
+    monkeypatch.setattr(states, "_psd_defect", defect_spy)
     code, _, _ = run_cli(capsys, ["verify", "--d", str(d), "--quiet"])
     assert code == 0
-    assert ("_proof", (d, d, d), [1, 3, 6]) in reads
+    assert [read for read in reads if len(read[1]) == 3] == []
     assert all(max(sides) <= 6 for _, dims, sides in reads if len(dims) == 3)
     assert sizes == []
     assert factored == [(1, 1), (3, 3), (6, 6)]
+
+
+def test_warm_verify_holds_less_than_one_dense_source(capsys):
+    """A warm ``verify --d 6`` peaks below the 373 248 bytes of one int64 matrix on three
+    factors C^6: the proof holds the source as its 996 block entries, never densely."""
+    argv = ["verify", "--d", "6", "--quiet"]
+    assert main(argv) == 0
+    tracemalloc.start()
+    try:
+        assert main(argv) == 0
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    capsys.readouterr()
+    assert peak < 8 * 6**6
 
 
 def test_verify_solves_each_spectrum_once(monkeypatch, capsys):

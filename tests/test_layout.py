@@ -230,9 +230,15 @@ def _scatter_owners() -> list[str]:
 
 
 def test_one_property_scatters_a_search_result():
-    """A search returns its best point as block entries; ``FeasibilityResult.candidate`` is the
-    one place that scatters them into a dense matrix, on first read."""
-    assert _scatter_owners() == ["extensions.py:FeasibilityResult.candidate"]
+    """A search returns its best point as block entries, and ``FeasibilityResult.candidate``
+    scatters them into a dense matrix on first read through ``linalg._dense``, the package's one
+    scatter, which the two source states also call."""
+    assert _scatter_owners() == ["linalg.py:_dense"]
+    assert _call_owners("_dense") == [
+        "extensions.py:FeasibilityResult",
+        "states.py:dso_general",
+        "states.py:dso_two_qubit",
+    ]
 
 
 def _module_stores(name: str) -> list[str]:
@@ -251,8 +257,9 @@ def test_one_integer_table_per_operator(monkeypatch):
     module level, with integer signs; only ``states`` sums them, with ``_permutation_sum``, and
     ``_scaled`` multiplies them by integers only, so each float state and ``verify``'s exact
     operators come from one integer build; ``cli`` imports neither the tables nor the
-    summing helpers, only the builders; only ``linalg`` imports ``Fraction``; and ``verify``'s
-    ``results`` are the same bytes on every call."""
+    summing helpers nor the integer builders, only ``states._source_proof``, and from ``linalg``
+    only the text format; only ``linalg`` imports ``Fraction``; and ``verify``'s ``results`` are
+    the same bytes on every call."""
     for table in ("_P_MINUS", "_Q", "_DSO_TWO_QUBIT"):
         assert _module_stores(table) == ["states.py:<module>"], table
         assert all(type(s) is int for _, s in getattr(bellforge.states, table)), table
@@ -261,14 +268,17 @@ def test_one_integer_table_per_operator(monkeypatch):
         owners = _call_owners(helper)
         assert owners and all(owner.startswith("states.py:") for owner in owners), helper
     cli_imports = {
-        alias.name
+        (getattr(node, "module", None), alias.name)
         for node in ast.walk(dict(_modules())["cli.py"])
-        if isinstance(node, ast.ImportFrom)
+        if isinstance(node, (ast.Import, ast.ImportFrom))
         for alias in node.names
     }
     hidden = {"_P_MINUS", "_Q", "_DSO_TWO_QUBIT", "_permutation_sum", "_scaled"}
-    assert not cli_imports & hidden, cli_imports & hidden
-    assert {"_werner_sum", "_source_sum"} <= cli_imports
+    hidden |= {"_werner_sum", "_source_sum", "numpy"}
+    assert not {name for _, name in cli_imports} & hidden, cli_imports
+    linalg_names = {name for module, name in cli_imports if module == "linalg"}
+    assert linalg_names == {"_split_text", "operator_from_text", "operator_to_text"}
+    assert ("states", "_source_proof") in cli_imports
     coefficients = []
 
     def spy(table, coef, eye, _original=bellforge.states._scaled):
@@ -452,8 +462,8 @@ def test_package_exports_exactly_the_module_lists():
 UNCALLED_PUBLIC = {
     "original_bell_gap": "re-evaluates a see-saw optimum in the exact model",
     "chsh_value": "re-evaluates a see-saw optimum in the exact model",
-    "dso_two_qubit": "the paper's d = 2 source operator; verify proves its integer sum instead",
-    "dso_general": "the paper's d >= 3 source operator; verify proves its integer sum instead",
+    "dso_two_qubit": "the paper's d = 2 source operator, scattered from the proved block entries",
+    "dso_general": "the paper's d >= 3 source operator, scattered from the proved block entries",
 }
 
 

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import bellforge as bf
-from bellforge.linalg import _permutation, _ptrace
+from bellforge.linalg import _dense, _layout, _multisets, _permutation, _ptrace
 from bellforge.states import (
     _DSO_TWO_QUBIT,
     _P_MINUS,
@@ -42,19 +42,24 @@ def _perm(d: int, images: tuple[int, ...]) -> np.ndarray:
     return u
 
 
+def _square(side: int) -> tuple[np.ndarray, np.ndarray]:
+    """The index arrays of every entry of a ``side``-sided matrix, broadcast as rows by columns."""
+    return np.arange(side)[:, None], np.arange(side)
+
+
 def _flip(d: int) -> np.ndarray:
     """The flip V on C^d (x) C^d, its one term summed."""
-    return _permutation_sum(d, (((2, 1), 1),))
+    return _permutation_sum(d, (((2, 1), 1),), *_square(d * d))
 
 
 def _antisym(d: int) -> np.ndarray:
     """The antisymmetric projector P_minus = (I - V)/2, its table's integer sum over 2."""
-    return _permutation_sum(d, _P_MINUS) / 2
+    return _permutation_sum(d, _P_MINUS, *_square(d * d)) / 2
 
 
 def _antisymmetrizer(d: int) -> np.ndarray:
     """The antisymmetrizer Q = sum sgn(pi) U_pi / 6, its table's integer sum over 6."""
-    return _permutation_sum(d, _Q) / 6
+    return _permutation_sum(d, _Q, *_square(d**3)) / 6
 
 
 def _scaled_dense(d: int) -> tuple[np.ndarray, int, np.ndarray]:
@@ -105,7 +110,7 @@ def test_flip_swaps_product_vectors():
 
 def test_flip_rejects_small_dimension():
     with pytest.raises(ValueError, match="at least 2"):
-        _permutation_sum(1, (((2, 1), 1),))
+        _permutation_sum(1, (((2, 1), 1),), *_square(1))
 
 
 @pytest.mark.parametrize("d", [2, 3, 4])
@@ -129,6 +134,16 @@ def test_permutation_parities_are_frozen():
         assert s == PARITIES[images]
     assert sum(PARITIES[images] for images, _ in _Q) == 0
     assert len(_Q) == 6
+
+
+@pytest.mark.parametrize("d", range(2, 9))
+def test_every_source_term_keeps_each_digit_multiset(d):
+    """Each U_pi of the source tables maps every basis state of three factors C^d to one of the
+    same digit multiset, so a sum of them has no entry between weight sectors and its block
+    entries in ``_layout(d, True)`` are the whole operator."""
+    code = _multisets(d, 3)
+    for images, _ in (*_Q, *_DSO_TWO_QUBIT):
+        assert (code[_permutation((d, d, d), images)] == code).all(), images
 
 
 @pytest.mark.parametrize("d", [2, 3])
@@ -440,7 +455,7 @@ def test_bipartite_sums_match_their_formulas_bit_for_bit(d):
 def test_tripartite_sums_match_their_formulas_bit_for_bit(d):
     for images in PARITIES:
         reference = bf.TensorOperator(_perm(d, images), (d, d, d))
-        summed = bf.TensorOperator(_permutation_sum(d, ((images, 1),)), (d, d, d))
+        summed = bf.TensorOperator(_permutation_sum(d, ((images, 1),), *_square(d**3)), (d, d, d))
         assert _same_bits(summed, reference)
     assert _same_bits(bf.TensorOperator(_antisymmetrizer(d), (d, d, d)), _antisymmetrizer_ref(d))
 
@@ -466,9 +481,9 @@ def test_qubit_sources_match_their_formulas_bit_for_bit():
 
 
 def test_source_state_frees_its_integer_sum_before_validation():
-    """``dso_general`` divides its int64 sum and drops it before the float state is built and
-    checked: the peak holds the complex state, its float quotient and the checks' temporaries,
-    below one more d^6-entry matrix, which the int64 sum alone would fill."""
+    """``dso_general`` holds its int64 sum as block entries only and scatters their float
+    quotient once: the peak holds the complex state, that quotient and the checks' temporaries,
+    below one more d^6-entry matrix, which a dense int64 sum alone would fill."""
     bf.dso_general(6)
     tracemalloc.start()
     try:
@@ -521,13 +536,14 @@ def test_term_tables_are_frozen():
 
 @pytest.mark.parametrize("d", [2, 3, 4, 5, 6])
 def test_integer_sums_are_the_scaled_operators(d):
-    """``verify``'s W and S, summed in int64 from the tables, are the dense formulas."""
-    w, (s, scale) = _werner_sum(d), _source_sum(d)
-    assert w.dtype == s.dtype == np.int64
+    """``verify``'s W and the block entries of its S, summed in int64 from the tables, are the
+    dense formulas."""
+    w, (v, scale) = _werner_sum(d), _source_sum(d)
+    assert w.dtype == v.dtype == np.int64
     dense_w, dense_scale, dense_s = _scaled_dense(d)
     assert scale == dense_scale
     np.testing.assert_array_equal(w, dense_w)
-    np.testing.assert_array_equal(s, dense_s)
+    np.testing.assert_array_equal(_dense(v, _layout(d, True)), dense_s)
 
 
 @pytest.mark.parametrize("d", range(2, 13))
@@ -535,10 +551,10 @@ def test_integer_sums_times_a_dyadic_scale_are_the_float_builds(d):
     """Every float build is its integer sum divided once by its scale, ``entries == m / k``, at
     every d: ``werner(d)`` over d^3, and ``dso_two_qubit()`` over 8 or ``dso_general(d)`` over
     d^4 (d-2)."""
-    s, scale = _source_sum(d)
+    v, scale = _source_sum(d)
     source = bf.dso_two_qubit() if d == 2 else bf.dso_general(d)
     assert (bf.werner(d).entries == _werner_sum(d) / d**3).all()
-    assert (source.entries == s / scale).all()
+    assert (source.entries == _dense(v, _layout(d, True)) / scale).all()
 
 
 @pytest.mark.parametrize("d", range(2, 9))
