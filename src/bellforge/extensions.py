@@ -16,10 +16,15 @@ the two sets do not meet, DR's displacement ``c - a`` converges to the gap
 vector between them (Bauschke & Moursi, Math. Program. 164 (2017)), which is
 normal to the marginal set: a sum of ``Y_j`` tensored with the identity at
 slot j, peeled off slot by slot and checked as a Farkas witness by one
-eigenvalue computation.  A search stops for one of three reasons:
-``converged`` (an operator meets every constraint to the tolerance),
-``infeasible`` (a checked certificate proves that no extension exists) or
-``max_iters`` (neither, within the iteration budget; this proves nothing).
+eigenvalue computation.  When they meet, DR's iterates on either set converge
+to a point of both (Svaiter, SIAM J. Control Optim. 49, 280 (2011)), so the
+search stops on either: the marginal-side one meets every constraint exactly
+and passes once it is positive definite, which it becomes long before the
+density-side one meets the constraints when a full-rank extension exists.  A search
+stops for one of three reasons: ``converged`` (an operator meets every
+constraint to the tolerance), ``infeasible`` (a checked certificate proves
+that no extension exists) or ``max_iters`` (neither, within the iteration
+budget; this proves nothing).
 
 The marginal maps and the density set commute with complex conjugation.
 With real targets (every state this package names is real in the product
@@ -49,8 +54,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import (
-    PSD_TOL, TensorOperator, _add_embedded, _block_ptrace, _chunks, _conserves, _dense, _frozen,
-    _hermitian_part, _Layout, _layout, _project_density, _ptrace, _spectrum,
+    PSD_TOL, TensorOperator, _add_embedded, _block_ptrace, _chunks, _conserves, _definite, _dense,
+    _frozen, _hermitian_part, _Layout, _layout, _project_density, _ptrace, _spectrum,
 )
 from .states import DensityOperator, _bipartite_dim, _check_local_dim
 
@@ -118,14 +123,16 @@ class InfeasibilityCertificate:
 class FeasibilityResult:
     """Outcome of the DR search ``dykstra_find_extension`` (named for the benchmark layer).
 
-    ``best`` holds the block entries, in ``layout``, of the best density point found, which
-    ``candidate`` scatters into an operator on first read.  ``residual`` is its total
-    infeasibility (largest marginal deviation plus PSD and trace deficits), ``iterations`` the
-    number of DR iterations run (0 when the targets' shared one-party marginals proved
-    infeasibility first; the point is then the start), ``converged`` whether that residual
-    reached the tolerance, and ``residual_trace`` each iteration's marginal deviation plus trace
-    deficit.  ``certificate`` is ``None`` unless infeasibility was proved, and ``stop_reason``
-    says what the result proves.
+    ``best`` holds the block entries, in ``layout``, of the point returned, which ``candidate``
+    scatters into an operator on first read: the positive definite marginal point that stopped
+    the search, or else the best density point found.  ``residual`` is its total infeasibility
+    (largest marginal deviation plus PSD and trace deficits), ``iterations`` the number of DR
+    iterations run (0 when the targets' shared one-party marginals proved infeasibility first;
+    the point is then the start), ``converged`` whether that residual reached the tolerance, and
+    ``residual_trace`` each iteration's density point's marginal deviation plus trace deficit,
+    except that a stop on the marginal point ends it with that point's ``residual``.
+    ``certificate`` is ``None`` unless infeasibility was proved, and ``stop_reason`` says what
+    the result proves.
     """
 
     best: np.ndarray
@@ -262,7 +269,10 @@ def dykstra_find_extension(
     The search stops for one of three reasons, given by ``stop_reason``:
 
     * ``"converged"``: a ``c`` passed ``tol`` on that cheap residual and on
-      the full one, which adds the PSD deficit from an eigensolve.
+      the full one, which adds the PSD deficit from an eigensolve; or,
+      tested first, an ``a`` whose blocks all have a Cholesky factorization
+      passed ``tol`` on the full residual.  The candidate is then that
+      positive definite ``a``, and no ``c`` is projected from it.
     * ``"infeasible"``: a checked Farkas certificate, returned as
       ``certificate``, proves that no extension exists.  The targets'
       shared one-party marginals are checked first (0 iterations if that
@@ -295,6 +305,10 @@ def dykstra_find_extension(
     while certificate is None and iterations < max_iters:
         iterations += 1
         a = _sweep(z, layout, targets)[0]
+        if _definite(_chunks(a, layout)) and (full := _residual(a, layout, targets)) <= tol:
+            best, converged = a, True
+            trace_log.append(full)
+            break
         c = _project_density(2.0 * a - z, layout)
         current = _cheap_residual(c, layout, targets)
         trace_log.append(current)

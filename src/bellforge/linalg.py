@@ -168,10 +168,17 @@ def _multisets(d: int, n: int) -> np.ndarray:
     return _frozen(np.ravel_multi_index(tuple(digits), (d,) * n))
 
 
+@functools.cache
+def _in_sector(d: int, n: int) -> np.ndarray:
+    """Flat indices of the entries of a matrix on n copies of C^d between states of one multiset,
+    built once and read-only."""
+    code = _multisets(d, n)
+    return _frozen(np.flatnonzero(code[:, None] == code))
+
+
 def _conserves(m: np.ndarray, d: int, n: int) -> bool:
     """Whether ``m`` on n copies of C^d is exactly zero between states of different multisets."""
-    code = _multisets(d, n)
-    return bool(np.count_nonzero(m[code[:, None] == code]) == np.count_nonzero(m.astype(bool)))
+    return bool(np.count_nonzero(m.flat[_in_sector(d, n)]) == np.count_nonzero(m.astype(bool)))
 
 
 def _sectors(d: int) -> tuple[np.ndarray, ...]:
@@ -292,6 +299,17 @@ def _spectrum(blocks: list[np.ndarray]) -> np.ndarray:
     """Ascending eigenvalues of the Hermitian part of the matrix with these blocks, one solve per
     stack; exact, as the matrix has no other entry."""
     return np.sort(np.concatenate([_eigenvalues(b).ravel() for b in blocks]))
+
+
+def _definite(blocks: list[np.ndarray]) -> bool:
+    """Whether the Hermitian part of the matrix with these blocks is positive definite: one
+    stacked Cholesky factorization per stack, 1x1 ones included, until one fails."""
+    try:
+        for b in blocks:
+            np.linalg.cholesky(_hermitian_part(b))
+    except np.linalg.LinAlgError:
+        return False
+    return True
 
 
 def _rational(n: int, den: int = 1) -> Fraction:

@@ -472,14 +472,17 @@ def test_dykstra_stops_at_max_iters_without_proof():
 
 
 def test_dykstra_eigensolver_calls_stay_logarithmic(monkeypatch):
-    """One ``eigh`` per iteration and block size (the density projection), ``eigvalsh`` on a log
-    schedule after at most one check per pair of constraints.
+    """One ``cholesky`` per block size at the iteration that stops on ``a`` and one per earlier
+    iteration, whose first stack already fails (the test that ``a`` is positive definite), one
+    ``eigh`` per density projection and block size, and ``eigvalsh`` on a log schedule after at
+    most one check per pair of constraints.
 
     ``werner(3)`` conserves weight, so its sectors come in sizes 1, 3 and 6 and each
-    eigensolve is one call per size above 1; the rotated pattern runs as one block.
-    Real targets run every eigensolve in real arithmetic, complex ones in complex.
+    eigensolve is one call per size above 1; the rotated pattern runs as one block.  Both
+    stop on ``a``, so the last iteration projects nothing.  Real targets run every
+    factorization and eigensolve in real arithmetic, complex ones in complex.
     """
-    dtypes = {"eigh": [], "eigvalsh": []}
+    dtypes = {"cholesky": [], "eigh": [], "eigvalsh": []}
     for name in dtypes:
 
         def counted(a, *args, _name=name, _original=getattr(np.linalg, name), **kwargs):
@@ -488,16 +491,19 @@ def test_dykstra_eigensolver_calls_stay_logarithmic(monkeypatch):
 
         monkeypatch.setattr(np.linalg, name, counted)
     _, rotated, _ = real_and_rotated(3, (1, 2, 3))
-    cases = ((bf.pattern_sym3(bf.werner(3)), np.float64, 2), (rotated, np.complex128, 1))
-    for pattern, dtype, solves in cases:
+    cases = ((bf.pattern_sym3(bf.werner(3)), np.float64, 2, 3), (rotated, np.complex128, 1, 1))
+    for pattern, dtype, solves, stacks in cases:
         for seen in dtypes.values():
             seen.clear()
         result = bf.dykstra_find_extension(pattern, max_iters=5000, tol=1e-6)
-        assert result.converged
-        assert len(dtypes["eigh"]) == solves * result.iterations
-        checks = 2 * math.ceil(math.log2(result.iterations)) + 4
+        n = result.iterations
+        assert result.converged and min(la.eigenvalues(result.candidate)) > 0.0
+        assert len(dtypes["cholesky"]) == n - 1 + stacks
+        assert len(dtypes["eigh"]) == solves * (n - 1)
+        checks = 2 * math.ceil(math.log2(n)) + 4
         assert len(dtypes["eigvalsh"]) <= solves * checks
-        assert set(dtypes["eigh"]) == set(dtypes["eigvalsh"]) == {np.dtype(dtype)}
+        assert set(dtypes["cholesky"]) == set(dtypes["eigh"]) == set(dtypes["eigvalsh"])
+        assert set(dtypes["eigh"]) == {np.dtype(dtype)}
         assert result.candidate.entries.dtype == np.complex128
 
 
@@ -670,6 +676,15 @@ def lowest_eigenvalue(m: np.ndarray) -> float:
     return float(np.linalg.eigvalsh((m + m.conj().T) / 2.0)[0])
 
 
+def is_definite(m: np.ndarray) -> bool:
+    """Whether one dense Cholesky factorization of the Hermitian part succeeds."""
+    try:
+        np.linalg.cholesky((m + m.conj().T) / 2.0)
+    except np.linalg.LinAlgError:
+        return False
+    return True
+
+
 def nearest_density(m: np.ndarray) -> np.ndarray:
     """Full-matrix ``eigh``, then the sort-based simplex projection of the whole spectrum."""
     vals, vecs = np.linalg.eigh((m + m.conj().T) / 2.0)
@@ -686,7 +701,9 @@ def textbook_douglas_rachford(
     """The search on dense matrices, as Douglas–Rachford splitting is stated.
 
     It calls no helper of the search: embeddings come from ``embed_identity``, the density
-    projection from one full-matrix ``eigh``, and ``lambda_min`` from a dense ``eigvalsh``.
+    projection from one full-matrix ``eigh``, ``lambda_min`` from a dense ``eigvalsh``, and the
+    test that the marginal-side iterate ``a`` is positive definite from a dense Cholesky.
+    It stops on ``a`` when that holds and its full residual passes ``tol``, else on ``c``.
     The duals are peeled off the displacement ``r = c - a`` as ``Y_j = ptr_j(r) / d``, then
     ``r -= Y_j (x) I`` at j.  It has no check of the targets' one-party marginals, so it
     stands for the search only on targets that agree on them.
@@ -732,6 +749,9 @@ def textbook_douglas_rachford(
     z, best_cheap, converged, found = sweep(best), math.inf, False, None
     for iterations in range(1, max_iters + 1):
         a = sweep(z)
+        if is_definite(a) and residual(a) <= tol:
+            best, converged = a, True
+            break
         c = nearest_density(2.0 * a - z)
         current = cheap(c)
         if current < best_cheap:
@@ -770,9 +790,9 @@ DUAL_CASES = {
 BENCHMARK_SEARCHES = {
     **{
         f"werner{d}-sym3": (lambda d=d: bf.pattern_sym3(bf.werner(d)), "converged", iterations)
-        for d, iterations in ((3, 10), (4, 12), (5, 11), (6, 3))
+        for d, iterations in ((3, 6), (4, 5), (5, 5), (6, 3))
     },
-    "werner4-right2": (lambda: bf.pattern_right2(bf.werner(4)), "converged", 19),
+    "werner4-right2": (lambda: bf.pattern_right2(bf.werner(4)), "converged", 10),
     "singlet-right2": (lambda: bf.pattern_right2(bf.singlet()), "infeasible", 1),
     "werner2-sym3": (lambda: bf.pattern_sym3(bf.werner(2)), "infeasible", 1),
 }
@@ -784,6 +804,30 @@ def test_benchmark_searches_keep_their_outcomes(case):
     make_pattern, reason, iterations = BENCHMARK_SEARCHES[case]
     result = bf.dykstra_find_extension(make_pattern(), max_iters=5000, tol=1e-6)
     assert (result.stop_reason, result.iterations) == (reason, iterations)
+
+
+@pytest.mark.parametrize(
+    "case, on_a", [(f"werner{d}-sym3", d < 6) for d in (3, 4, 5, 6)] + [("werner4-right2", True)]
+)
+def test_benchmark_searches_that_stop_on_a_return_a_definite_extension(monkeypatch, case, on_a):
+    """Every ``extend-converge`` search but ``werner(6)``'s, whose ``c`` passes ``tol`` first,
+    stops on a positive definite ``a`` before projecting it: an extension to rounding, whose
+    full residual closes the trace."""
+    projections = []
+
+    def counted(*args, _original=extensions._project_density):
+        projections.append(args)
+        return _original(*args)
+
+    monkeypatch.setattr(extensions, "_project_density", counted)
+    pattern = BENCHMARK_SEARCHES[case][0]()
+    result = bf.dykstra_find_extension(pattern, max_iters=5000, tol=1e-6)
+    assert result.stop_reason == "converged" and len(projections) == result.iterations - on_a
+    if on_a:
+        assert bf.density_deficits(result.candidate)[2] == 0.0
+        assert min(la.eigenvalues(result.candidate)) > 0.0
+        assert max(bf.verify_marginals(result.candidate, pattern)) <= 1e-12
+        assert result.residual_trace[-1] == result.residual
 
 
 def reference_weight_sectors(d: int, targets) -> tuple[np.ndarray, ...]:
@@ -864,23 +908,31 @@ def test_bipartite_duals_match_full_corrections(case):
 
 @pytest.mark.parametrize("case", ["werner3-sym3", "werner4-right2", "singlet-right2"])
 def test_partial_trace_count_is_exact(monkeypatch, case):
-    """Per constraint, the search traces once to sweep the start, twice per iteration (to
-    project and to assess), once per certificate check (to peel) and once per full residual:
-    at each iteration whose cheap residual passes ``tol`` and, unless converged, at the end.
-    The check of the targets' one-party marginals takes none."""
-    calls = 0
+    """Per constraint, the search traces once to sweep the start, twice per iteration (to sweep,
+    then to assess ``c``'s cheap residual or, once ``a`` is positive definite, ``a``'s full one),
+    once per certificate check (to peel) and once per other full residual: at each ``c`` whose
+    cheap residual passes ``tol`` and, unless converged, at the end.  The check of the targets'
+    one-party marginals takes none.  ``a`` is first positive definite at the iteration that
+    stops on it, if any."""
+    calls, definite = 0, []
 
     def counted(*args, _original=extensions._block_ptrace):
         nonlocal calls
         calls += 1
         return _original(*args)
 
+    def gate(*args, _original=extensions._definite):
+        definite.append(_original(*args))
+        return definite[-1]
+
     monkeypatch.setattr(extensions, "_block_ptrace", counted)
+    monkeypatch.setattr(extensions, "_definite", gate)
     pattern = DUAL_CASES[case]()
     result = bf.dykstra_find_extension(pattern, max_iters=5000, tol=1e-6)
-    k, n = len(pattern.constraints), result.iterations
+    k, n, on_a = len(pattern.constraints), result.iterations, int(case != "singlet-right2")
+    assert definite == [False] * (n - on_a) + [True] * on_a and result.converged >= on_a
     # Certificates are checked at iterations 1, 2, 4, ..., but not at the one that converged.
     checks = n.bit_length() - (result.converged and n & (n - 1) == 0)
-    full = sum(r <= 1e-6 for r in result.residual_trace) + (not result.converged)
+    # The last trace entry of a stop on ``a`` is its full residual, counted as an assessment.
+    full = sum(r <= 1e-6 for r in result.residual_trace) - on_a + (not result.converged)
     assert n >= 1 and calls == k * (1 + 2 * n + checks + full)
-

@@ -83,9 +83,23 @@ def test_eigvalsh_has_one_caller_in_linalg():
     assert owners == ["_eigenvalues"]
 
 
+def test_cholesky_has_one_caller_in_the_package():
+    """The one positive-definiteness test, which the extension search runs on its marginal-side
+    iterate, is ``linalg._definite``."""
+    owners = [
+        f"{name}:{top.name}"
+        for name, tree in _modules()
+        for top in tree.body
+        for node in ast.walk(top)
+        if isinstance(node, ast.Attribute) and node.attr == "cholesky"
+    ]
+    assert owners == ["linalg.py:_definite"]
+
+
 def test_multisets_are_read_only_by_the_sector_definition():
     """Whether an operator conserves weight, and which states form its sectors, are decided
-    in ``linalg._conserves`` and ``_sectors`` alone; the kernel and Dykstra both call them."""
+    from ``linalg._in_sector``, which ``_conserves`` reads, and ``_sectors`` alone; the kernel
+    and Dykstra both call them."""
     owners = sorted(
         f"{name}:{getattr(top, 'name', '<module>')}"
         for name, tree in _modules()
@@ -93,7 +107,7 @@ def test_multisets_are_read_only_by_the_sector_definition():
         for node in ast.walk(top)
         if isinstance(node, ast.Name) and node.id == "_multisets"
     )
-    assert owners == ["linalg.py:_conserves", "linalg.py:_sectors"]
+    assert owners == ["linalg.py:_in_sector", "linalg.py:_sectors"]
 
 
 def test_block_layout_is_read_only_in_linalg():
